@@ -167,15 +167,9 @@ def mean_abs_sin(y, n):
         raise ValueError("n must be >= 1")
     if n > _kernels.MAX_TERMS:
         raise ValueError(f"n > {_kernels.MAX_TERMS} exceeds the exact-reduction range")
-    y_hi = np.floor(y * 67108864.0 + 0.5) / 67108864.0
-    y_lo = y - y_hi
-    total = 0.0
-    for lo in range(1, n + 1, 1 << 20):
-        k = np.arange(lo, min(lo + (1 << 20), n + 1), dtype=np.float64)
-        r = np.mod(y_hi * k, 1.0) + y_lo * k
-        r -= np.floor(r)
-        total += float(np.sin(np.pi * r).sum())
-    return total / n
+    k = np.arange(1, n + 1, dtype=np.float64)
+    r = _kernels._frac_multiples(np.array([y]), k)[0]
+    return float(np.sin(np.pi * r).sum()) / n
 
 
 def rational_mean_abs_sin(q):

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import (
     EigenPair,
@@ -46,7 +47,12 @@ __all__ = [
     "score_graph",
     "write_score_csv",
     "write_heatmap_pgm",
+    "MAX_VERTICES",
 ]
+
+# edge lists name vertices 0..MAX_VERTICES-1; the vertex count is max id + 1,
+# so one huge id would otherwise allocate per-vertex storage for all below it
+MAX_VERTICES = 1 << 20
 
 
 @dataclass
@@ -87,32 +93,17 @@ class Graph:
         np.add.at(d, self.v, self.w)
         return d
 
-    def adjacency(self):
-        """Neighbor index array per vertex, ascending."""
-        nbrs = [[] for _ in range(self.n)]
-        for a, b in zip(self.u, self.v):
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return [np.array(sorted(x), dtype=np.int64) for x in nbrs]
-
     def components(self):
-        """Vertex labels 0..c-1 by connected component (BFS order)."""
-        label = np.full(self.n, -1, dtype=np.int64)
-        adj = self.adjacency()
-        comp = 0
-        for root in range(self.n):
-            if label[root] >= 0:
-                continue
-            stack = [root]
-            label[root] = comp
-            while stack:
-                node = stack.pop()
-                for nb in adj[node]:
-                    if label[nb] < 0:
-                        label[nb] = comp
-                        stack.append(nb)
-            comp += 1
-        return label, comp
+        """Vertex labels 0..c-1 by connected component, in order of smallest vertex."""
+        # imported here, not at module top: csgraph costs every run about
+        # 2 MB and 25 ms of start-up, and most subcommands build no graph
+        from scipy.sparse.csgraph import connected_components
+
+        adj = sp.csr_matrix(
+            (np.ones(self.n_edges), (self.u, self.v)), shape=(self.n, self.n)
+        )
+        count, labels = connected_components(adj, directed=False)
+        return labels.astype(np.int64), int(count)
 
 
 @dataclass
@@ -182,8 +173,9 @@ class PatchGraphConfig:
 def parse_edge_list(text):
     """Graph from "u,v[,w]" lines; '#' starts a comment, blanks skipped.
 
-    Repeated pairs must agree on the weight; self-loops and non-positive
-    weights are rejected.  Vertex count is max index + 1.
+    Repeated pairs must agree on the weight; self-loops, non-positive
+    weights and indices of MAX_VERTICES or more are rejected.  Vertex count
+    is max index + 1.
     """
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,6 +192,10 @@ def parse_edge_list(text):
             raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
         if a < 0 or b < 0:
             raise ValueError(f"line {lineno}: negative vertex index")
+        if max(a, b) >= MAX_VERTICES:
+            raise ValueError(
+                f"line {lineno}: vertex index {max(a, b)} exceeds {MAX_VERTICES - 1}"
+            )
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at vertex {a}")
         if not np.isfinite(w) or w <= 0:
@@ -486,9 +482,14 @@ def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance,
     lap = laplacian(graph, kind)
     want = min(n_terms + 1, graph.n)
     if graph.n <= DENSE_FALLBACK_N:
-        pairs = dense_sym_eig(lap.op.densified()).pairs[:want]
+        report = dense_sym_eig(lap.op.densified())
     else:
-        pairs = lanczos_smallest(lap.op, want, tol=1e-10, seed=seed).pairs
+        report = lanczos_smallest(lap.op, want, tol=1e-10, seed=seed)
+    if not report.converged:
+        raise RuntimeError(
+            f"eigensolver did not converge on a component of size {graph.n}"
+        )
+    pairs = report.pairs[:want]
     if lap.rescale is not None:
         pairs = [EigenPair(p.value, p.vector * lap.rescale) for p in pairs]
     basis = SpectralBasis.build(
@@ -534,8 +535,10 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
             f"graph is disconnected ({n_comp} components); scoring per component",
             stacklevel=2,
         )
-    for comp in range(n_comp):
-        vertices = np.flatnonzero(labels == comp)
+    # one stable sort groups the vertices by component, ascending within each
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
+    for vertices in np.split(order, bounds):
         if vertices.size < 2:
             warnings.warn(
                 f"component of size {vertices.size} has no nontrivial modes; scored 0",

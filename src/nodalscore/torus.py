@@ -133,8 +133,13 @@ def build_circle_operator(n_grid, spec):
 def _smallest_pairs(op, m, seed):
     if op.n <= DENSE_FALLBACK_N:
         report = dense_sym_eig(op.densified())
-        return report.pairs[:m]
-    return lanczos_smallest(op, m, tol=1e-10, seed=seed).pairs
+    else:
+        report = lanczos_smallest(op, m, tol=1e-10, seed=seed)
+    if not report.converged:
+        raise RuntimeError(
+            f"eigensolver did not converge on the circle operator (n={op.n})"
+        )
+    return report.pairs[:m]
 
 
 def torus_score(n_grid, spec, n_pairs, degenerate_policy="as-given",

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 
+from nodalscore import pipeline, torus
 from nodalscore.cli import main
+from nodalscore.eigensolve import EigenSolveReport
 
 
 def run(capsys, argv):
@@ -373,6 +375,51 @@ def test_invalid_value_exits_one(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert "self-loop" in err
+
+
+def test_vertex_id_above_cap_exits_one(capsys, tmp_path):
+    edges = tmp_path / "huge.csv"
+    edges.write_text("0,100000000\n")
+    code, _, err = run(
+        capsys,
+        [
+            "graph", "--input", str(edges), "--format", "edges",
+            "--n-terms", "1", "--out", str(tmp_path / "o.csv"),
+        ],
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "exceeds" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_non_converged_solve_exits_one(capsys, tmp_path, monkeypatch):
+    def unconverged(*args, **kwargs):
+        return EigenSolveReport(
+            pairs=[], residuals=np.array([]), iterations=0, converged=False
+        )
+
+    monkeypatch.setattr(pipeline, "dense_sym_eig", unconverged)
+    monkeypatch.setattr(torus, "dense_sym_eig", unconverged)
+    edges = tmp_path / "g.csv"
+    write_edge_file(edges)
+    code, _, err = run(
+        capsys,
+        [
+            "graph", "--input", str(edges), "--format", "edges",
+            "--n-terms", "2", "--out", str(tmp_path / "o.csv"),
+        ],
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "did not converge" in err
+    code, _, err = run(
+        capsys,
+        ["torus", "--y", "2.0", "--eps", "0.6", "--n-grid", "256", "--n-terms", "3"],
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "did not converge" in err
 
 
 def test_identical_argv_identical_bytes(capsys, tmp_path):

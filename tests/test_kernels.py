@@ -1,4 +1,4 @@
-"""Backend kernels: reduced-argument series vs naive direct summation."""
+"""Series kernels: reduced-argument series vs naive direct summation."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nodalscore import _kernels
-from nodalscore._kernels import _series_py
 
 
 def naive_interval(xs, n_terms):
@@ -97,24 +96,8 @@ def test_square_series_validates_shapes():
         )
 
 
-def test_pure_backend_agrees_with_selected_backend():
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(0.0, 1.0, 30)
-    a = _kernels.interval_series(xs, 333)
-    b = _series_py.interval_series(np.ascontiguousarray(xs), 333)
-    assert np.abs(a - b).max() <= 1e-11
-
-    ys = rng.uniform(0.0, 1.0, 30)
-    ms = np.arange(1, 9, dtype=np.int32)
-    ns = np.arange(8, 0, -1, dtype=np.int32)
-    ws = 1.0 / np.sqrt(ms.astype(float) ** 2 + ns.astype(float) ** 2)
-    a = _kernels.square_series(xs, ys, ms, ns, ws)
-    b = _series_py.square_series(xs, ys, ms, ns, ws)
-    assert np.abs(a - b).max() <= 1e-11
-
-
 def test_backend_tag_is_reported():
-    assert _kernels.BACKEND in ("compiled", "pure")
+    assert _kernels.BACKEND == "pure"
 
 
 def test_empty_point_set():

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from nodalscore import pipeline
 from nodalscore.core import ScoreField, ScoreConfig
-from nodalscore.eigensolve import dense_sym_eig
+from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.pipeline import (
+    MAX_VERTICES,
     Graph,
     Image,
     Mesh,
@@ -90,6 +92,10 @@ def test_edge_list_errors_with_line_numbers():
         parse_edge_list("0,1,1.0\n1,0,2.0\n")
     with pytest.raises(ValueError, match="positive"):
         parse_edge_list("0,1,0\n")
+    with pytest.raises(ValueError, match="line 2.*exceeds"):
+        parse_edge_list(f"0,1\n0,{MAX_VERTICES}\n")
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_edge_list("100000000,0\n")
     with pytest.raises(ValueError):
         parse_edge_list("# nothing\n")
 
@@ -365,6 +371,22 @@ def test_score_graph_rejects_bad_n_terms():
     g = Graph(n=2, u=[0], v=[1], w=[1.0])
     with pytest.raises(ValueError):
         score_graph(g, 0)
+
+
+def unconverged(*args, **kwargs):
+    return EigenSolveReport(
+        pairs=[], residuals=np.array([]), iterations=0, converged=False
+    )
+
+
+@pytest.mark.parametrize(
+    "solver, n", [("dense_sym_eig", 6), ("lanczos_smallest", 600)]
+)
+def test_score_graph_stops_on_non_converged_solve(monkeypatch, solver, n):
+    monkeypatch.setattr(pipeline, solver, unconverged)
+    path = Graph(n=n, u=np.arange(n - 1), v=np.arange(1, n), w=np.ones(n - 1))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        score_graph(path, 2, kind="combinatorial")
 
 
 # -------------------------------------------------------------------- writers

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nodalscore.eigensolve import dense_sym_eig
+from nodalscore import torus
+from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.torus import (
     PotentialSpec,
     build_circle_operator,
@@ -174,6 +175,22 @@ def test_score_input_guards():
         torus_score(512, PINNED, 0)
     with pytest.raises(ValueError):
         torus_score(512, PINNED, 65)
+
+
+@pytest.mark.parametrize(
+    "solver, n_grid", [("dense_sym_eig", 256), ("lanczos_smallest", 1024)]
+)
+def test_score_stops_on_non_converged_solve(monkeypatch, solver, n_grid):
+    def unconverged(*args, **kwargs):
+        return EigenSolveReport(
+            pairs=[], residuals=np.array([]), iterations=0, converged=False
+        )
+
+    monkeypatch.setattr(torus, solver, unconverged)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        torus_score(n_grid, PINNED, 3)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        find_N_eps(PINNED, n_grid, 3)
 
 
 # ----------------------------------------------------------------- find_N_eps
