@@ -465,19 +465,6 @@ def laplacian(graph, kind="combinatorial"):
     return GraphLaplacian(op=op, kind=kind, rescale=rescale)
 
 
-def _subgraph(graph, vertices):
-    """Induced subgraph with vertices relabeled 0..len-1 in given order."""
-    lookup = -np.ones(graph.n, dtype=np.int64)
-    lookup[vertices] = np.arange(len(vertices))
-    keep = (lookup[graph.u] >= 0) & (lookup[graph.v] >= 0)
-    return Graph(
-        n=len(vertices),
-        u=lookup[graph.u[keep]],
-        v=lookup[graph.v[keep]],
-        w=graph.w[keep],
-    )
-
-
 def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance, rel_tol):
     lap = laplacian(graph, kind)
     want = min(n_terms + 1, graph.n)
@@ -535,17 +522,32 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
             f"graph is disconnected ({n_comp} components); scoring per component",
             stacklevel=2,
         )
-    # one stable sort groups the vertices by component, ascending within each
+    # one stable sort groups the vertices by component, ascending within each;
+    # a vertex's rank in its group is its label in the component's subgraph
     order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=n_comp))[:-1]
-    for vertices in np.split(order, bounds):
+    sizes = np.bincount(labels, minlength=n_comp)
+    ends = np.cumsum(sizes)
+    local = np.empty(graph.n, dtype=np.int64)
+    local[order] = np.arange(graph.n) - np.repeat(ends - sizes, sizes)
+    # edges grouped the same way keep their (u, v)-sorted order in each group
+    edge_comp = labels[graph.u]
+    edge_order = np.argsort(edge_comp, kind="stable")
+    edge_bounds = np.cumsum(np.bincount(edge_comp, minlength=n_comp))[:-1]
+    for vertices, edges in zip(
+        np.split(order, ends[:-1]), np.split(edge_order, edge_bounds)
+    ):
         if vertices.size < 2:
             warnings.warn(
                 f"component of size {vertices.size} has no nontrivial modes; scored 0",
                 stacklevel=2,
             )
             continue
-        sub = _subgraph(graph, vertices)
+        sub = Graph(
+            n=vertices.size,
+            u=local[graph.u[edges]],
+            v=local[graph.v[edges]],
+            w=graph.w[edges],
+        )
         vals, digest = _score_component(
             sub, n_terms, kind, degenerate_policy, trials, seed, drop_tolerance, rel_tol
         )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nodalscore.eigensolve import (
     DENSE_MAX_N,
@@ -9,6 +10,7 @@ from nodalscore.eigensolve import (
     dense_sym_eig,
     lanczos_smallest,
 )
+from nodalscore.torus import PotentialSpec, build_circle_operator
 
 
 def path_laplacian_3():
@@ -79,6 +81,7 @@ def test_dense_2x2_example():
     values = [p.value for p in report.pairs]
     assert np.allclose(values, [1.0, 3.0], atol=1e-12)
     assert report.converged
+    assert report.method == "dense"
 
 
 def test_dense_identity_multiplicity():
@@ -234,13 +237,88 @@ def test_lanczos_rejects_m_not_below_n():
         lanczos_smallest(op, 4)
 
 
-def test_lanczos_oracle_sweep_small():
-    """Randomized dense-oracle equivalence on operators up to n = 300."""
+@pytest.mark.parametrize(
+    "held, method", [("sparse", "shift-invert"), ("dense", "lanczos")]
+)
+def test_lanczos_oracle_sweep_small(held, method):
+    """Randomized dense-oracle equivalence on operators up to n = 300.
+
+    Sparse operators this small always have a band narrow enough for the
+    shift-invert transform; the same matrices held dense take the
+    Gershgorin-shifted one.
+    """
     rng = np.random.default_rng(2024)
     for _ in range(8):
         n = int(rng.integers(20, 301))
         op = random_sparse_laplacian(rng, n)
         m = min(10, n - 1)
-        got = np.array([p.value for p in lanczos_smallest(op, m, seed=1).pairs])
+        solve_op = op if held == "sparse" else SymOperator.from_dense(op.to_dense())
+        report = lanczos_smallest(solve_op, m, seed=1)
+        assert report.method == method
+        got = np.array([p.value for p in report.pairs])
         want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:m]])
         assert np.abs(got - want).max() <= 1e-8
+
+
+def test_lanczos_wide_band_sparse_takes_gershgorin_path():
+    # connected, average degree 6: reverse Cuthill-McKee leaves a band of
+    # 380, wider than the sweep budget of 300 at m = 10
+    op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
+    report = lanczos_smallest(op, 10, seed=1)
+    assert report.method == "lanczos"
+    assert report.converged
+    got = np.array([p.value for p in report.pairs])
+    want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:10]])
+    assert np.abs(got - want).max() <= 1e-8
+
+
+def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path():
+    # a Laplacian shifted down by 1 has no Cholesky factor at the band
+    # path's shift; the solve falls back and meets the same PSD contract
+    # as the dense solver, instead of surfacing a LinAlgError
+    lap = random_sparse_laplacian(np.random.default_rng(9), 120)
+    op = SymOperator(n=lap.n, csr=(lap.csr - sp.identity(lap.n)).tocsr())
+    with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
+        lanczos_smallest(op, 6, seed=3)
+
+
+def test_lanczos_shift_invert_is_scale_invariant():
+    # a Laplacian with large weights: every wanted pair still converges,
+    # to the dense oracle's relative accuracy
+    lap = random_sparse_laplacian(np.random.default_rng(0), 120)
+    for weight in (1e4, 1e8, 1e13):
+        op = SymOperator(n=lap.n, csr=lap.csr * weight)
+        report = lanczos_smallest(op, 4)
+        assert report.method == "shift-invert"
+        assert report.converged
+        got = np.array([p.value for p in report.pairs])
+        want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:4]])
+        assert np.abs(got - want).max() <= 1e-8 * op.inf_norm_estimate
+
+
+def test_lanczos_shift_invert_recovers_exact_circle_doubles():
+    """Unperturbed circle: ground mode plus exact doubles, closed form.
+
+    V = 1 makes the operator circulant with eigenvalues
+    (2 - 2 cos(2 pi k / n)) / h^2 + 1, each k >= 1 twice; one Krylov start
+    sees one vector per double, so the copies come from deflated restarts.
+    """
+    n = 1024
+    circle = build_circle_operator(n, PotentialSpec(y=1.0, eps=0.5, well_scale=0.0))
+    report = lanczos_smallest(circle.matrix, 11)
+    assert report.method == "shift-invert"
+    assert report.converged
+    k = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
+    want = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / circle.h**2 + 1.0
+    got = np.array([p.value for p in report.pairs])
+    assert np.abs(got - want).max() <= 1e-8 * want.max()
+
+
+def test_lanczos_circle_well_operation_count():
+    # a count, not a time: the Gershgorin-shifted iteration needed 876
+    # operator applications here, the shift-invert one needs about 85
+    circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6))
+    report = lanczos_smallest(circle.matrix, 11)
+    assert report.method == "shift-invert"
+    assert report.converged
+    assert report.iterations <= 150

@@ -1,5 +1,6 @@
 """Ingestion, patch graphs, Laplacians, end-to-end scoring, exporters."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -358,6 +359,54 @@ def test_score_disconnected_graph_per_component():
     assert (field.values >= 0.0).all()
     # the two components are isometric, so their score vectors agree
     assert np.abs(field.values[:3] - field.values[3:]).max() <= 1e-9
+
+
+def test_score_many_components_each_as_if_alone():
+    """Each component's values and digest equal scoring it as its own graph."""
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 25, 60)
+    n = int(sizes.sum())
+    ids = rng.permutation(n)  # the components' vertex ids interleave
+    comps, edges = [], {}
+    at = 0
+    for size in sizes:
+        verts = np.sort(ids[at : at + size])
+        at += size
+        comps.append(verts)
+        for i in range(1, size):  # a random tree plus a few chords
+            edges[(verts[rng.integers(i)], verts[i])] = rng.uniform(0.5, 2.0)
+        for _ in range(size // 3):
+            a, b = np.sort(rng.choice(size, 2, replace=False))
+            edges[(verts[a], verts[b])] = rng.uniform(0.5, 2.0)
+    keys = sorted(edges)
+    g = Graph(
+        n=n,
+        u=[k[0] for k in keys],
+        v=[k[1] for k in keys],
+        w=[edges[k] for k in keys],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = score_graph(g, 3)
+        digests = []  # joined in component-label order: by smallest vertex
+        for verts in sorted(comps, key=lambda c: c[0]):
+            if verts.size < 2:
+                assert (field.values[verts] == 0.0).all()
+                continue
+            rank = {int(x): i for i, x in enumerate(verts)}
+            own = [k for k in keys if k[0] in rank]
+            alone = Graph(
+                n=verts.size,
+                u=[rank[int(k[0])] for k in own],
+                v=[rank[int(k[1])] for k in own],
+                w=[edges[k] for k in own],
+            )
+            vals, digest = pipeline._score_component(
+                alone, 3, "sym-normalized", "as-given", 64, 0, None, 1e-8
+            )
+            assert np.array_equal(field.values[verts], vals)
+            digests.append(digest)
+    assert field.basis_hash == hashlib.sha256("|".join(digests).encode()).hexdigest()[:16]
 
 
 def test_score_isolated_vertex_scores_zero():
