@@ -189,6 +189,10 @@ def _cmd_paley(args, parser):
     p = int(merged["p"])
     if p % 4 != 1 or p < 5:
         parser.error(f"--p {p} must be a prime congruent to 1 mod 4")
+    if merged["verify"] and p > paley.NUMERIC_MAX_PRIME:
+        parser.error(f"--verify needs --p <= {paley.NUMERIC_MAX_PRIME}")
+    if merged["out"] and p > paley.PER_VERTEX_MAX_PRIME:
+        parser.error(f"--out needs --p <= {paley.PER_VERTEX_MAX_PRIME}")
     try:
         score = paley.paley_score_closed_form(p)
     except ValueError as exc:

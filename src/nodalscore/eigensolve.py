@@ -90,11 +90,15 @@ class SymOperator:
             raise ValueError("triplets must satisfy i <= j")
         if not np.isfinite(vals).all():
             raise ValueError("triplet values must be finite")
-        upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        diag = sp.coo_matrix(
-            (upper.diagonal(), (np.arange(n), np.arange(n))), shape=(n, n)
-        )
-        full = (upper + upper.T - diag).tocsr()
+        off = rows != cols
+        full = sp.coo_matrix(
+            (
+                np.concatenate([vals, vals[off]]),
+                (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
+            ),
+            shape=(n, n),
+        ).tocsr()
+        full.eliminate_zeros()  # no stored zeros, from explicit zeros or cancelled duplicates
         return cls(n=n, csr=full)
 
     @property

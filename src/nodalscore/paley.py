@@ -9,7 +9,10 @@ is symmetric).  The Laplacian spectrum is closed-form: 0 once and
 each with multiplicity (p - 1) / 2; the characters e_k(j) = exp(2 pi i jk/p)
 are eigenvectors, residues k pairing with lambda_minus.  The score kept
 complex (no absolute value, k = 0 excluded) collapses to three values by
-class: vertex 0, residues, non-residues.
+class: vertex 0, residues, non-residues.  The quadratic Gauss sum
+sum_k e(k^2/p) = sqrt(p) gives the residue class sum in closed form,
+sum_{k in R} e(jk/p) = (chi(j) sqrt(p) - 1) / 2 for j != 0, so the three
+values cost O(1) and only the per-vertex field is of size p.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 MAX_PRIME = 2**31
+# largest p for anything of size p (residue mask, per-vertex field, CSV)
+PER_VERTEX_MAX_PRIME = 2**24
 NUMERIC_MAX_PRIME = 2000
 
 
@@ -53,7 +58,7 @@ def _is_prime(n):
 def is_quadratic_residue(a, p):
     """Euler's criterion a^((p-1)/2) = 1 mod p; a must not be 0 mod p."""
     p = int(p)
-    if not _is_prime(p) or p == 2 or p >= MAX_PRIME:
+    if p >= MAX_PRIME or p == 2 or not _is_prime(p):
         raise ValueError("p must be an odd prime below 2**31")
     a = int(a) % p
     if a == 0:
@@ -63,35 +68,35 @@ def is_quadratic_residue(a, p):
 
 @dataclass(frozen=True)
 class PaleyField:
-    """Prime p = 1 mod 4 with its set of nonzero quadratic residues."""
+    """Prime p = 1 mod 4 below 2**31; `create` costs an O(sqrt p) primality test."""
 
     p: int
-    residues: frozenset[int]
 
     @classmethod
     def create(cls, p):
         p = int(p)
-        if not _is_prime(p) or p >= MAX_PRIME:
+        if p >= MAX_PRIME or not _is_prime(p):
             raise ValueError(f"p = {p} is not a prime below 2**31")
         if p % 4 != 1 or p < 5:
             raise ValueError(
                 f"p = {p} is not 1 mod 4 (difference relation not symmetric)"
             )
-        residues = frozenset(x * x % p for x in range(1, p))
-        assert len(residues) == (p - 1) // 2
-        return cls(p=p, residues=residues)
+        return cls(p=p)
 
     def residue_mask(self):
         """mask[k] true iff k is a nonzero quadratic residue, k = 0..p-1."""
+        if self.p > PER_VERTEX_MAX_PRIME:
+            raise ValueError(
+                f"per-vertex values limited to p <= {PER_VERTEX_MAX_PRIME}"
+            )
         mask = np.zeros(self.p, dtype=bool)
-        mask[sorted(self.residues)] = True
+        mask[np.arange(1, (self.p + 1) // 2, dtype=np.int64) ** 2 % self.p] = True
         return mask
 
 
 def paley_graph(p):
     """Paley graph on p vertices; (p-1)/2-regular with p(p-1)/4 edges."""
-    field = PaleyField.create(p)
-    mask = field.residue_mask()
+    mask = PaleyField.create(p).residue_mask()
     a, b = np.nonzero(np.triu(mask[(np.arange(p)[None, :] - np.arange(p)[:, None]) % p], 1))
     return Graph(n=p, u=a.astype(np.int64), v=b.astype(np.int64), w=np.ones(a.size))
 
@@ -120,62 +125,43 @@ def paley_spectrum(p):
 
 @dataclass
 class PaleyScore:
-    """The three score values and the per-vertex field (complex, tiny imag)."""
+    """The three score values; the per-vertex field (complex) is built on first read."""
 
     p: int
     s_zero: complex
     s_residue: complex
     s_nonresidue: complex
-    per_vertex: np.ndarray
+    _per_vertex: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.per_vertex = np.asarray(self.per_vertex, dtype=np.complex128)
-        for name, val in (
-            ("s_zero", self.s_zero),
-            ("s_residue", self.s_residue),
-            ("s_nonresidue", self.s_nonresidue),
-        ):
-            if abs(val.imag) > 1e-10:
-                raise ValueError(f"{name} has imaginary part above 1e-10")
-        if np.abs(self.per_vertex.imag).max(initial=0.0) > 1e-10:
-            raise ValueError("per-vertex score has imaginary part above 1e-10")
-
-
-def _assemble(p, mask, weight_minus, weight_plus):
-    """Score values from the per-class exponential sums, O(p) per class.
-
-    S_c(j) = sum_{k in class} exp(2 pi i jk / p) depends only on the class
-    of j, so one residue j and one non-residue j determine everything.
-    """
-    ks = np.arange(p)
-    res_k = ks[mask]
-    non_k = ks[1:][~mask[1:]]
-    j_res = int(res_k.min())
-    j_non = int(non_k.min())
-
-    def class_sums(j):
-        phases = np.exp(2j * np.pi * j * ks / p)
-        return phases[res_k].sum(), phases[non_k].sum()
-
-    s_zero = weight_minus * len(res_k) + weight_plus * len(non_k) + 0j
-    res_sums = class_sums(j_res)
-    non_sums = class_sums(j_non)
-    s_residue = weight_minus * res_sums[0] + weight_plus * res_sums[1]
-    s_nonres = weight_minus * non_sums[0] + weight_plus * non_sums[1]
-    per_vertex = np.where(mask, s_residue, s_nonres).astype(np.complex128)
-    per_vertex[0] = s_zero
-    return s_zero, s_residue, s_nonres, per_vertex
+    @property
+    def per_vertex(self):
+        """Score at every vertex; raises above PER_VERTEX_MAX_PRIME."""
+        if self._per_vertex is None:
+            mask = PaleyField(self.p).residue_mask()
+            values = np.where(mask, complex(self.s_residue), complex(self.s_nonresidue))
+            values[0] = self.s_zero
+            self._per_vertex = values
+        return self._per_vertex
 
 
 def paley_score_closed_form(p):
-    """Phase-preserving score sum_{k>=1} lambda(k)^{-1/2} e^{2 pi i jk/p}."""
-    spec = paley_spectrum(p)
-    field = PaleyField.create(p)
-    mask = field.residue_mask()
-    s0, sr, sn, pv = _assemble(
-        p, mask, spec.lambda_minus**-0.5, spec.lambda_plus**-0.5
+    """Phase-preserving score sum_{k>=1} lambda(k)^{-1/2} e^{2 pi i jk/p}.
+
+    With w = lambda_minus^{-1/2}, lambda_plus^{-1/2} the Gauss sum gives
+    s_residue = w_minus (sqrt(p) - 1)/2 - w_plus (sqrt(p) + 1)/2 and the
+    mirror image for non-residues.  They are evaluated as (+-d - s)/2, where
+    s = w_minus + w_plus and d = sqrt(p) (w_minus - w_plus) = 4 / ((p-1) s),
+    which avoids the cancellation of the two O(1) terms.  O(1) after the
+    primality test; nothing of size p is allocated until ``per_vertex``
+    is read.
+    """
+    p = PaleyField.create(p).p
+    root = math.sqrt(p)
+    s = ((p - root) / 2.0) ** -0.5 + ((p + root) / 2.0) ** -0.5
+    d = 4.0 / ((p - 1) * s)
+    return PaleyScore(
+        p=p, s_zero=(p - 1) / 2.0 * s, s_residue=(d - s) / 2.0, s_nonresidue=(-d - s) / 2.0
     )
-    return PaleyScore(p=p, s_zero=s0, s_residue=sr, s_nonresidue=sn, per_vertex=pv)
 
 
 def paley_score_numeric(p):
@@ -184,7 +170,9 @@ def paley_score_numeric(p):
     The numeric spectrum must cluster as {0, lambda_minus, lambda_plus}
     with the right multiplicities, and every character must project onto
     its cluster's eigenspace with residual at most 1e-8; otherwise
-    "eigenspace mismatch" is raised.
+    "eigenspace mismatch" is raised.  The score at each vertex is then
+    the explicit character sum with the measured cluster weights, so it
+    checks the Gauss-sum values of the closed form independently.
     """
     p = int(p)
     if p > NUMERIC_MAX_PRIME:
@@ -208,7 +196,7 @@ def paley_score_numeric(p):
 
     # validate the character basis against the numeric eigenspaces
     ks = np.arange(p)
-    chars = np.exp(2j * np.pi * np.outer(ks, ks) / p)  # column k = e_k
+    chars = np.exp(2j * np.pi * (np.outer(ks, ks) % p) / p)  # column k = e_k
     for cluster_mask, class_mask in ((lower, mask), (upper, ~mask)):
         basis = vectors[:, cluster_mask]
         cls = class_mask.copy()
@@ -219,5 +207,10 @@ def paley_score_numeric(p):
         if rel.max(initial=0.0) > 1e-8:
             raise ValueError("eigenspace mismatch: character projection residual")
 
-    s0, sr, sn, pv = _assemble(p, mask, lam_minus**-0.5, lam_plus**-0.5)
-    return PaleyScore(p=p, s_zero=s0, s_residue=sr, s_nonresidue=sn, per_vertex=pv)
+    weights = np.where(mask, lam_minus**-0.5, lam_plus**-0.5)
+    weights[0] = 0.0
+    per_vertex = chars @ weights
+    if np.abs(per_vertex.imag).max() > 1e-10:
+        raise ValueError("per-vertex score has imaginary part above 1e-10")
+    j_non = int(np.argmin(mask[1:])) + 1  # smallest non-residue
+    return PaleyScore(p, per_vertex[0], per_vertex[1], per_vertex[j_non], per_vertex)

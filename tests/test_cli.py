@@ -1,11 +1,16 @@
 """Command line front end: subcommands, config merge, exit codes, outputs."""
 
+import contextlib
+import io
 import json
 import math
+import time
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nodalscore import pipeline, torus
+from nodalscore import paley, pipeline, torus
 from nodalscore.cli import main
 from nodalscore.eigensolve import EigenSolveReport
 
@@ -148,6 +153,69 @@ def test_paley_rejects_bad_modulus(capsys):
         code, _, err = run(capsys, ["paley", "--p", bad])
         assert code == 2, bad
         assert err != ""
+
+
+def gauss_sum_values(p):
+    """(s_zero, s_residue, s_nonresidue) from the quadratic Gauss sum sqrt(p)."""
+    root = math.sqrt(p)
+    w_minus = ((p - root) / 2) ** -0.5
+    w_plus = ((p + root) / 2) ** -0.5
+    return (
+        (p - 1) / 2 * (w_minus + w_plus),
+        w_minus * (root - 1) / 2 - w_plus * (root + 1) / 2,
+        -w_minus * (root + 1) / 2 + w_plus * (root - 1) / 2,
+    )
+
+
+def assert_gauss_sum_summary(summary, p):
+    assert int(summary["p"]) == p
+    for key, want in zip(("s_zero", "s_residue", "s_nonresidue"), gauss_sum_values(p)):
+        assert abs(float(summary[key]) - want) <= 1e-12 * abs(want), key
+
+
+def test_paley_largest_prime_summary(capsys):
+    p = 2147483629  # largest prime = 1 mod 4 below MAX_PRIME = 2**31
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, ["paley", "--p", str(p)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert_gauss_sum_summary(parse_summary(stdout), p)
+
+
+def test_paley_above_max_prime_is_usage_error(capsys):
+    # (2**61 - 1)**2 = 1 mod 4; trial division to its factor 2**61 - 1 would not end
+    code, _, err = run(capsys, ["paley", "--p", str((2**61 - 1) ** 2)])
+    assert code == 2
+    assert "2**31" in err
+
+
+def test_paley_limits_are_usage_errors_before_work(capsys, tmp_path, monkeypatch):
+    def no_work(p):
+        raise AssertionError("closed form ran")
+
+    monkeypatch.setattr(paley, "paley_score_closed_form", no_work)
+    code, _, err = run(capsys, ["paley", "--p", "2017", "--verify"])
+    assert code == 2
+    assert f"p <= {paley.NUMERIC_MAX_PRIME}" in err
+    out = tmp_path / "paley.csv"
+    code, _, err = run(capsys, ["paley", "--p", "16777289", "--out", str(out)])
+    assert code == 2
+    assert f"p <= {paley.PER_VERTEX_MAX_PRIME}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-10, max_value=10**6))
+@example(5)
+@example(13)
+@example(999961)  # largest prime = 1 mod 4 in range
+def test_paley_any_integer_exits_cleanly(p):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["paley", "--p", str(p)])
+    assert code in (0, 2)
+    if code == 0:
+        assert_gauss_sum_summary(parse_summary(stdout.getvalue()), p)
 
 
 def test_torus_score_mode(capsys, tmp_path):

@@ -56,6 +56,29 @@ def test_triplets_duplicates_sum_and_mirror():
     assert np.allclose(dense, [[5.0, 3.0], [3.0, 0.0]])
 
 
+def test_triplets_csr_is_canonical_without_stored_zeros():
+    # explicit zeros and duplicates that cancel leave no stored entry
+    op = SymOperator.from_triplets(
+        3, [0, 0, 1, 1, 0, 2], [0, 2, 2, 2, 1, 2], [0.0, 4.0, 1.5, -1.5, 0.0, 2.0]
+    )
+    csr = op.csr
+    assert csr.has_canonical_format
+    assert np.all(csr.data != 0.0)
+    assert csr.nnz == 3
+    assert np.array_equal(op.to_dense(), [[0.0, 0.0, 4.0], [0.0, 0.0, 0.0], [4.0, 0.0, 2.0]])
+    rng = np.random.default_rng(5)
+    n = 40
+    rows = rng.integers(0, n, 300)
+    cols = rng.integers(0, n, 300)
+    rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+    vals = rng.standard_normal(300)
+    want = np.zeros((n, n))
+    np.add.at(want, (rows, cols), vals)
+    want = want + np.triu(want, 1).T
+    dense = SymOperator.from_triplets(n, rows, cols, vals).to_dense()
+    assert np.abs(dense - want).max() <= 1e-14
+
+
 def test_gershgorin_bounds_spectrum():
     rng = np.random.default_rng(2)
     for _ in range(10):

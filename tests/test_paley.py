@@ -1,12 +1,15 @@
 """Paley graphs: construction, closed-form spectra, three-valued scores."""
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from nodalscore.eigensolve import dense_sym_eig
 from nodalscore.paley import (
+    PER_VERTEX_MAX_PRIME,
     PaleyField,
     is_quadratic_residue,
     paley_graph,
@@ -35,10 +38,11 @@ def test_is_quadratic_residue_examples():
 
 def test_residues_match_euler_criterion_enumeration():
     for p in PRIMES:
-        field = PaleyField.create(p)
+        mask = PaleyField.create(p).residue_mask()
         brute = {x * x % p for x in range(1, p)}
-        assert field.residues == frozenset(brute)
-        assert len(field.residues) == (p - 1) // 2
+        assert set(np.flatnonzero(mask).tolist()) == brute
+        assert mask.sum() == (p - 1) // 2
+        assert [bool(m) for m in mask[1:]] == [is_quadratic_residue(k, p) for k in range(1, p)]
 
 
 def test_field_rejects_bad_primes():
@@ -165,12 +169,63 @@ def test_numeric_p5_three_values_with_counts():
 def test_residue_class_multiplicativity():
     rng = np.random.default_rng(17)
     for p in PRIMES:
-        field = PaleyField.create(p)
-        residues = sorted(field.residues)
-        nonresidues = [a for a in range(1, p) if a not in field.residues]
+        mask = PaleyField.create(p).residue_mask()
+        residues = np.flatnonzero(mask).tolist()
+        nonresidues = [a for a in range(1, p) if not mask[a]]
         for _ in range(20):
             r = residues[rng.integers(0, len(residues))]
             n1 = nonresidues[rng.integers(0, len(nonresidues))]
             n2 = nonresidues[rng.integers(0, len(nonresidues))]
-            assert (r * n1) % p not in field.residues
-            assert (n1 * n2) % p in field.residues
+            assert not mask[(r * n1) % p]
+            assert mask[(n1 * n2) % p]
+
+
+def test_closed_form_matches_explicit_character_sum():
+    # S(j) = sum_{k >= 1} lambda(k)^{-1/2} e^{2 pi i jk/p}, term by term
+    for p in PRIMES:
+        root = math.sqrt(p)
+        squares = {x * x % p for x in range(1, p)}
+        ks = np.arange(1, p)
+        lam = np.array([(p - root) / 2 if k in squares else (p + root) / 2 for k in ks])
+        js = np.arange(p)
+        brute = (np.exp(2j * np.pi * (np.outer(js, ks) % p) / p) * lam**-0.5).sum(axis=1)
+        assert np.abs(paley_score_closed_form(p).per_vertex - brute).max() <= 1e-12
+
+
+def test_closed_form_accurate_to_rounding_up_to_max_prime():
+    # the Gauss-sum values in 40-digit decimal arithmetic
+    for p in (13, 1007921, 16777213, 2147483629):
+        score = paley_score_closed_form(p)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root = Decimal(p).sqrt()
+            w_minus = 1 / ((p - root) / 2).sqrt()
+            w_plus = 1 / ((p + root) / 2).sqrt()
+            want = (
+                (p - 1) * (w_minus + w_plus) / 2,
+                (w_minus * (root - 1) - w_plus * (root + 1)) / 2,
+                (w_plus * (root - 1) - w_minus * (root + 1)) / 2,
+            )
+            got = (score.s_zero, score.s_residue, score.s_nonresidue)
+            for value, exact in zip(got, want):
+                assert abs((Decimal(value) - exact) / exact) <= Decimal("1e-15")
+
+
+def test_closed_form_allocates_nothing_of_size_p():
+    p = 1000033
+    tracemalloc.start()
+    try:
+        score = paley_score_closed_form(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p // 10  # a residue mask alone would be p bytes
+    assert score.per_vertex.size == p
+
+
+def test_per_vertex_cap():
+    score = paley_score_closed_form(2147483629)
+    assert score.s_zero > 0
+    with pytest.raises(ValueError, match="per-vertex"):
+        score.per_vertex
+    assert PER_VERTEX_MAX_PRIME >= 10**7
