@@ -1,11 +1,25 @@
 """Trigonometric series kernels with exact argument reduction.
 
-|sin(k*pi*x)| is evaluated as sin(pi * frac(k*x)).  frac is computed with x
-split in two: the high part has at most 26 mantissa bits, so k * x_hi is an
-exact double for k <= MAX_TERMS = 2**20, and the reduction keeps the cusps
-at rational x that rounding in a naive k*pi*x would blur.  _frac_multiples
-is the only place that does the split; every series in the package goes
-through it.
+|sin(k*pi*x)| is evaluated as sin(pi * frac(k*x)).  At float x, frac is
+computed with x split in two: the high part has at most 26 mantissa bits,
+so k * x_hi is an exact double for k <= MAX_TERMS = 2**20, and the
+reduction keeps the cusps at rational x that rounding in a naive k*pi*x
+would blur.  _frac_multiples is the only place that does the split.
+
+At a rational x = num/den the reduction is done in integers instead:
+(k*num) mod den is exact, and the term repeats with period den in k, so
+rational_series groups the weights 1/k by residue class.
+
+Caps, each refused before anything of that size is allocated:
+
+- MAX_TERMS = 2**20 terms per series (the exact range of the float split);
+- MAX_GRID_POINTS = 2**24 points on a command-line grid (interval
+  --grid + 1, square mx * my), checked by the CLI;
+- rational_series needs den * min(den, n_terms) < 2**63, so every
+  integer product it forms fits in int64;
+- square_series holds a dense (max m + 1) x (max n + 1) weight matrix of
+  at most _CHUNK_BUDGET cells; on the Dirichlet lattice that is
+  lambda_cut < 2**22.
 """
 
 import numpy as np
@@ -16,8 +30,19 @@ BACKEND = "pure"
 _SPLIT = 67108864.0  # 2**26
 # k * x_hi must stay exactly representable: 26 bits of x_hi + 20 bits of k < 53
 MAX_TERMS = 1 << 20
+MAX_GRID_POINTS = 1 << 24
 # points x terms evaluated per chunk, bounding each temporary to 32 MB
 _CHUNK_BUDGET = 1 << 22
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_terms(n_terms):
+    n_terms = int(n_terms)
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
+    if n_terms > MAX_TERMS:
+        raise ValueError(f"n_terms > {MAX_TERMS} exceeds the exact-reduction range")
+    return n_terms
 
 
 def _frac_multiples(xs, k):
@@ -31,11 +56,7 @@ def _frac_multiples(xs, k):
 
 def interval_series(xs, n_terms):
     """sum_{k<=n_terms} |sin(k*pi*x)| / k for each x, via reduced arguments."""
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if n_terms > MAX_TERMS:
-        raise ValueError(f"n_terms > {MAX_TERMS} exceeds the exact-reduction range")
+    n_terms = _check_terms(n_terms)
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     out = np.zeros(xs.shape[0])
     if xs.shape[0] == 0:
@@ -47,28 +68,79 @@ def interval_series(xs, n_terms):
     return out
 
 
+def _sin_pi_over(r, den):
+    """sin(pi * r / den) for integers 0 <= r < den, symmetric in r <-> den - r."""
+    return np.sin(np.pi * (np.minimum(r, den - r) / den))
+
+
+def rational_series(nums, den, n_terms):
+    """sum_{k<=n_terms} sin(pi * ((k*num) mod den) / den) / k for each integer num.
+
+    This is the interval series at x = num/den, reduced exactly.  With
+    n_terms >= den the weights 1/k are summed per residue k mod den once
+    (smallest first), and each point costs den terms; otherwise every k is
+    reduced directly.
+    """
+    n_terms = _check_terms(n_terms)
+    den = int(den)
+    if den < 1:
+        raise ValueError("den must be >= 1")
+    terms = min(den, n_terms)
+    if den > _INT64_MAX // terms:
+        raise ValueError(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
+    nums = np.mod(np.asarray(nums, dtype=np.int64), den)
+    out = np.zeros(nums.shape[0])
+    grouped = n_terms >= den
+    if grouped:
+        k = np.arange(n_terms, 0, -1, dtype=np.int64)
+        weights = np.bincount(k % den, weights=1.0 / k, minlength=den)
+        k = np.arange(den, dtype=np.int64)  # one k per residue class
+        table = _sin_pi_over(k, den)
+    else:
+        k = np.arange(1, n_terms + 1, dtype=np.int64)
+        weights = 1.0 / k
+    chunk = max(1, _CHUNK_BUDGET // terms)
+    for lo in range(0, nums.shape[0], chunk):
+        r = (nums[lo:lo + chunk, None] * k) % den
+        sines = table[r] if grouped else _sin_pi_over(r, den)
+        out[lo:lo + chunk] = sines @ weights
+    return out
+
+
 def square_series(xs, ys, ms, ns, ws):
-    """sum_i ws[i] * |sin(ms[i]*pi*x)| * |sin(ns[i]*pi*y)| per point (x, y)."""
+    """sum_i ws[i] * |sin(ms[i]*pi*x)| * |sin(ns[i]*pi*y)| per point (x, y).
+
+    The terms are scattered into a dense weight matrix W[m, n] (duplicates
+    summed), so the series is the separable form rowsum((Sx @ W) * Sy) with
+    Sx[i, m] = |sin(m*pi*x_i)| for m = 0..max m: one sine per frequency
+    and point rather than one per term.
+    """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
     if xs.shape != ys.shape:
         raise ValueError("xs and ys must have the same length")
-    ms = np.ascontiguousarray(ms, dtype=np.int32)
-    ns = np.ascontiguousarray(ns, dtype=np.int32)
+    # |sin(-m pi x)| = |sin(m pi x)|
+    ms = np.abs(np.asarray(ms, dtype=np.int64))
+    ns = np.abs(np.asarray(ns, dtype=np.int64))
     ws = np.ascontiguousarray(ws, dtype=np.float64)
     if not (ms.shape == ns.shape == ws.shape):
         raise ValueError("ms, ns, ws must have the same length")
-    if ms.size and (ms.max(initial=1) > MAX_TERMS or ns.max(initial=1) > MAX_TERMS):
-        raise ValueError("frequency exceeds the exact-reduction range")
     out = np.zeros(xs.shape[0])
-    if xs.shape[0] == 0 or ms.shape[0] == 0:
+    if ms.size == 0:
         return out
-    chunk = max(1, _CHUNK_BUDGET // xs.shape[0])
-    for lo in range(0, ms.shape[0], chunk):
-        m = ms[lo:lo + chunk].astype(np.float64)
-        n = ns[lo:lo + chunk].astype(np.float64)
-        w = ws[lo:lo + chunk]
-        sx = np.sin(np.pi * _frac_multiples(xs, m))
-        sy = np.sin(np.pi * _frac_multiples(ys, n))
-        out += (w * sx * sy).sum(axis=1)
+    m_size, n_size = int(ms.max()) + 1, int(ns.max()) + 1
+    if max(m_size, n_size) > MAX_TERMS + 1:
+        raise ValueError("frequency exceeds the exact-reduction range")
+    if m_size * n_size > _CHUNK_BUDGET:
+        raise ValueError(f"weight matrix {m_size}x{n_size} exceeds {_CHUNK_BUDGET} cells")
+    weights = np.bincount(
+        ms * n_size + ns, weights=ws, minlength=m_size * n_size
+    ).reshape(m_size, n_size)
+    m = np.arange(m_size, dtype=np.float64)
+    n = np.arange(n_size, dtype=np.float64)
+    chunk = max(1, _CHUNK_BUDGET // max(m_size, n_size))
+    for lo in range(0, xs.shape[0], chunk):
+        sx = np.sin(np.pi * _frac_multiples(xs[lo:lo + chunk], m))
+        sy = np.sin(np.pi * _frac_multiples(ys[lo:lo + chunk], n))
+        out[lo:lo + chunk] = ((sx @ weights) * sy).sum(axis=1)
     return out

@@ -23,15 +23,22 @@ import numpy as np
 from . import _kernels
 from .core import EigenPair, SpectralBasis
 
+# the square kernel's weight matrix has (isqrt(lambda_cut) + 1)^2 cells,
+# at most _kernels._CHUNK_BUDGET = 2^22 below this cutoff
+MAX_LAMBDA_CUT = 1 << 22
+
 __all__ = [
     "RationalPoint",
     "PeriodicSequence",
     "PeriodicBoundResult",
     "interval_score",
     "interval_score_grid",
+    "interval_score_uniform",
     "square_score",
     "square_score_grid",
     "square_lattice",
+    "RationalProbe",
+    "probe_rational_minimum",
     "check_rational_minimum",
     "check_rational_minimum_2d",
     "mean_abs_sin",
@@ -83,11 +90,21 @@ def interval_score_grid(xs, n_terms):
     return _kernels.interval_series(xs, n_terms)
 
 
+def interval_score_uniform(grid, n_terms):
+    """Interval score at x = i/grid, i = 0..grid, with k*i reduced mod grid exactly."""
+    grid = int(grid)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    return _kernels.rational_series(np.arange(grid + 1), grid, n_terms)
+
+
 def square_lattice(lambda_cut):
     """Positive lattice points with m^2 + n^2 <= lambda_cut and their weights."""
     lambda_cut = float(lambda_cut)
-    if lambda_cut < 2.0:
+    if not lambda_cut >= 2.0:
         raise ValueError("lambda_cut must be >= 2 (no lattice point otherwise)")
+    if not lambda_cut < MAX_LAMBDA_CUT:
+        raise ValueError(f"lambda_cut must be below {MAX_LAMBDA_CUT}")
     ms, ns = [], []
     m_max = math.isqrt(math.floor(lambda_cut))
     for m in range(1, m_max + 1):
@@ -121,23 +138,44 @@ def square_score_grid(xs, ys, lambda_cut):
     return _kernels.square_series(xs, ys, ms, ns, ws)
 
 
+class RationalProbe(NamedTuple):
+    strict: bool
+    center_value: float
+    step: float
+
+
+def probe_rational_minimum(point, n_terms, h):
+    """Interval score at p/q and at p/q +- 1/d, d = round(1/h), exactly.
+
+    The step is snapped to 1/d so all three probes are rationals over
+    den = lcm(q, d) and reduce exactly (rational_series); the snapped step
+    is returned.  Requires d >= 8 q^2: a wider step can leave the cusp and
+    compare against unrelated structure.
+    """
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    inverse = 1.0 / h
+    if not math.isfinite(inverse):
+        raise ValueError(f"h = {h!r} is too small to snap to 1/d")
+    d = round(inverse)
+    if d < 8 * point.q**2:
+        raise ValueError("h must be at most 1/(8 q^2)")
+    den = math.lcm(point.q, d)
+    center, offset = point.p * (den // point.q), den // d
+    # the neighbours stay inside (0, 1): 1/d <= 1/(8 q^2) < p/q, (q - p)/q
+    values = _kernels.rational_series(
+        [center, center - offset, center + offset], den, n_terms
+    )
+    return RationalProbe(bool(values[0] < values[1:].min()), float(values[0]), 1.0 / d)
+
+
 def check_rational_minimum(point, n_terms, h):
     """True when p/q scores strictly below both neighbors p/q +- h.
 
-    Requires h <= 1/(8 q^2): a wider step can leave the cusp and compare
-    against unrelated structure.
+    h is snapped to 1/round(1/h) and must be at most 1/(8 q^2); see
+    probe_rational_minimum.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    if h > 1.0 / (8 * point.q**2):
-        raise ValueError("h must be at most 1/(8 q^2)")
-    x = point.x
-    if x - h < 0.0 or x + h > 1.0:
-        raise ValueError("p/q +- h must stay inside [0, 1]")
-    center, left, right = _kernels.interval_series(
-        np.array([x, x - h, x + h]), n_terms
-    )
-    return bool(center < min(left, right))
+    return probe_rational_minimum(point, n_terms, h).strict
 
 
 def check_rational_minimum_2d(point_x, point_y, lambda_cut, h):

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import analytic, paley, pipeline, torus
+from ._kernels import MAX_GRID_POINTS
 from .core import find_strict_local_minima
 
 __all__ = ["main", "entry"]
@@ -41,8 +42,40 @@ def _write_config(out_path, effective):
         fh.write("\n")
 
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(parser, key, value, kinds):
+    """value when its JSON type fits one of the flag's kinds, else a usage error.
+
+    An integral float passes for an integer flag (as the int); a bool is
+    never a number.
+    """
+    if isinstance(value, bool):
+        if bool in kinds:
+            return value
+    elif isinstance(value, str):
+        if str in kinds:
+            return value
+    elif isinstance(value, int):
+        if int in kinds or (float in kinds and abs(value) <= sys.float_info.max):
+            return value
+    elif isinstance(value, float):
+        if float in kinds:
+            return value
+        if int in kinds and value.is_integer():
+            return int(value)
+    wanted = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+    parser.error(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+
+
 def _merge(args, parser, keys):
-    """Fill unset flags from --config JSON; explicit flags take precedence."""
+    """Fill unset flags from --config JSON; explicit flags take precedence.
+
+    keys maps each flag to (kinds, default): the JSON types its config value
+    may have, and its value when neither the flag nor the config sets it
+    (a JSON null leaves it unset).
+    """
     cfg = {}
     if args.config:
         try:
@@ -56,12 +89,12 @@ def _merge(args, parser, keys):
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for key, default in keys.items():
+    for key, (kinds, default) in keys.items():
         cli_val = getattr(args, key.replace("-", "_"))
         if cli_val is not None:
             merged[key] = cli_val
-        elif key in cfg:
-            merged[key] = cfg[key]
+        elif cfg.get(key) is not None:
+            merged[key] = _config_value(parser, key, cfg[key], kinds)
         else:
             merged[key] = default
     return merged
@@ -83,16 +116,18 @@ def _parse_grid_2d(parser, text):
         parser.error("--grid must look like MxM")
     if mx < 2 or my < 2:
         parser.error("--grid sides must be >= 2")
+    if mx * my > MAX_GRID_POINTS:
+        parser.error(f"--grid {mx}x{my} exceeds {MAX_GRID_POINTS} points")
     return mx, my
 
 
 def _cmd_interval(args, parser):
     keys = {
-        "n-terms": None,
-        "grid": None,
-        "find-minima": False,
-        "out": None,
-        "seed": 0,
+        "n-terms": ((int,), None),
+        "grid": ((int,), None),
+        "find-minima": ((bool,), False),
+        "out": ((str,), None),
+        "seed": ((int,), 0),
     }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "n-terms", "grid", "out")
@@ -100,8 +135,10 @@ def _cmd_interval(args, parser):
     grid = int(merged["grid"])
     if grid < 1:
         parser.error("--grid must be >= 1")
+    if grid + 1 > MAX_GRID_POINTS:
+        parser.error(f"--grid {grid} exceeds {MAX_GRID_POINTS} points")
     xs = np.arange(grid + 1) / grid
-    values = analytic.interval_score_grid(xs, n_terms)
+    values = analytic.interval_score_uniform(grid, n_terms)
     out = merged["out"]
     pipeline.write_score_csv(values, out)
     _write_config(out, merged)
@@ -123,11 +160,11 @@ def _cmd_interval(args, parser):
 
 def _cmd_square(args, parser):
     keys = {
-        "lambda-cut": None,
-        "grid": None,
-        "out": None,
-        "pgm": None,
-        "seed": 0,
+        "lambda-cut": ((float,), None),
+        "grid": ((str,), None),
+        "out": ((str,), None),
+        "pgm": ((str,), None),
+        "seed": ((int,), 0),
     }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "lambda-cut", "grid", "out")
@@ -158,21 +195,31 @@ def _cmd_square(args, parser):
 
 
 def _cmd_rational_check(args, parser):
-    keys = {"p": None, "q": None, "n-terms": None, "step": None, "out": None, "seed": 0}
+    keys = {
+        "p": ((int,), None),
+        "q": ((int,), None),
+        "n-terms": ((int,), None),
+        "step": ((float,), None),
+        "out": ((str,), None),
+        "seed": ((int,), 0),
+    }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "p", "q")
     point = analytic.RationalPoint(int(merged["p"]), int(merged["q"]))
     n_terms = int(merged["n-terms"]) if merged["n-terms"] is not None else point.q**2
     step = float(merged["step"]) if merged["step"] is not None else 1.0 / (8 * point.q**2)
-    merged["n-terms"], merged["step"] = n_terms, step
-    strict = analytic.check_rational_minimum(point, n_terms, step)
+    try:
+        probe = analytic.probe_rational_minimum(point, n_terms, step)
+    except ValueError as exc:
+        parser.error(str(exc))
+    merged["n-terms"], merged["step"] = n_terms, probe.step
     items = [
         ("p", point.p),
         ("q", point.q),
         ("n_terms", n_terms),
-        ("step", step),
-        ("strict_minimum", strict),
-        ("center_value", analytic.interval_score(point.x, n_terms)),
+        ("step", probe.step),
+        ("strict_minimum", probe.strict),
+        ("center_value", probe.center_value),
     ]
     if merged["out"]:
         with open(merged["out"], "wb") as fh:
@@ -183,7 +230,12 @@ def _cmd_rational_check(args, parser):
 
 
 def _cmd_paley(args, parser):
-    keys = {"p": None, "verify": False, "out": None, "seed": 0}
+    keys = {
+        "p": ((int,), None),
+        "verify": ((bool,), False),
+        "out": ((str,), None),
+        "seed": ((int,), 0),
+    }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "p")
     p = int(merged["p"])
@@ -218,14 +270,14 @@ def _cmd_paley(args, parser):
 
 def _cmd_torus(args, parser):
     keys = {
-        "y": None,
-        "eps": None,
-        "bump": "constant",
-        "n-grid": 512,
-        "n-terms": None,
-        "find-n-eps": None,
-        "out": None,
-        "seed": 0,
+        "y": ((float,), None),
+        "eps": ((float,), None),
+        "bump": ((str,), "constant"),
+        "n-grid": ((int,), 512),
+        "n-terms": ((int,), None),
+        "find-n-eps": ((int,), None),
+        "out": ((str,), None),
+        "seed": ((int,), 0),
     }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "y", "eps")
@@ -261,16 +313,16 @@ def _cmd_torus(args, parser):
 
 def _cmd_graph(args, parser):
     keys = {
-        "input": None,
-        "format": None,
-        "laplacian": "sym",
-        "knn": 16,
-        "patch": 8,
-        "bandwidth": "auto",
-        "n-terms": None,
-        "out": None,
-        "pgm": None,
-        "seed": 0,
+        "input": ((str,), None),
+        "format": ((str,), None),
+        "laplacian": ((str,), "sym"),
+        "knn": ((int,), 16),
+        "patch": ((int,), 8),
+        "bandwidth": ((str, float), "auto"),
+        "n-terms": ((int,), None),
+        "out": ((str,), None),
+        "pgm": ((str,), None),
+        "seed": ((int,), 0),
     }
     merged = _merge(args, parser, keys)
     _require(parser, merged, "input", "format", "n-terms", "out")

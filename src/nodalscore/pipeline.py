@@ -567,12 +567,17 @@ def _field_values(field):
     return field.values if isinstance(field, ScoreField) else np.asarray(field, dtype=np.float64)
 
 
+_CSV_BLOCK_ROWS = 1 << 16
+
+
 def write_score_csv(field, path):
     """Write "index,score" lines, scores at 17 significant digits."""
     values = _field_values(field)
     with open(path, "wb") as fh:
-        for i, val in enumerate(values):
-            fh.write(f"{i},{val:.17g}\n".encode())
+        # one write per block of rows keeps the text of a huge field out of memory
+        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+            block = values[lo:lo + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(f"{i},{val:.17g}\n" for i, val in enumerate(block, lo)).encode())
 
 
 def write_heatmap_pgm(field, width, height, path):

@@ -12,17 +12,20 @@ from nodalscore.analytic import (
     check_rational_minimum_2d,
     interval_score,
     interval_score_grid,
+    interval_score_uniform,
     interval_sine_basis,
     mean_abs_sin,
     nodal_distance_interval,
     nodal_distance_sum,
     periodic_sum_bound,
+    probe_rational_minimum,
     rational_mean_abs_sin,
     sign_cos_period_sum,
     square_lattice,
     square_score,
     square_score_grid,
 )
+from nodalscore import analytic
 from nodalscore.core import ScoreConfig, compute_score_field
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -75,6 +78,19 @@ def test_interval_score_agrees_with_sine_basis_field():
     assert np.abs(field - closed).max() <= 1e-10
 
 
+def test_interval_score_uniform_matches_float_grid():
+    for grid, n_terms in ((1, 5), (16, 64), (240, 4), (97, 500)):
+        xs = np.arange(grid + 1) / grid
+        exact = interval_score_uniform(grid, n_terms)
+        assert exact.shape == (grid + 1,)
+        assert exact[0] == 0.0 and exact[-1] == 0.0
+        assert np.abs(exact - interval_score_grid(xs, n_terms)).max() <= 1e-12
+        # x and 1 - x are the same sum term by term
+        assert (exact == exact[::-1]).all()
+    with pytest.raises(ValueError):
+        interval_score_uniform(0, 5)
+
+
 # -------------------------------------------------------------- square_score
 
 
@@ -98,6 +114,9 @@ def test_square_lattice_counts():
     assert np.allclose(ws, 1.0 / np.sqrt(ms.astype(float) ** 2 + ns.astype(float) ** 2))
     with pytest.raises(ValueError):
         square_lattice(1.5)
+    for bad in (float(analytic.MAX_LAMBDA_CUT), 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            square_lattice(bad)
 
 
 def test_square_score_grid_matches_pointwise():
@@ -123,6 +142,33 @@ def test_check_rational_minimum_step_guard():
         check_rational_minimum(RationalPoint(1, 5), 25, 1.0 / 100.0)  # h > 1/(8 q^2)
     with pytest.raises(ValueError):
         check_rational_minimum(RationalPoint(1, 2), 4, -1e-3)
+
+
+def test_probe_snaps_step_to_unit_fraction():
+    point = RationalPoint(2, 5)
+    for h in (1.0 / 200.0, 1e-3, 1.0 / 360.0):
+        assert probe_rational_minimum(point, 25, h).step == h
+    probe = probe_rational_minimum(point, 25, 0.003)
+    assert probe.step == 1.0 / 333.0
+    assert probe.strict is True
+    assert probe.center_value == interval_score_uniform(5, 25)[2]
+    # the snapped step is what the guard sees: round(1/0.00502) = 199 < 8 q^2
+    with pytest.raises(ValueError, match="1/\\(8 q\\^2\\)"):
+        probe_rational_minimum(point, 25, 0.00502)
+    probe_rational_minimum(point, 25, 0.004999)  # snaps to 1/200
+    for bad in (0.0, math.nan, -1.0, 5e-324):
+        with pytest.raises(ValueError):
+            probe_rational_minimum(point, 25, bad)
+
+
+def test_probe_neighbours_match_float_kernel():
+    point = RationalPoint(5, 13)
+    n_terms = 4096
+    h = 1.0 / (8 * 13**2)
+    probe = probe_rational_minimum(point, n_terms, h)
+    values = interval_score_grid(np.array([5 / 13, 5 / 13 - h, 5 / 13 + h]), n_terms)
+    assert abs(probe.center_value - values[0]) <= 1e-12
+    assert probe.strict == bool(values[0] < values[1:].min())
 
 
 def test_check_rational_minimum_2d_example():

@@ -545,3 +545,165 @@ def test_identical_argv_identical_bytes(capsys, tmp_path):
         assert out_one == out_two, argv
         for blob_one, blob_two, path in zip(first, second, artifacts):
             assert blob_one == blob_two, (argv, str(path))
+
+
+# ------------------------------------------------ exact rational series paths
+
+
+def exact_interval_value(i, grid, n_terms):
+    """fsum over k of sin(pi ((k*i) mod grid) / grid) / k, reduced in integers."""
+    k = np.arange(1, n_terms + 1, dtype=np.int64)
+    return math.fsum((np.sin(np.pi * ((k * i) % grid) / grid) / k).tolist())
+
+
+def test_interval_grid_is_exact_at_large_n(capsys, tmp_path):
+    grid, n_terms = 1000, 1 << 20
+    out = tmp_path / "i.csv"
+    code, stdout, _ = run(
+        capsys,
+        ["interval", "--n-terms", str(n_terms), "--grid", str(grid), "--out", str(out)],
+    )
+    assert code == 0
+    values = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()])
+    assert values.size == grid + 1
+    summary = parse_summary(stdout)
+    sample = {1, 7, 333, 500, 999, int(summary["min_index"]), int(np.argmax(values))}
+    for i in sorted(sample):
+        want = exact_interval_value(i, grid, n_terms)
+        assert abs(values[i] - want) <= 1e-13, i
+
+
+def test_interval_large_grid_operation_guard(capsys, tmp_path):
+    start = time.perf_counter()
+    code, stdout, _ = run(
+        capsys,
+        ["interval", "--n-terms", "1048576", "--grid", "4096",
+         "--out", str(tmp_path / "g.csv")],
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert parse_summary(stdout)["points"] == "4097"
+    assert elapsed < 10.0, f"interval 4097 x 2^20 took {elapsed:.1f}s"
+
+
+def test_rational_check_snaps_step(capsys, tmp_path):
+    out = tmp_path / "rc.txt"
+    code, stdout, _ = run(
+        capsys,
+        ["rational-check", "--p", "1", "--q", "3", "--step", "0.003", "--out", str(out)],
+    )
+    assert code == 0
+    assert parse_summary(stdout)["step"] == format(1.0 / 333.0, ".17g")
+    assert json.loads((tmp_path / "rc.txt.config.json").read_text())["step"] == 1.0 / 333.0
+    for argv, echoed in (([], "0.013888888888888888"), (["--step", "1e-3"], "0.001")):
+        code, stdout, _ = run(capsys, ["rational-check", "--p", "1", "--q", "3"] + argv)
+        assert code == 0
+        assert parse_summary(stdout)["step"] == echoed
+
+
+def test_rational_check_step_out_of_range_is_usage_error(capsys):
+    for step in ("1e-18", "0.02", "0", "nan"):
+        code, stdout, err = run(capsys, ["rational-check", "--p", "1", "--q", "3", "--step", step])
+        assert code == 2, step
+        assert stdout == ""
+    assert "overflows int64" in run(
+        capsys, ["rational-check", "--p", "1", "--q", "3", "--step", "1e-18"]
+    )[2]
+
+
+def test_grid_caps_exit_before_work(capsys, tmp_path, monkeypatch):
+    from nodalscore import analytic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scored a grid above the cap")
+
+    monkeypatch.setattr(analytic, "interval_score_uniform", refuse)
+    monkeypatch.setattr(analytic, "square_score_grid", refuse)
+    out = tmp_path / "x.csv"
+    cases = (
+        ["interval", "--n-terms", "4", "--grid", str(1 << 24), "--out", str(out)],
+        ["interval", "--n-terms", "4", "--grid", str(10**10), "--out", str(out)],
+        ["square", "--lambda-cut", "50", "--grid", "4097x4096", "--out", str(out)],
+        ["square", "--lambda-cut", "50", "--grid", "100000x100000", "--out", str(out)],
+    )
+    for argv in cases:
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "exceeds" in err
+    assert not out.exists()
+
+
+# ------------------------------------------------------ --config value types
+
+
+def config_run(capsys, tmp_path, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, argv + ["--config", str(path)])
+
+
+def test_config_type_errors_interval_square(capsys, tmp_path):
+    out = str(tmp_path / "o.csv")
+    bad = (
+        (["interval", "--grid", "8", "--out", out], {"n-terms": [3]}, "n-terms"),
+        (["interval", "--n-terms", "8", "--out", out], {"grid": 8.5}, "grid"),
+        (["interval", "--n-terms", "8", "--out", out], {"grid": "8"}, "grid"),
+        (["interval", "--n-terms", "8", "--grid", "8"], {"out": 5}, "out"),
+        (["interval", "--n-terms", "8", "--grid", "8", "--out", out],
+         {"find-minima": 1}, "find-minima"),
+        (["square", "--grid", "5x5", "--out", out], {"lambda-cut": "50"}, "lambda-cut"),
+        (["square", "--grid", "5x5", "--out", out], {"lambda-cut": True}, "lambda-cut"),
+        (["square", "--lambda-cut", "50", "--out", out], {"grid": {"x": 5}}, "grid"),
+        (["square", "--grid", "5x5", "--out", out], {"lambda-cut": 10**400}, "lambda-cut"),
+    )
+    for argv, cfg, key in bad:
+        code, _, err = config_run(capsys, tmp_path, argv, cfg)
+        assert code == 2, cfg
+        assert f"config key '{key}'" in err, err
+    code, stdout, _ = config_run(
+        capsys, tmp_path, ["interval", "--out", out], {"n-terms": 8.0, "grid": 8}
+    )
+    assert code == 0
+    assert parse_summary(stdout)["n_terms"] == "8"
+
+
+def test_config_type_errors_rational_paley(capsys, tmp_path):
+    bad = (
+        (["rational-check", "--q", "5"], {"p": True}, "p"),
+        (["rational-check", "--p", "2", "--q", "5"], {"step": "0.001"}, "step"),
+        (["rational-check", "--p", "2"], {"q": 5.5}, "q"),
+        (["paley"], {"p": [13]}, "p"),
+        (["paley"], {"p": 13.9}, "p"),
+        (["paley"], {"p": "13"}, "p"),
+        (["paley", "--p", "13"], {"verify": "yes"}, "verify"),
+    )
+    for argv, cfg, key in bad:
+        code, stdout, err = config_run(capsys, tmp_path, argv, cfg)
+        assert code == 2, cfg
+        assert stdout == ""
+        assert f"config key '{key}'" in err, err
+    code, stdout, _ = config_run(capsys, tmp_path, ["paley"], {"p": 13.0, "seed": None})
+    assert code == 0
+    assert parse_summary(stdout)["p"] == "13"
+
+
+def test_config_type_errors_torus_graph(capsys, tmp_path):
+    edges = tmp_path / "g.csv"
+    write_edge_file(edges)
+    out = str(tmp_path / "o.csv")
+    graph = ["graph", "--input", str(edges), "--format", "edges", "--out", out]
+    bad = (
+        (["torus", "--y", "2.0", "--n-terms", "3"], {"eps": {"a": 1}}, "eps"),
+        (["torus", "--y", "2.0", "--eps", "0.6"], {"n-terms": 2.5}, "n-terms"),
+        (["torus", "--y", "2.0", "--eps", "0.6", "--n-terms", "3"], {"seed": "1"}, "seed"),
+        (graph, {"n-terms": 2, "knn": 16.5}, "knn"),
+        (graph, {"n-terms": 2, "bandwidth": [1.0]}, "bandwidth"),
+        (graph + ["--n-terms", "2"], {"laplacian": 1}, "laplacian"),
+        (graph + ["--n-terms", "2"], {"pgm": False}, "pgm"),
+    )
+    for argv, cfg, key in bad:
+        code, _, err = config_run(capsys, tmp_path, argv, cfg)
+        assert code == 2, cfg
+        assert f"config key '{key}'" in err, err
+    code, _, _ = config_run(capsys, tmp_path, graph, {"n-terms": 2, "bandwidth": 0.5})
+    assert code == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalscore import _kernels
 
@@ -77,6 +79,90 @@ def test_square_series_matches_naive_sum():
             for m, n, w in zip(ms, ns, ws)
         )
     assert np.abs(got - want).max() <= 1e-10
+
+
+def integer_oracle(num, den, n_terms):
+    """fsum of sin(pi r / den) / k with r = (k * num) mod den in Python integers."""
+    return math.fsum(
+        math.sin(math.pi * ((k * num) % den) / den) / k for k in range(1, n_terms + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "den, n_terms",
+    [(7, 7), (13, 5000), (1000, 20000), (97, 96), (5000, 3000), (10**12 + 39, 50)],
+    ids=["den=N", "grouped", "grouped-wide", "direct", "direct-wide", "direct-huge-den"],
+)
+def test_rational_series_matches_integer_oracle(den, n_terms):
+    rng = np.random.default_rng(den % 1000)
+    nums = np.unique(np.concatenate([[0, 1, den - 1, den // 2], rng.integers(0, den, 12)]))
+    got = _kernels.rational_series(nums, den, n_terms)
+    want = np.array([integer_oracle(int(num), den, n_terms) for num in nums])
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(-10**6, 10**6),
+    den=st.integers(1, 300),
+    n_terms=st.integers(1, 600),
+)
+def test_rational_series_property(num, den, n_terms):
+    got = float(_kernels.rational_series([num], den, n_terms)[0])
+    want = integer_oracle(num % den, den, n_terms)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+    # the series at num/den and (den - num)/den are the same sum, term by term
+    mirror = float(_kernels.rational_series([-num], den, n_terms)[0])
+    assert mirror == got
+
+
+def test_rational_series_agrees_with_float_kernel():
+    nums = np.arange(0, 65)
+    got = _kernels.rational_series(nums, 64, 4000)
+    want = _kernels.interval_series(nums / 64, 4000)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_rational_series_rejects_overflow_and_bad_sizes():
+    # den * min(den, n_terms) must fit in int64
+    with pytest.raises(ValueError, match="overflows int64"):
+        _kernels.rational_series([1], 2**62, 4)
+    with pytest.raises(ValueError, match="overflows int64"):
+        _kernels.rational_series([1], 2**43 + 1, 2**20)
+    _kernels.rational_series([1], 2**43 - 1, 2**20 - 1)[0]
+    with pytest.raises(ValueError):
+        _kernels.rational_series([1], 0, 4)
+    with pytest.raises(ValueError):
+        _kernels.rational_series([1], 5, 0)
+    with pytest.raises(ValueError):
+        _kernels.rational_series([1], 5, _kernels.MAX_TERMS + 1)
+    assert _kernels.rational_series([], 5, 10).shape == (0,)
+
+
+def test_square_series_duplicates_zero_frequency_scattered_points():
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 30), [0.0, 1.0, 0.5, 1.0 / 3.0]])
+    ys = np.concatenate([rng.uniform(0.0, 1.0, 30), [0.25, 0.5, 1.0, 2.0 / 7.0]])
+    ms = np.array([0, 1, 1, 3, 3, 7, 2, 0, 11, -4], dtype=np.int32)
+    ns = np.array([2, 1, 1, 5, 5, 0, 9, 0, 4, 6], dtype=np.int32)
+    ws = np.array([0.5, 1.0, 2.0, 0.25, -0.75, 3.0, 1.5, 4.0, 0.125, 0.3])
+    got = _kernels.square_series(xs, ys, ms, ns, ws)
+    want = [
+        math.fsum(
+            w * abs(math.sin(m * math.pi * x)) * abs(math.sin(n * math.pi * y))
+            for m, n, w in zip(ms.tolist(), ns.tolist(), ws)
+        )
+        for x, y in zip(xs, ys)
+    ]
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_square_series_refuses_large_weight_matrix():
+    one = np.array([0.5])
+    with pytest.raises(ValueError, match="weight matrix"):
+        _kernels.square_series(one, one, np.array([4096]), np.array([4096]), np.array([1.0]))
+    assert _kernels.square_series(one, one, np.array([], dtype=np.int32),
+                                  np.array([], dtype=np.int32), np.array([]))[0] == 0.0
 
 
 def test_square_series_validates_shapes():

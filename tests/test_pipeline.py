@@ -451,6 +451,23 @@ def test_csv_roundtrip_exact(tmp_path):
     assert (parsed == values).all()  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize("block_rows", [7, pipeline._CSV_BLOCK_ROWS])
+def test_csv_bytes_match_per_row_format(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(4)
+    values = np.concatenate([
+        rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1],
+        rng.choice([0.0, -0.0, 1.0 / 3.0, -2.5], 300),
+    ])
+    path = tmp_path / "scores.csv"
+    write_score_csv(values, path)
+    want = b"".join(f"{i},{val:.17g}\n".encode() for i, val in enumerate(values))
+    assert path.read_bytes() == want
+    write_score_csv(np.array([]), path)
+    assert path.read_bytes() == b""
+
+
 def test_heatmap_pgm_extremes(tmp_path):
     path = tmp_path / "map.pgm"
     write_heatmap_pgm(np.array([0.0, 1.0]), 2, 1, path)
