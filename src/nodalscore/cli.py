@@ -288,6 +288,8 @@ def _cmd_torus(args, parser):
         parser.error("--bump must be constant or cosine")
     spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
     n_grid = int(merged["n-grid"])
+    if n_grid > torus.MAX_N_GRID:
+        parser.error(f"--n-grid {n_grid} exceeds {torus.MAX_N_GRID}")
     items = [("y", spec.y), ("eps", spec.eps), ("bump", merged["bump"]), ("n_grid", n_grid)]
     if merged["find-n-eps"] is not None:
         n_eps = torus.find_N_eps(spec, n_grid, int(merged["find-n-eps"]), seed=int(merged["seed"]))
@@ -332,6 +334,8 @@ def _cmd_graph(args, parser):
     kind = {"sym": "sym-normalized", "comb": "combinatorial"}.get(merged["laplacian"])
     if kind is None:
         parser.error("--laplacian must be sym or comb")
+    if merged["pgm"] and fmt != "pgm":
+        parser.error("--pgm output needs --format pgm input")
     image = None
     if fmt == "edges":
         with open(merged["input"]) as fh:
@@ -350,6 +354,10 @@ def _cmd_graph(args, parser):
             k_neighbors=int(merged["knn"]),
             bandwidth=bandwidth,
         )
+        try:
+            pipeline.check_patch_work(image.width * image.height, cfg.patch_size)
+        except ValueError as exc:
+            parser.error(str(exc))
         graph = pipeline.patch_graph(image, cfg, seed=int(merged["seed"]))
     field = pipeline.score_graph(
         graph, int(merged["n-terms"]), kind=kind, seed=int(merged["seed"])
@@ -358,8 +366,6 @@ def _cmd_graph(args, parser):
     pipeline.write_score_csv(field, out)
     _write_config(out, merged)
     if merged["pgm"]:
-        if image is None:
-            parser.error("--pgm output needs --format pgm input")
         pipeline.write_heatmap_pgm(field, image.width, image.height, merged["pgm"])
     values = field.values
     _summary(

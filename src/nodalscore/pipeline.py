@@ -48,11 +48,23 @@ __all__ = [
     "write_score_csv",
     "write_heatmap_pgm",
     "MAX_VERTICES",
+    "MAX_PATCH_PIXELS",
+    "MAX_PATCH_WORK",
+    "check_patch_work",
 ]
 
 # edge lists name vertices 0..MAX_VERTICES-1; the vertex count is max id + 1,
 # so one huge id would otherwise allocate per-vertex storage for all below it
 MAX_VERTICES = 1 << 20
+
+# patch graphs: exact kNN takes pixels^2 * patch^2 multiply-adds plus a
+# selection over pixels^2 distances, and the patch matrix holds
+# pixels * patch^2 floats; at both caps it runs about 12 s (README)
+MAX_PATCH_PIXELS = 1 << 15
+MAX_PATCH_WORK = 1 << 21
+
+# rows of the distance matrix held at once by the exact kNN scan
+_KNN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -289,35 +301,66 @@ def _patch_matrix(img, patch_size):
     return windows.reshape(img.height * img.width, patch_size * patch_size).copy()
 
 
+def check_patch_work(n_pixels, patch_size):
+    """ValueError when a patch graph of this size is above the work caps.
+
+    The caps are MAX_PATCH_PIXELS pixels and MAX_PATCH_WORK for
+    pixels * patch_size^2.
+    """
+    if n_pixels > MAX_PATCH_PIXELS:
+        raise ValueError(f"image of {n_pixels} pixels exceeds {MAX_PATCH_PIXELS}")
+    work = n_pixels * patch_size * patch_size
+    if work > MAX_PATCH_WORK:
+        raise ValueError(
+            f"pixels x patch^2 = {n_pixels} x {patch_size}^2 = {work} exceeds {MAX_PATCH_WORK}"
+        )
+
+
 def _knn_exact(patches, k):
     """k nearest rows per row (self excluded), ties broken by smaller index.
 
-    Exact O(n^2) scan, chunked so the distance buffer stays bounded.
+    Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, so the scratch is
+    about three (_KNN_BLOCK_ROWS, n) float64 arrays whatever n is.  Each
+    squared distance is (|a|^2 + |b|^2) - 2 a.b, computed in that order.
     Returns (indices (n, k), squared distances (n, k)).
     """
     n = patches.shape[0]
     sq = (patches * patches).sum(axis=1)
     idx_out = np.empty((n, k), dtype=np.int64)
     d2_out = np.empty((n, k))
-    chunk = max(1, (1 << 24) // max(1, n))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (patches[lo:hi] @ patches.T)
+    # one candidate past the k-th shows whether the k-th distance is tied
+    # with a row left out
+    m = min(k + 1, n - 1)
+    for lo in range(0, n, _KNN_BLOCK_ROWS):
+        hi = min(lo + _KNN_BLOCK_ROWS, n)
+        d2 = sq[lo:hi, None] + sq[None, :]
+        gram = patches[lo:hi] @ patches.T
+        gram *= 2.0
+        d2 -= gram
+        del gram
         np.maximum(d2, 0.0, out=d2)
         rows = np.arange(lo, hi)
         d2[rows - lo, rows] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        kth = part_d.max(axis=1)
-        for r in range(hi - lo):
-            cand = np.flatnonzero(d2[r] <= kth[r])
-            if cand.size > k:
-                order = np.lexsort((cand, d2[r, cand]))
-                cand = cand[order[:k]]
-            else:
-                cand = cand[np.lexsort((cand, d2[r, cand]))]
-            idx_out[lo + r] = cand
-            d2_out[lo + r] = d2[r, cand]
+        # the m smallest, in (distance, index) order: index sort, then a
+        # stable distance sort
+        cand = np.argpartition(d2, m - 1, axis=1)[:, :m]
+        cand.sort(axis=1)
+        cand_d = np.take_along_axis(d2, cand, axis=1)
+        order = np.argsort(cand_d, axis=1, kind="stable")
+        cand = np.take_along_axis(cand, order, axis=1)
+        cand_d = np.take_along_axis(cand_d, order, axis=1)
+        idx_out[lo:hi] = cand[:, :k]
+        d2_out[lo:hi] = cand_d[:, :k]
+        # a row whose k-th distance equals the next one may have left out a
+        # smaller index at that distance: rank every row within it.  With
+        # k = n - 1 every other row is a candidate, so none is left out.
+        kth = cand_d[:, k - 1]
+        tied_rows = np.flatnonzero(kth == cand_d[:, k]) if m > k else ()
+        for r in tied_rows:
+            tied = np.flatnonzero(d2[r] <= kth[r])
+            tied = tied[np.lexsort((tied, d2[r, tied]))[:k]]
+            idx_out[lo + r] = tied
+            d2_out[lo + r] = d2[r, tied]
     return idx_out, d2_out
 
 
@@ -334,6 +377,7 @@ def patch_graph(img, config=None, seed=0):
     n = img.width * img.height
     if config.k_neighbors >= n:
         raise ValueError("k_neighbors must be smaller than the pixel count")
+    check_patch_work(n, config.patch_size)
     patches = _patch_matrix(img, config.patch_size)
     nbr_idx, nbr_d2 = _knn_exact(patches, config.k_neighbors)
     if config.bandwidth == "auto":

@@ -33,9 +33,14 @@ __all__ = [
     "torus_score",
     "find_N_eps",
     "window_mask",
+    "MAX_N_GRID",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# largest circle grid: the solve's time and memory grow faster than n_grid
+# (about 10 s and 320 MB at this cap for 4 pairs, README)
+MAX_N_GRID = 1 << 14
 
 
 def _constant_well(t):
@@ -110,12 +115,14 @@ class CircleOperator:
 def build_circle_operator(n_grid, spec):
     """Periodic second-difference plus diagonal potential, as triplets.
 
-    The window must cover at least 4 grid spacings; a narrower one is not
-    resolved by the stencil.
+    n_grid lies in 64..MAX_N_GRID.  The window must cover at least 4 grid
+    spacings; a narrower one is not resolved by the stencil.
     """
     n_grid = int(n_grid)
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
+    if n_grid > MAX_N_GRID:
+        raise ValueError(f"n_grid {n_grid} exceeds {MAX_N_GRID}")
     h = TWO_PI / n_grid
     if spec.eps < 4.0 * h:
         raise ValueError("unresolved perturbation: eps < 4 grid spacings")

@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +258,25 @@ def test_torus_find_n_eps_mode(capsys):
     assert "argmin_x" not in summary
 
 
+def test_torus_grid_cap_exits_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a circle operator above the cap")
+
+    monkeypatch.setattr(torus, "build_circle_operator", refuse)
+    out = tmp_path / "t.csv"
+    base = ["torus", "--y", "1.0", "--eps", "0.5", "--out", str(out)]
+    for n_grid in (torus.MAX_N_GRID + 1, 10**12):
+        for mode in (["--n-terms", "1"], ["--find-n-eps", "1"]):
+            code, _, err = run(capsys, base + ["--n-grid", str(n_grid)] + mode)
+            assert code == 2
+            assert "exceeds" in err
+    assert not out.exists()
+    spec = torus.PotentialSpec(y=1.0, eps=0.5)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="exceeds"):
+        torus.build_circle_operator(10**12, spec)
+
+
 def test_torus_mode_flags_are_exclusive(capsys):
     base = ["torus", "--y", "2.0", "--eps", "0.6"]
     code, _, err = run(capsys, base + ["--n-terms", "3", "--find-n-eps", "3"])
@@ -345,16 +365,47 @@ def test_graph_pgm_format_with_heatmap(capsys, tmp_path):
 def test_graph_heatmap_requires_pgm_input(capsys, tmp_path):
     edges = tmp_path / "g.csv"
     write_edge_file(edges)
+    out = tmp_path / "s.csv"
     code, _, err = run(
         capsys,
         [
             "graph", "--input", str(edges), "--format", "edges",
-            "--n-terms", "1", "--out", str(tmp_path / "s.csv"),
+            "--n-terms", "1", "--out", str(out),
             "--pgm", str(tmp_path / "h.pgm"),
         ],
     )
     assert code == 2
     assert "needs --format pgm" in err
+    # a usage error: nothing solved, nothing written
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.config.json").exists()
+    assert not (tmp_path / "h.pgm").exists()
+
+
+def test_graph_patch_caps_exit_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a patch graph above the cap")
+
+    monkeypatch.setattr(pipeline, "patch_graph", refuse)
+    wide = tmp_path / "wide.pgm"
+    width = pipeline.MAX_PATCH_PIXELS + 1
+    wide.write_bytes(f"P5\n{width} 1\n255\n".encode() + bytes(width))
+    square = tmp_path / "square.pgm"
+    square.write_bytes(make_pgm_bytes(3, 64))
+    out = tmp_path / "s.csv"
+    cases = (
+        [str(wide), "--patch", "1", "--knn", "4"],
+        [str(square), "--patch", "23"],  # 4096 x 23^2 > MAX_PATCH_WORK
+    )
+    for extra in cases:
+        argv = ["graph", "--format", "pgm", "--n-terms", "2", "--out", str(out),
+                "--pgm", str(tmp_path / "h.pgm"), "--input"] + extra
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "exceeds" in err
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.config.json").exists()
+    assert not (tmp_path / "h.pgm").exists()
 
 
 def test_config_supplies_defaults_flags_win(capsys, tmp_path):

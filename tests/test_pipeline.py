@@ -10,11 +10,13 @@ from nodalscore import pipeline
 from nodalscore.core import ScoreField, ScoreConfig
 from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.pipeline import (
+    MAX_PATCH_PIXELS,
     MAX_VERTICES,
     Graph,
     Image,
     Mesh,
     PatchGraphConfig,
+    check_patch_work,
     laplacian,
     mesh_graph,
     parse_edge_list,
@@ -188,6 +190,75 @@ def test_patch_graph_anomaly_block_is_isolated_in_distance():
         (rows >= r0 + 2) & (rows < r0 + 6) & (cols >= c0 + 2) & (cols < c0 + 6)
     )
     assert np.median(mean_w[interior]) < np.median(mean_w[~interior])
+
+
+def knn_oracle(patches, k):
+    """Full-matrix reference: the same d2 formula, then a per-row lexsort."""
+    n = patches.shape[0]
+    sq = (patches * patches).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :]
+    gram = patches @ patches.T
+    gram *= 2.0
+    d2 -= gram
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    idx = np.arange(n)
+    order = np.array([np.lexsort((idx, row))[:k] for row in d2])
+    return order, np.take_along_axis(d2, order, axis=1)
+
+
+@pytest.mark.parametrize(
+    "height, width, patch_size, levels, k",
+    [
+        (7, 9, 1, 3, 5),  # one partial block, ties on every row
+        (7, 9, 2, 2, 62),  # k = n - 1
+        (1, 257, 1, 2, 16),  # n = 257: one row in the second block
+        (1, 257, 1, 3, 256),  # n = 257 and k = n - 1
+        (13, 37, 2, 3, 16),  # n = 481, not a multiple of the block
+        (16, 32, 3, 2, 1),  # two full blocks, k = 1
+        (16, 32, 3, 17, 24),  # many levels: ties at the k-th are rare
+    ],
+)
+def test_knn_exact_matches_full_matrix_oracle(height, width, patch_size, levels, k):
+    # dyadic gray levels keep every product and sum exact, so the distances
+    # cannot depend on how the matrix product is blocked
+    rng = np.random.default_rng(height * width + levels)
+    pixels = rng.integers(0, levels, height * width) / (levels - 1)
+    img = Image(width=width, height=height, pixels=pixels)
+    patches = pipeline._patch_matrix(img, patch_size)
+    idx, d2 = pipeline._knn_exact(patches, k)
+    ref_idx, ref_d2 = knn_oracle(patches, k)
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+def test_knn_exact_scratch_is_bounded():
+    import tracemalloc
+
+    img, _ = make_anomaly_image(0)
+    patches = pipeline._patch_matrix(img, 8)
+    tracemalloc.start()
+    try:
+        pipeline._knn_exact(patches, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"kNN peaked at {peak / 2**20:.1f} MB"
+
+
+def test_patch_graph_work_caps_checked_before_patches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a patch matrix above the cap")
+
+    monkeypatch.setattr(pipeline, "_patch_matrix", refuse)
+    wide = Image(width=MAX_PATCH_PIXELS + 1, height=1, pixels=np.zeros(MAX_PATCH_PIXELS + 1))
+    with pytest.raises(ValueError, match="exceeds"):
+        patch_graph(wide, PatchGraphConfig(patch_size=1))
+    square = Image(width=64, height=64, pixels=np.zeros(4096))
+    with pytest.raises(ValueError, match="exceeds"):
+        patch_graph(square, PatchGraphConfig(patch_size=23))
+    check_patch_work(MAX_PATCH_PIXELS, 8)  # both caps met exactly
+    check_patch_work(4096, 22)
 
 
 # ------------------------------------------------------------ OBJ and meshes
