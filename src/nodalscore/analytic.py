@@ -26,6 +26,10 @@ from .core import EigenPair, SpectralBasis
 # the square kernel's weight matrix has (isqrt(lambda_cut) + 1)^2 cells,
 # at most _kernels._CHUNK_BUDGET = 2^22 below this cutoff
 MAX_LAMBDA_CUT = 1 << 22
+# uniform interval grids cost (grid + 1) * min(grid, n_terms) series terms:
+# about 7 s at this cap with n_terms >= grid (grouped by residue) and 20 s
+# below it (one sine per term; README)
+MAX_INTERVAL_WORK = 1 << 29
 
 __all__ = [
     "RationalPoint",
@@ -34,6 +38,7 @@ __all__ = [
     "interval_score",
     "interval_score_grid",
     "interval_score_uniform",
+    "check_interval_work",
     "square_score",
     "square_score_grid",
     "square_lattice",
@@ -90,11 +95,21 @@ def interval_score_grid(xs, n_terms):
     return _kernels.interval_series(xs, n_terms)
 
 
+def check_interval_work(grid, n_terms):
+    """ValueError when (grid + 1) * min(grid, n_terms) exceeds MAX_INTERVAL_WORK."""
+    work = (grid + 1) * min(grid, n_terms)
+    if work > MAX_INTERVAL_WORK:
+        raise ValueError(
+            f"(grid + 1) x min(grid, n_terms) = {work} exceeds {MAX_INTERVAL_WORK}"
+        )
+
+
 def interval_score_uniform(grid, n_terms):
     """Interval score at x = i/grid, i = 0..grid, with k*i reduced mod grid exactly."""
     grid = int(grid)
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    check_interval_work(grid, int(n_terms))
     return _kernels.rational_series(np.arange(grid + 1), grid, n_terms)
 
 

@@ -137,6 +137,10 @@ def _cmd_interval(args, parser):
         parser.error("--grid must be >= 1")
     if grid + 1 > MAX_GRID_POINTS:
         parser.error(f"--grid {grid} exceeds {MAX_GRID_POINTS} points")
+    try:
+        analytic.check_interval_work(grid, n_terms)
+    except ValueError as exc:
+        parser.error(str(exc))
     xs = np.arange(grid + 1) / grid
     values = analytic.interval_score_uniform(grid, n_terms)
     out = merged["out"]
@@ -262,7 +266,16 @@ def _cmd_paley(args, parser):
         items.append(("verify_max_deviation", deviation))
         items.append(("verify_pass", deviation <= 1e-10))
     if merged["out"]:
-        pipeline.write_score_csv(score.per_vertex.real, merged["out"])
+        # the field holds three values: format each once and pick per row by
+        # class (0 vertex zero, 1 residue, 2 non-residue); same bytes as
+        # write_score_csv of score.per_vertex.real
+        texts = np.array(
+            [format(s.real, ".17g") for s in (score.s_zero, score.s_residue, score.s_nonresidue)],
+            dtype=object,
+        )
+        classes = np.where(paley.PaleyField(p).residue_mask(), np.int8(1), np.int8(2))
+        classes[0] = 0
+        pipeline._write_csv_rows(merged["out"], p, lambda lo, hi: texts[classes[lo:hi]])
         _write_config(merged["out"], merged)
     _summary(items)
     return 0
@@ -290,6 +303,11 @@ def _cmd_torus(args, parser):
     n_grid = int(merged["n-grid"])
     if n_grid > torus.MAX_N_GRID:
         parser.error(f"--n-grid {n_grid} exceeds {torus.MAX_N_GRID}")
+    pairs = merged["n-terms"] if merged["n-terms"] is not None else merged["find-n-eps"]
+    try:
+        torus.check_solve_work(n_grid, int(pairs))
+    except ValueError as exc:
+        parser.error(str(exc))
     items = [("y", spec.y), ("eps", spec.eps), ("bump", merged["bump"]), ("n_grid", n_grid)]
     if merged["find-n-eps"] is not None:
         n_eps = torus.find_N_eps(spec, n_grid, int(merged["find-n-eps"]), seed=int(merged["seed"]))
@@ -344,8 +362,6 @@ def _cmd_graph(args, parser):
         with open(merged["input"]) as fh:
             graph = pipeline.mesh_graph(pipeline.parse_obj(fh.read()))
     else:
-        with open(merged["input"], "rb") as fh:
-            image = pipeline.parse_pgm(fh.read())
         bandwidth = merged["bandwidth"]
         if bandwidth != "auto":
             bandwidth = float(bandwidth)
@@ -354,9 +370,12 @@ def _cmd_graph(args, parser):
             k_neighbors=int(merged["knn"]),
             bandwidth=bandwidth,
         )
+        with open(merged["input"], "rb") as fh:
+            data = fh.read()
         try:
+            image = pipeline.parse_pgm(data)
             pipeline.check_patch_work(image.width * image.height, cfg.patch_size)
-        except ValueError as exc:
+        except pipeline.WorkCapError as exc:
             parser.error(str(exc))
         graph = pipeline.patch_graph(image, cfg, seed=int(merged["seed"]))
     field = pipeline.score_graph(

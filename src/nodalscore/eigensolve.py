@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .core import EigenPair
 
@@ -58,7 +56,7 @@ class SymOperator:
 
     n: int
     dense: np.ndarray | None = None
-    csr: sp.csr_matrix | None = None
+    csr: "scipy.sparse.csr_matrix | None" = None
 
     def __post_init__(self):
         if (self.dense is None) == (self.csr is None):
@@ -90,6 +88,11 @@ class SymOperator:
             raise ValueError("triplets must satisfy i <= j")
         if not np.isfinite(vals).all():
             raise ValueError("triplet values must be finite")
+        # scipy is imported where it is used, not at module top: it costs
+        # every interpreter start about 0.3 s, and the closed-form
+        # subcommands never build an operator
+        import scipy.sparse as sp
+
         off = rows != cols
         full = sp.coo_matrix(
             (
@@ -223,6 +226,8 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0, max_restarts=5):
     double the sweep budget.  ``iterations`` counts applications of B:
     matvecs, or banded solves on the shift-invert path.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = op.n
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
@@ -369,6 +374,7 @@ def _banded_shift_invert(op, shift, max_width):
         return None
     # imported here, not at module top: most runs never reach a sparse
     # solve, and csgraph costs every interpreter start about 25 ms
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     perm = reverse_cuthill_mckee(op.csr, symmetric_mode=True)
@@ -402,6 +408,8 @@ def _run_sweep(apply, start, deflate, jmax, m_want, settled, breakdown_tol):
     beta*|s_last| of B's Ritz pairs; the sweep stops
     once settled(theta, ests) holds, at breakdown, or after jmax steps.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = start.size
     alphas, betas = [], []
     Q = np.empty((n, jmax))

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     EigenPair,
@@ -51,6 +50,7 @@ __all__ = [
     "MAX_PATCH_PIXELS",
     "MAX_PATCH_WORK",
     "check_patch_work",
+    "WorkCapError",
 ]
 
 # edge lists name vertices 0..MAX_VERTICES-1; the vertex count is max id + 1,
@@ -65,6 +65,10 @@ MAX_PATCH_WORK = 1 << 21
 
 # rows of the distance matrix held at once by the exact kNN scan
 _KNN_BLOCK_ROWS = 256
+
+
+class WorkCapError(ValueError):
+    """An input above a documented work cap, refused before the work starts."""
 
 
 @dataclass
@@ -107,8 +111,9 @@ class Graph:
 
     def components(self):
         """Vertex labels 0..c-1 by connected component, in order of smallest vertex."""
-        # imported here, not at module top: csgraph costs every run about
-        # 2 MB and 25 ms of start-up, and most subcommands build no graph
+        # imported here, not at module top: scipy costs every run about
+        # 0.3 s of start-up, and the closed-form subcommands build no graph
+        import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
         adj = sp.csr_matrix(
@@ -227,11 +232,11 @@ def parse_edge_list(text):
     return Graph(n=int(v.max()) + 1, u=u, v=v, w=w)
 
 
-def _pgm_tokens(data):
-    """Header tokens with '#' comments stripped, plus the byte offset after each."""
+def _pgm_tokens(data, start, limit):
+    """Up to limit tokens of data[start:], '#' comments stripped, each with the offset after it."""
     tokens = []
-    i = 0
-    while i < len(data):
+    i = start
+    while i < len(data) and len(tokens) < limit:
         c = data[i : i + 1]
         if c == b"#":
             while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
@@ -248,14 +253,18 @@ def _pgm_tokens(data):
 
 
 def parse_pgm(data):
-    """Image from PGM bytes, ASCII (P2) or binary (P5), maxval <= 65535."""
+    """Image from PGM bytes, ASCII (P2) or binary (P5), maxval <= 65535.
+
+    An image of more than MAX_PATCH_PIXELS pixels raises WorkCapError from
+    the header, before any pixel is decoded.
+    """
     if not isinstance(data, (bytes, bytearray)):
         raise ValueError("parse_pgm expects bytes")
-    tokens = _pgm_tokens(data[:2] + b" " + data[2:]) if data[:2] in (b"P2", b"P5") else []
-    if not tokens:
+    magic = bytes(data[:2])
+    if magic not in (b"P2", b"P5"):
         raise ValueError("not a PGM file (expected P2 or P5 magic)")
-    magic = tokens[0][0]
-    header = tokens[1:4]
+    # tokens start right after the magic, even where no whitespace follows it
+    header = _pgm_tokens(data, 2, 3)
     if len(header) < 3:
         raise ValueError("truncated PGM header")
     try:
@@ -267,19 +276,20 @@ def parse_pgm(data):
     if not 1 <= maxval <= 65535:
         raise ValueError("PGM maxval must be in 1..65535")
     count = width * height
+    if count > MAX_PATCH_PIXELS:
+        raise WorkCapError(f"image of {count} pixels exceeds {MAX_PATCH_PIXELS}")
+    end = header[2][1]
     if magic == b"P2":
-        body = tokens[4:]
+        body = _pgm_tokens(data, end, count)
         if len(body) < count:
             raise ValueError("truncated PGM pixel data")
-        vals = np.array([int(t[0]) for t in body[:count]], dtype=np.int64)
+        vals = np.array([int(t[0]) for t in body], dtype=np.int64)
         if vals.min(initial=0) < 0:
             raise ValueError("negative PGM sample")
     else:
-        # payload starts one whitespace byte past the maxval token; the
-        # spliced byte after the magic cancels against that offset
-        offset = header[2][1]
+        # the payload starts one whitespace byte past the maxval token
         nbytes = count * (2 if maxval > 255 else 1)
-        payload = data[offset : offset + nbytes]
+        payload = data[end + 1 : end + 1 + nbytes]
         if len(payload) < nbytes:
             raise ValueError("truncated PGM pixel data")
         dtype = ">u2" if maxval > 255 else np.uint8
@@ -302,16 +312,16 @@ def _patch_matrix(img, patch_size):
 
 
 def check_patch_work(n_pixels, patch_size):
-    """ValueError when a patch graph of this size is above the work caps.
+    """WorkCapError when a patch graph of this size is above the work caps.
 
     The caps are MAX_PATCH_PIXELS pixels and MAX_PATCH_WORK for
     pixels * patch_size^2.
     """
     if n_pixels > MAX_PATCH_PIXELS:
-        raise ValueError(f"image of {n_pixels} pixels exceeds {MAX_PATCH_PIXELS}")
+        raise WorkCapError(f"image of {n_pixels} pixels exceeds {MAX_PATCH_PIXELS}")
     work = n_pixels * patch_size * patch_size
     if work > MAX_PATCH_WORK:
-        raise ValueError(
+        raise WorkCapError(
             f"pixels x patch^2 = {n_pixels} x {patch_size}^2 = {work} exceeds {MAX_PATCH_WORK}"
         )
 
@@ -614,14 +624,24 @@ def _field_values(field):
 _CSV_BLOCK_ROWS = 1 << 16
 
 
+def _write_csv_rows(path, n_rows, row_texts):
+    """Write "index,value" lines for rows 0..n_rows-1.
+
+    row_texts(lo, hi) returns the value strings of rows lo..hi-1.
+    """
+    with open(path, "wb") as fh:
+        # one write per block of rows keeps the text of a huge field out of memory
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            texts = row_texts(lo, min(lo + _CSV_BLOCK_ROWS, n_rows))
+            fh.write("".join(f"{i},{text}\n" for i, text in enumerate(texts, lo)).encode())
+
+
 def write_score_csv(field, path):
     """Write "index,score" lines, scores at 17 significant digits."""
     values = _field_values(field)
-    with open(path, "wb") as fh:
-        # one write per block of rows keeps the text of a huge field out of memory
-        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
-            block = values[lo:lo + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(f"{i},{val:.17g}\n" for i, val in enumerate(block, lo)).encode())
+    _write_csv_rows(
+        path, len(values), lambda lo, hi: [f"{val:.17g}" for val in values[lo:hi].tolist()]
+    )
 
 
 def write_heatmap_pgm(field, width, height, path):

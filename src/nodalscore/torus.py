@@ -34,13 +34,19 @@ __all__ = [
     "find_N_eps",
     "window_mask",
     "MAX_N_GRID",
+    "MAX_SOLVE_WORK",
+    "check_solve_work",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 # largest circle grid: the solve's time and memory grow faster than n_grid
-# (about 10 s and 320 MB at this cap for 4 pairs, README)
+# (10-26 s across runs and 320 MB at this cap for 4 pairs, README)
 MAX_N_GRID = 1 << 14
+# pairs x grid points of one solve: the Krylov basis holds about
+# 20 * pairs + 60 vectors of n_grid floats; runs near this cap took up to
+# about 20 s (README)
+MAX_SOLVE_WORK = 1 << 19
 
 
 def _constant_well(t):
@@ -137,6 +143,13 @@ def build_circle_operator(n_grid, spec):
     return CircleOperator(n_grid=n_grid, h=h, matrix=op, potential=v, grid=xs)
 
 
+def check_solve_work(n_grid, n_pairs):
+    """ValueError when n_pairs * n_grid exceeds MAX_SOLVE_WORK."""
+    work = n_pairs * n_grid
+    if work > MAX_SOLVE_WORK:
+        raise ValueError(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
+
+
 def _smallest_pairs(op, m, seed):
     if op.n <= DENSE_FALLBACK_N:
         report = dense_sym_eig(op.densified())
@@ -163,6 +176,7 @@ def torus_score(n_grid, spec, n_pairs, degenerate_policy="as-given",
         raise ValueError("n_pairs must be >= 1")
     if n_pairs > n_grid // 8:
         raise ValueError("n_pairs must be at most n_grid / 8")
+    check_solve_work(n_grid, n_pairs)
     circle = build_circle_operator(n_grid, spec)
     m = 2 * n_pairs + 1
     pairs = _smallest_pairs(circle.matrix, m, seed)
@@ -197,6 +211,7 @@ def find_N_eps(spec, n_grid, n_max, seed=0):
         return 0
     if n_max > n_grid // 8:
         raise ValueError("n_max must be at most n_grid / 8")
+    check_solve_work(n_grid, n_max)
     circle = build_circle_operator(n_grid, spec)
     pairs = _smallest_pairs(circle.matrix, 2 * n_max + 1, seed)
     basis = SpectralBasis(pairs[1:], domain_tag=f"circle {n_grid}", drop_tolerance=0.0)

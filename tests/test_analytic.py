@@ -91,6 +91,17 @@ def test_interval_score_uniform_matches_float_grid():
         interval_score_uniform(0, 5)
 
 
+def test_interval_work_cap_checked_before_the_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("summed a series above the work cap")
+
+    monkeypatch.setattr(analytic._kernels, "rational_series", refuse)
+    with pytest.raises(ValueError, match="exceeds"):
+        interval_score_uniform(16777215, 1 << 20)
+    with pytest.raises(ValueError, match="exceeds"):
+        interval_score_uniform(32768, 16384)
+
+
 # -------------------------------------------------------------- square_score
 
 

@@ -4,14 +4,20 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodalscore import paley, pipeline, torus
+import nodalscore
+from nodalscore import analytic, paley, pipeline, torus
 from nodalscore.cli import main
 from nodalscore.eigensolve import EigenSolveReport
 
@@ -277,6 +283,25 @@ def test_torus_grid_cap_exits_before_work(capsys, tmp_path, monkeypatch):
         torus.build_circle_operator(10**12, spec)
 
 
+def test_torus_solve_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a circle operator above the cap")
+
+    monkeypatch.setattr(torus, "build_circle_operator", refuse)
+    out = tmp_path / "t.csv"
+    base = ["torus", "--y", "1.0", "--eps", "0.5", "--out", str(out)]
+    # 8192 x 256 ran 18.7 s with an 863 MB peak before the cap
+    for n_grid, pairs in ((8192, 256), (4096, 129), (torus.MAX_N_GRID, 33)):
+        for mode in ("--n-terms", "--find-n-eps"):
+            argv = base + ["--n-grid", str(n_grid), mode, str(pairs)]
+            code, _, err = run(capsys, argv)
+            assert code == 2, argv
+            assert "exceeds" in err
+    assert not out.exists()
+    torus.check_solve_work(4096, 128)  # the cap met exactly
+    torus.check_solve_work(torus.MAX_N_GRID, 32)
+
+
 def test_torus_mode_flags_are_exclusive(capsys):
     base = ["torus", "--y", "2.0", "--eps", "0.6"]
     code, _, err = run(capsys, base + ["--n-terms", "3", "--find-n-eps", "3"])
@@ -403,6 +428,28 @@ def test_graph_patch_caps_exit_before_work(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert "exceeds" in err
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.config.json").exists()
+    assert not (tmp_path / "h.pgm").exists()
+
+
+def test_graph_pgm_pixel_cap_refused_from_header(capsys, tmp_path):
+    side = 2048
+    big = tmp_path / "big.pgm"
+    big.write_bytes(f"P5\n{side} {side}\n255\n".encode() + bytes(side * side))
+    out = tmp_path / "s.csv"
+    argv = ["graph", "--input", str(big), "--format", "pgm", "--n-terms", "2",
+            "--out", str(out), "--pgm", str(tmp_path / "h.pgm")]
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "exceeds" in err
+    decoded = side * side * 8  # one float64 per pixel
+    assert peak < decoded / 4, f"refusing a {side}^2 PGM peaked at {peak / 2**20:.1f} MB"
     assert not out.exists()
     assert not (tmp_path / "s.csv.config.json").exists()
     assert not (tmp_path / "h.pgm").exists()
@@ -682,6 +729,77 @@ def test_grid_caps_exit_before_work(capsys, tmp_path, monkeypatch):
         assert code == 2, argv
         assert "exceeds" in err
     assert not out.exists()
+
+
+def test_interval_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scored an interval grid above the work cap")
+
+    monkeypatch.setattr(analytic, "interval_score_uniform", refuse)
+    out = tmp_path / "x.csv"
+    # the first passes the grid cap and would evaluate about 1.8e13 sines
+    for grid, n_terms in ((16777215, 1 << 20), (32768, 16384)):
+        argv = ["interval", "--n-terms", str(n_terms), "--grid", str(grid), "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "exceeds" in err
+    assert not out.exists()
+    analytic.check_interval_work(32767, 16384)  # the cap met exactly
+    analytic.check_interval_work(16384, 1 << 20)
+
+
+# ---------------------------------------------------------- start-up imports
+
+_SRC = str(Path(nodalscore.__file__).resolve().parents[1])
+
+# runs one command in a cold interpreter and prints its exit code and the
+# scipy modules it loaded; in-process tests always see a warm sys.modules
+_COLD_RUN = """
+import contextlib, io, json, sys
+from nodalscore.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def run_cold(argv, cwd):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, *argv],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "--n-terms", "50", "--grid", "64", "--find-minima", "--out", "i.csv"],
+        ["square", "--lambda-cut", "100", "--grid", "8x8", "--out", "s.csv", "--pgm", "s.pgm"],
+        ["rational-check", "--p", "2", "--q", "5", "--out", "r.txt"],
+        ["paley", "--p", "101", "--out", "p.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_form_commands_never_load_scipy(tmp_path, argv):
+    code, loaded = run_cold(argv, tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+def test_eigen_commands_load_scipy_on_first_use(tmp_path):
+    write_edge_file(tmp_path / "g.csv")
+    for argv in (
+        ["torus", "--y", "2.0", "--eps", "0.6", "--n-grid", "576", "--n-terms", "3",
+         "--out", "t.csv"],
+        ["graph", "--input", "g.csv", "--format", "edges", "--n-terms", "2", "--out", "g.out"],
+    ):
+        code, loaded = run_cold(argv, tmp_path)
+        assert code == 0, argv
+        assert "scipy.sparse" in loaded, argv
 
 
 # ------------------------------------------------------ --config value types

@@ -139,6 +139,17 @@ def test_pgm_errors():
         parse_pgm(b"P2\n1 1\n10\n11\n")
 
 
+def test_pgm_pixel_cap_checked_from_header():
+    # headers alone: the cap is refused before the missing pixels are noticed
+    for magic in (b"P2", b"P5"):
+        with pytest.raises(pipeline.WorkCapError, match="exceeds"):
+            parse_pgm(magic + b"\n2048 2048\n255\n")
+        with pytest.raises(pipeline.WorkCapError, match="exceeds"):
+            parse_pgm(magic + f" {MAX_PATCH_PIXELS + 1} 1 255 ".encode())
+    img = parse_pgm(f"P5 {MAX_PATCH_PIXELS} 1 255 ".encode() + bytes(MAX_PATCH_PIXELS))
+    assert img.pixels.size == MAX_PATCH_PIXELS
+
+
 # ---------------------------------------------------------------- patch_graph
 
 

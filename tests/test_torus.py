@@ -225,3 +225,14 @@ def test_find_n_eps_guards():
         find_N_eps(PINNED, 512, -1)
     with pytest.raises(ValueError):
         find_N_eps(PINNED, 512, 65)
+
+
+def test_solve_work_cap_checked_before_the_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a circle operator above the cap")
+
+    monkeypatch.setattr(torus, "build_circle_operator", refuse)
+    with pytest.raises(ValueError, match="exceeds"):
+        torus_score(8192, PINNED, 256)
+    with pytest.raises(ValueError, match="exceeds"):
+        find_N_eps(PINNED, 8192, 256)
