@@ -1,10 +1,12 @@
 """Deterministic symmetric eigensolvers.
 
-``dense_sym_eig`` wraps the LAPACK tridiagonalization path for the full
-spectrum of small dense operators and reports per-pair residuals.
-``lanczos_smallest`` extracts the smallest eigenpairs iteratively: it runs
-Lanczos with full reorthogonalization on a spectral transform B of A whose
-dominant eigenvalues are the smallest ones of A:
+``dense_sym_eig`` wraps LAPACK for small dense operators and reports
+per-pair residuals: the full spectrum by default, or only the m smallest
+pairs from the subset driver (``dsyevr``, Dhillon & Parlett 2004), whose
+residuals then cost n^2 m instead of n^3.
+``lanczos_smallest`` extracts the smallest eigenpairs iteratively.  It
+runs Lanczos with full reorthogonalization on a spectral transform B of A
+whose dominant eigenvalues are the smallest ones of A:
 
     B = (A - SHIFT * scale * I)^-1,  SHIFT = -1e-3     ("shift-invert")
     B = sigma * I - A,  sigma = Gershgorin upper bound  ("lanczos")
@@ -14,14 +16,17 @@ Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when A is
 sparse, its reverse Cuthill-McKee ordering has a band no wider than the
 Krylov sweep budget, and the shifted A has a banded Cholesky factor; each
 step is then a banded solve, and the stiff circle and mesh operators
-converge in about a hundred steps instead of close to a thousand.  Dense
-operators, wide bands (kNN and random graphs) and failed factorizations
-take the Gershgorin shift.  Because one Krylov start reaches a single
-vector per eigenspace, the iteration always continues with restarts
-deflated against everything found, until a round stops lowering the m-th
-smallest value; that is what resolves degenerate multiplicities.  The
-solvers are intended for positive-semidefinite operators (Laplacians,
-Schroedinger discretizations).
+converge in about a hundred steps instead of close to a thousand.  Sparse
+operators off that path (kNN and random graphs, failed factorizations)
+take a first round of implicitly restarted Lanczos on A itself (ARPACK,
+Lehoucq, Sorensen & Yang 1998; "arpack"), and dense operators the
+Gershgorin shift.  Because one Krylov start reaches a single vector per
+eigenspace, and ARPACK is no exception, the iteration always continues
+with Gershgorin-shifted restarts deflated against everything found, until
+a round stops lowering the m-th smallest value; that is what resolves
+degenerate multiplicities.  The solvers are intended for
+positive-semidefinite operators (Laplacians, Schroedinger
+discretizations).
 
 Both solvers fix the eigenvector sign by making the entry of largest
 magnitude positive, report which method ran, and are bitwise deterministic
@@ -48,6 +53,12 @@ DENSE_FALLBACK_N = 512
 # dominate B so far that its other wanted pairs never reach the residual
 # tolerance (random Laplacians scaled by 1e8 failed to converge).
 SHIFT = -1e-3
+# cap on ARPACK's implicit restarts in the first round of a wide-band
+# solve, each of them ncv - m >= 10 matvecs.  64x64 kNN patch graphs
+# (m = 16) converge in 11-13, random graphs of average degree 6 with
+# n = 704..4096 (m = 7..16) in 30-80.  Pairs still unconverged at the cap
+# are left to the deflated Lanczos rounds.
+ARPACK_MAXITER = 300
 
 
 @dataclass
@@ -141,8 +152,9 @@ class EigenSolveReport:
     """Solver output: ascending eigenpairs, normalized residuals, bookkeeping.
 
     ``iterations`` counts operator applications: 1 for a dense solve,
-    matvecs for ``"lanczos"``, banded solves for ``"shift-invert"``;
-    ``method`` names the solver that ran.
+    matvecs for ``"lanczos"`` and ``"arpack"`` (its ARPACK round plus the
+    deflated Lanczos rounds that check it for missed copies), banded
+    solves for ``"shift-invert"``; ``method`` names the solver that ran.
     """
 
     pairs: list[EigenPair]
@@ -167,20 +179,29 @@ def _clamp_tiny_negatives(values, scale):
     return out
 
 
-def dense_sym_eig(op, residual_tol=1e-10):
-    """Full spectrum of a dense symmetric operator, residual-checked.
+def dense_sym_eig(op, residual_tol=1e-10, m=None):
+    """Smallest m (default: all n) eigenpairs of a dense symmetric operator.
 
-    Uses the LAPACK symmetric solver (Householder tridiagonalization plus
-    implicit-shift iteration).  Eigenvalues in [-1e-10 * scale, 0) are
-    clamped to zero so PSD operators round-trip through EigenPair.
+    The full spectrum uses the LAPACK symmetric solver (Householder
+    tridiagonalization plus divide and conquer); with m < n the subset
+    driver ``dsyevr`` computes only the m smallest pairs, and only their
+    residuals are formed.  Eigenvalues in [-1e-10 * scale, 0) are clamped
+    to zero so PSD operators round-trip through EigenPair.
     """
     if not op.is_dense:
         raise ValueError("dense_sym_eig needs a dense representation")
     if op.n > DENSE_MAX_N:
         raise ValueError(f"dense solve limited to n <= {DENSE_MAX_N}")
+    if m is not None and m < 1:
+        raise ValueError("need m >= 1")
     scale = max(1.0, op.inf_norm_estimate)
     try:
-        values, vectors = np.linalg.eigh(op.dense)
+        if m is None or m >= op.n:
+            values, vectors = np.linalg.eigh(op.dense)
+        else:
+            from scipy.linalg import eigh
+
+            values, vectors = eigh(op.dense, subset_by_index=[0, m - 1])
     except np.linalg.LinAlgError:
         return EigenSolveReport(
             pairs=[], residuals=np.array([]), iterations=0, converged=False
@@ -188,7 +209,7 @@ def dense_sym_eig(op, residual_tol=1e-10):
     values = _clamp_tiny_negatives(values, scale)
     vectors = _fix_signs(vectors)
     resid = np.linalg.norm(op.dense @ vectors - vectors * values, axis=0) / scale
-    pairs = [EigenPair(values[i], vectors[:, i]) for i in range(op.n)]
+    pairs = [EigenPair(values[i], vectors[:, i]) for i in range(values.size)]
     return EigenSolveReport(
         pairs=pairs,
         residuals=resid,
@@ -214,16 +235,23 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0, max_restarts=5):
       and error bounds that scale with the residual over the gap then
       widen on closely split pairs.
     - ``"lanczos"``: B = sigma*I - A with the Gershgorin bound sigma, for
-      dense operators, wider bands and a failed factorization.  A sweep
-      stops once every wanted estimate beta*|s_last| is at most
-      0.1*tol*scale.
+      dense operators.  A sweep stops once every wanted estimate
+      beta*|s_last| is at most 0.1*tol*scale.
+    - ``"arpack"``: sparse operators with wider bands or a failed
+      factorization.  A first round runs ARPACK's implicitly restarted
+      Lanczos for the m smallest eigenvalues of A (``eigsh``, which="SA",
+      tol=0, start drawn from the seeded generator, at most
+      ARPACK_MAXITER restarts); if it stops short, the pairs it did
+      converge are kept.  The rounds after it are those of ``"lanczos"``.
+      ARPACK is skipped when m >= n - 1, which leaves ``"lanczos"``.
 
     Ritz pairs are accepted when their true normalized residual
     ||A v - lambda v|| / scale is at most tol.  The iteration restarts
     deflated against everything accepted until a round finds nothing
     below the current m-th smallest, which is what surfaces degenerate
-    copies; rounds that make no progress count toward max_restarts and
-    double the sweep budget.  ``iterations`` counts applications of B:
+    copies, including those ARPACK misses; rounds that make no progress
+    count toward max_restarts and double the sweep budget.
+    ``iterations`` counts applications of B (ARPACK's matvecs included):
     matvecs, or banded solves on the shift-invert path.
     """
     from scipy.linalg import eigh_tridiagonal
@@ -270,6 +298,13 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0, max_restarts=5):
     found_vecs = np.empty((n, 0))
     failed_rounds = 0
     total_matvecs = 0
+    if solve is None and not op.is_dense and m < n - 1:
+        method = "arpack"
+        vals, vecs, total_matvecs = _arpack_round(op, m, rng.standard_normal(n))
+        resid = np.linalg.norm(_apply(op, vecs) - vecs * vals, axis=0) / scale
+        keep = resid <= tol
+        found_vals = vals[keep].tolist()
+        found_vecs = vecs[:, keep]
 
     while True:
         m_rem = m - len(found_vals)
@@ -360,6 +395,36 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0, max_restarts=5):
 
 def _apply(op, block):
     return op.dense @ block if op.is_dense else op.csr @ block
+
+
+def _arpack_round(op, m, v0):
+    """ARPACK's m smallest Ritz pairs of sparse A, and its matvec count.
+
+    On ArpackNoConvergence the pairs it did converge are returned, which
+    may be none; any other ARPACK error returns none.
+    """
+    from scipy.sparse.linalg import (
+        ArpackError,
+        ArpackNoConvergence,
+        LinearOperator,
+        eigsh,
+    )
+
+    matvecs = 0
+
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return op.csr @ x
+
+    a = LinearOperator((op.n, op.n), matvec=matvec, dtype=np.float64)
+    try:
+        vals, vecs = eigsh(a, k=m, which="SA", tol=0, v0=v0, maxiter=ARPACK_MAXITER)
+    except ArpackNoConvergence as err:
+        vals, vecs = err.eigenvalues, err.eigenvectors
+    except ArpackError:
+        vals, vecs = np.empty(0), np.empty((op.n, 0))
+    return vals, vecs, matvecs
 
 
 def _banded_shift_invert(op, shift, max_width):

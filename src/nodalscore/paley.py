@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import dense_sym_eig
-from .pipeline import Graph, laplacian
+from .eigensolve import SymOperator, dense_sym_eig
+from .pipeline import Graph
 
 __all__ = [
     "PaleyField",
@@ -179,8 +179,12 @@ def paley_score_numeric(p):
         raise ValueError(f"numeric route limited to p <= {NUMERIC_MAX_PRIME}")
     field = PaleyField.create(p)
     mask = field.residue_mask()
-    graph = paley_graph(p)
-    report = dense_sym_eig(laplacian(graph, "combinatorial").op.densified())
+    # the circulant Laplacian (p-1)/2 I - mask[(j - i) mod p], exact in
+    # float64; no sparse build, so --verify never loads scipy
+    ks = np.arange(p)
+    lap = np.where(mask[(ks[None, :] - ks[:, None]) % p], -1.0, 0.0)
+    lap[ks, ks] = (p - 1) / 2.0
+    report = dense_sym_eig(SymOperator(n=p, dense=lap))
     values = np.array([pair.value for pair in report.pairs])
     vectors = np.stack([pair.vector for pair in report.pairs], axis=1)
 
@@ -195,7 +199,6 @@ def paley_score_numeric(p):
     lam_plus = float(values[upper].mean())
 
     # validate the character basis against the numeric eigenspaces
-    ks = np.arange(p)
     chars = np.exp(2j * np.pi * (np.outer(ks, ks) % p) / p)  # column k = e_k
     for cluster_mask, class_mask in ((lower, mask), (upper, ~mask)):
         basis = vectors[:, cluster_mask]

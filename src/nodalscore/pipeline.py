@@ -523,7 +523,7 @@ def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance,
     lap = laplacian(graph, kind)
     want = min(n_terms + 1, graph.n)
     if graph.n <= DENSE_FALLBACK_N:
-        report = dense_sym_eig(lap.op.densified())
+        report = dense_sym_eig(lap.op.densified(), m=want)
     else:
         report = lanczos_smallest(lap.op, want, tol=1e-10, seed=seed)
     if not report.converged:

@@ -152,7 +152,7 @@ def check_solve_work(n_grid, n_pairs):
 
 def _smallest_pairs(op, m, seed):
     if op.n <= DENSE_FALLBACK_N:
-        report = dense_sym_eig(op.densified())
+        report = dense_sym_eig(op.densified(), m=m)
     else:
         report = lanczos_smallest(op, m, tol=1e-10, seed=seed)
     if not report.converged:

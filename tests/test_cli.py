@@ -781,6 +781,7 @@ def run_cold(argv, cwd):
         ["square", "--lambda-cut", "100", "--grid", "8x8", "--out", "s.csv", "--pgm", "s.pgm"],
         ["rational-check", "--p", "2", "--q", "5", "--out", "r.txt"],
         ["paley", "--p", "101", "--out", "p.csv"],
+        pytest.param(["paley", "--p", "101", "--verify"], id="paley-verify"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nodalscore.eigensolve import (
     DENSE_MAX_N,
@@ -159,6 +160,74 @@ def test_dense_residuals_within_tolerance():
     assert report.residuals.max() <= 1e-10
 
 
+def star_laplacian(leaves):
+    """Star K_{1,leaves}: spectrum {0, 1 (leaves - 1 times), leaves + 1}."""
+    n = leaves + 1
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = -1.0
+    a[np.arange(n), np.arange(n)] = np.concatenate([[leaves], np.ones(leaves)])
+    return SymOperator.from_dense(a)
+
+
+def subset_cases():
+    rng = np.random.default_rng(61)
+    for n in (40, 150, 300):
+        op = random_sparse_laplacian(rng, n).densified()
+        yield pytest.param(op, (1, 5, 17, n - 1), id=f"random-{n}")
+    yield pytest.param(star_laplacian(40), (1, 2, 3, 40), id="star")
+    # V = 1: eigenvalues (2 - 2cos(2 pi k/n))/h^2 + 1, each k >= 1 twice;
+    # even counts cut a double in half
+    circle = build_circle_operator(256, PotentialSpec(y=1.0, eps=0.5, well_scale=0.0))
+    yield pytest.param(circle.matrix.densified(), (1, 2, 3, 8, 11, 255), id="circle")
+
+
+@pytest.mark.parametrize("op, counts", list(subset_cases()))
+def test_dense_subset_matches_full_solve(op, counts):
+    full_vals = np.array([p.value for p in dense_sym_eig(op).pairs])
+    scale = max(1.0, op.inf_norm_estimate)
+    for k in counts:
+        report = dense_sym_eig(op, m=k)
+        assert report.converged and report.method == "dense", k
+        assert len(report.pairs) == report.residuals.size == k
+        got = np.array([p.value for p in report.pairs])
+        assert np.abs(got - full_vals[:k]).max() <= 1e-12 * scale, k
+        assert report.residuals.max() <= 1e-10, k
+        q = np.stack([p.vector for p in report.pairs], axis=1)
+        assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12, k
+
+
+def test_dense_subset_circle_doubles_closed_form():
+    n = 256
+    circle = build_circle_operator(n, PotentialSpec(y=1.0, eps=0.5, well_scale=0.0))
+    report = dense_sym_eig(circle.matrix.densified(), m=11)
+    k = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
+    want = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / circle.h**2 + 1.0
+    got = np.array([p.value for p in report.pairs])
+    assert np.abs(got - want).max() <= 1e-12 * circle.matrix.inf_norm_estimate
+
+
+def test_dense_full_spectrum_unchanged_without_m():
+    # m=None (and any m >= n) is the full LAPACK solve, bit for bit
+    op = random_sparse_laplacian(np.random.default_rng(62), 90).densified()
+    scale = max(1.0, op.inf_norm_estimate)
+    values, vectors = np.linalg.eigh(op.dense)
+    values[(values < 0) & (values > -1e-10 * scale)] = 0.0
+    idx = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[idx, np.arange(op.n)])
+    signs[signs == 0] = 1.0
+    vectors = vectors * signs
+    for m in (None, op.n, op.n + 3):
+        report = dense_sym_eig(op, m=m)
+        assert len(report.pairs) == op.n
+        assert np.array_equal([p.value for p in report.pairs], values)
+        assert np.array_equal(np.stack([p.vector for p in report.pairs], axis=1), vectors)
+
+
+def test_dense_subset_rejects_nonpositive_count():
+    with pytest.raises(ValueError):
+        dense_sym_eig(SymOperator.from_dense(np.eye(3)), m=0)
+
+
 # --------------------------------------------------------- lanczos_smallest
 
 
@@ -283,16 +352,92 @@ def test_lanczos_oracle_sweep_small(held, method):
         assert np.abs(got - want).max() <= 1e-8
 
 
-def test_lanczos_wide_band_sparse_takes_gershgorin_path():
+def test_lanczos_wide_band_sparse_takes_arpack_path():
     # connected, average degree 6: reverse Cuthill-McKee leaves a band of
     # 380, wider than the sweep budget of 300 at m = 10
     op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
     report = lanczos_smallest(op, 10, seed=1)
-    assert report.method == "lanczos"
+    assert report.method == "arpack"
     assert report.converged
     got = np.array([p.value for p in report.pairs])
     want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:10]])
     assert np.abs(got - want).max() <= 1e-8
+
+
+def block_copies(copies, isolated=0):
+    """Disjoint copies of one wide-band Laplacian, plus isolated vertices.
+
+    Every eigenvalue repeats, and zero has copies + isolated copies.
+    """
+    base = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
+    blocks = [base.csr] * copies + ([sp.csr_matrix((isolated, isolated))] if isolated else [])
+    csr = sp.block_diag(blocks, format="csr")
+    return SymOperator(n=csr.shape[0], csr=csr)
+
+
+def oracle_values(op, m):
+    return np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:m]])
+
+
+@pytest.mark.parametrize("copies, isolated, m", [(2, 0, 10), (3, 0, 12), (1, 3, 10), (2, 2, 12)])
+def test_arpack_path_recovers_exact_copies(copies, isolated, m):
+    # ARPACK's single Krylov start sees one vector per eigenspace, and on
+    # isolated vertices no rounding ever adds another: it returns one zero
+    # of four at (1, 3).  The deflated Lanczos rounds after it must supply
+    # the missing copies.
+    op = block_copies(copies, isolated)
+    zeros = copies + isolated
+    report = lanczos_smallest(op, m, seed=1)
+    assert report.method == "arpack"
+    assert report.converged
+    got = np.array([p.value for p in report.pairs])
+    want = oracle_values(op, m)
+    assert (want[:zeros] < 1e-10).all() and want[zeros] > 1e-3
+    assert np.abs(got - want).max() <= 1e-8
+
+
+def test_arpack_path_deterministic_bit_identical():
+    op = block_copies(2)
+    r1 = lanczos_smallest(op, 10, seed=3)
+    r2 = lanczos_smallest(op, 10, seed=3)
+    assert r1.method == "arpack" and r1.iterations == r2.iterations
+    for p1, p2 in zip(r1.pairs, r2.pairs):
+        assert p1.value == p2.value
+        assert (p1.vector == p2.vector).all()
+
+
+@pytest.mark.parametrize("kept", [0, 4, None])
+def test_arpack_no_convergence_falls_through_to_lanczos(monkeypatch, kept):
+    # ARPACK stopping short, with none or some of its pairs converged, or
+    # failing outright (kept=None): the Lanczos rounds finish the solve
+    real_eigsh = spla.eigsh
+
+    def short_eigsh(a, k, **kwargs):
+        vals, vecs = real_eigsh(a, k=k, **kwargs)
+        if kept is None:
+            raise spla.ArpackError(-9999)
+        raise spla.ArpackNoConvergence("no convergence", vals[:kept], vecs[:, :kept])
+
+    monkeypatch.setattr(spla, "eigsh", short_eigsh)
+    op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
+    report = lanczos_smallest(op, 10, seed=1)
+    assert report.method == "arpack"
+    assert report.converged
+    got = np.array([p.value for p in report.pairs])
+    assert np.abs(got - oracle_values(op, 10)).max() <= 1e-8
+
+
+def test_arpack_skipped_when_m_is_n_minus_one(monkeypatch):
+    # eigsh needs k < n - 1 here; an indefinite sparse operator is off the
+    # band path, so m = n - 1 goes to the Gershgorin rounds directly
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("eigsh called with m = n - 1")
+
+    monkeypatch.setattr(spla, "eigsh", no_eigsh)
+    lap = random_sparse_laplacian(np.random.default_rng(9), 40)
+    op = SymOperator(n=lap.n, csr=(lap.csr - sp.identity(lap.n)).tocsr())
+    with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
+        lanczos_smallest(op, lap.n - 1, seed=3)
 
 
 def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path():
