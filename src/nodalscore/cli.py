@@ -378,9 +378,12 @@ def _cmd_graph(args, parser):
         except pipeline.WorkCapError as exc:
             parser.error(str(exc))
         graph = pipeline.patch_graph(image, cfg, seed=int(merged["seed"]))
-    field = pipeline.score_graph(
-        graph, int(merged["n-terms"]), kind=kind, seed=int(merged["seed"])
-    )
+    try:
+        field = pipeline.score_graph(
+            graph, int(merged["n-terms"]), kind=kind, seed=int(merged["seed"])
+        )
+    except pipeline.WorkCapError as exc:
+        parser.error(str(exc))
     out = merged["out"]
     pipeline.write_score_csv(field, out)
     _write_config(out, merged)

@@ -4,26 +4,24 @@
 per-pair residuals: the full spectrum by default, or only the m smallest
 pairs from the subset driver (``dsyevr``, Dhillon & Parlett 2004), whose
 residuals then cost n^2 m instead of n^3.
-``lanczos_smallest`` extracts the smallest eigenpairs iteratively.  It
-runs Lanczos with full reorthogonalization on a spectral transform B of A
-whose dominant eigenvalues are the smallest ones of A:
+``lanczos_smallest`` finds the m smallest pairs iteratively, in rounds of
+ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``;
+Lehoucq, Sorensen & Yang 1998) on one spectral transform B of A whose
+largest eigenvalues belong to the smallest ones of A:
 
     B = (A - SHIFT * scale * I)^-1,  SHIFT = -1e-3     ("shift-invert")
-    B = sigma * I - A,  sigma = Gershgorin upper bound  ("lanczos")
+    B = sigma * I - A,  sigma = Gershgorin upper bound  ("arpack")
 
 where scale = max(1, ||A||_inf) is also the residual normalization.
 Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when A is
-sparse, its reverse Cuthill-McKee ordering has a band no wider than the
-Krylov sweep budget, and the shifted A has a banded Cholesky factor; each
-step is then a banded solve, and the stiff circle and mesh operators
-converge in about a hundred steps instead of close to a thousand.  Sparse
-operators off that path (kNN and random graphs, failed factorizations)
-take a first round of implicitly restarted Lanczos on A itself (ARPACK,
-Lehoucq, Sorensen & Yang 1998; "arpack"), and dense operators the
-Gershgorin shift.  Because one Krylov start reaches a single vector per
-eigenspace, and ARPACK is no exception, the iteration always continues
-with Gershgorin-shifted restarts deflated against everything found, until
-a round stops lowering the m-th smallest value; that is what resolves
+sparse, its reverse Cuthill-McKee band is narrow, and the shifted A has a
+banded Cholesky factor; each application of B is then a banded solve, and
+the stiff circle and mesh operators converge in about a hundred of them.
+Every other operator (kNN and random graphs, failed factorizations, dense
+operators) takes the Gershgorin shift.  One Krylov start reaches a single
+vector per eigenspace, and ARPACK is no exception, so every round after
+the first runs on B deflated against the pairs accepted so far, until a
+round stops lowering the m-th smallest value; that is what resolves
 degenerate multiplicities.  The solvers are intended for
 positive-semidefinite operators (Laplacians, Schroedinger
 discretizations).
@@ -53,12 +51,14 @@ DENSE_FALLBACK_N = 512
 # dominate B so far that its other wanted pairs never reach the residual
 # tolerance (random Laplacians scaled by 1e8 failed to converge).
 SHIFT = -1e-3
-# cap on ARPACK's implicit restarts in the first round of a wide-band
-# solve, each of them ncv - m >= 10 matvecs.  64x64 kNN patch graphs
-# (m = 16) converge in 11-13, random graphs of average degree 6 with
-# n = 704..4096 (m = 7..16) in 30-80.  Pairs still unconverged at the cap
-# are left to the deflated Lanczos rounds.
+# cap on ARPACK's implicit restarts in one round, each of them ncv - k >= 10
+# applications of B.  64x64 kNN patch graphs (m = 16) converge in 11-13,
+# random graphs of average degree 6 with n = 704..4096 (m = 7..16) in
+# 30-80.  Pairs still unconverged at the cap are left to the next round.
 ARPACK_MAXITER = 300
+# rounds that add no pair (ARPACK stopped short or raised) before a solve
+# gives up
+MAX_RESTARTS = 5
 
 
 @dataclass
@@ -151,10 +151,10 @@ class SymOperator:
 class EigenSolveReport:
     """Solver output: ascending eigenpairs, normalized residuals, bookkeeping.
 
-    ``iterations`` counts operator applications: 1 for a dense solve,
-    matvecs for ``"lanczos"`` and ``"arpack"`` (its ARPACK round plus the
-    deflated Lanczos rounds that check it for missed copies), banded
-    solves for ``"shift-invert"``; ``method`` names the solver that ran.
+    ``iterations`` counts operator applications: 1 for a dense solve, and
+    applications of the spectral transform over all rounds for the
+    iterative solver (matvecs for ``"arpack"``, banded solves for
+    ``"shift-invert"``); ``method`` names the solver that ran.
     """
 
     pairs: list[EigenPair]
@@ -219,189 +219,32 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
     )
 
 
-def lanczos_smallest(op, m, tol=1e-10, seed=0, max_restarts=5):
+def lanczos_smallest(op, m, tol=1e-10, seed=0):
     """The m smallest eigenpairs of a PSD-ish symmetric operator.
 
-    Lanczos with a seeded random start and full reorthogonalization, run
-    on one of two transforms B of A, reported as ``method``:
+    Runs in rounds of ARPACK (``eigsh``, which="LA", tol=0, at most
+    ARPACK_MAXITER restarts) on x -> P B P x, where B is the spectral
+    transform of A named by ``method`` and P = I - F F^T projects out the
+    accepted vectors F:
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
       and scale = max(1, ||A||_inf), applied by a banded Cholesky solve.
       Taken when A is sparse, its reverse Cuthill-McKee bandwidth b has
-      b + 1 <= max(10m + 50, 300) (the sweep budget), and the shifted A
-      factors.  A sweep stops once every wanted Ritz value theta has
-      beta*|s_last| <= eps*theta, which puts the normalized residuals at
-      roundoff: stopping at 0.1*tol instead leaves residuals near 1e-14,
-      and error bounds that scale with the residual over the gap then
-      widen on closely split pairs.
-    - ``"lanczos"``: B = sigma*I - A with the Gershgorin bound sigma, for
-      dense operators.  A sweep stops once every wanted estimate
-      beta*|s_last| is at most 0.1*tol*scale.
-    - ``"arpack"``: sparse operators with wider bands or a failed
-      factorization.  A first round runs ARPACK's implicitly restarted
-      Lanczos for the m smallest eigenvalues of A (``eigsh``, which="SA",
-      tol=0, start drawn from the seeded generator, at most
-      ARPACK_MAXITER restarts); if it stops short, the pairs it did
-      converge are kept.  The rounds after it are those of ``"lanczos"``.
-      ARPACK is skipped when m >= n - 1, which leaves ``"lanczos"``.
+      b + 1 <= max(10m + 50, 300), and the shifted A factors.
+    - ``"arpack"``: B = sigma*I - A with the Gershgorin bound sigma, for
+      every other operator, sparse or dense.
 
-    Ritz pairs are accepted when their true normalized residual
-    ||A v - lambda v|| / scale is at most tol.  The iteration restarts
-    deflated against everything accepted until a round finds nothing
-    below the current m-th smallest, which is what surfaces degenerate
-    copies, including those ARPACK misses; rounds that make no progress
-    count toward max_restarts and double the sweep budget.
-    ``iterations`` counts applications of B (ARPACK's matvecs included):
-    matvecs, or banded solves on the shift-invert path.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    n = op.n
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    scale = max(1.0, op.inf_norm_estimate)
-    tol_abs = tol * scale
-    eps = np.finfo(np.float64).eps
-    rng = np.random.default_rng(seed)
-    sweep_budget = max(10 * m + 50, 300)
-
-    shift = SHIFT * scale
-    solve = _banded_shift_invert(op, shift, sweep_budget)
-    if solve is None:
-        method = "lanczos"
-        sigma = op.gershgorin_bound
-
-        def apply(q):
-            return sigma * q - op.matvec(q)
-
-        def to_eigenvalues(theta):
-            return sigma - theta
-
-        def settled(theta, ests):
-            return ests.max() <= 0.1 * tol_abs
-
-        breakdown_tol = 1e4 * eps * max(1.0, abs(sigma) + scale)
-    else:
-        method = "shift-invert"
-        apply = solve
-
-        def to_eigenvalues(theta):
-            return shift + 1.0 / theta
-
-        def settled(theta, ests):
-            return (ests <= eps * theta).all()
-
-        # ||B|| <= 1 / |shift| for positive-semidefinite A
-        breakdown_tol = 1e4 * eps / abs(shift)
-
-    found_vals = []
-    found_vecs = np.empty((n, 0))
-    failed_rounds = 0
-    total_matvecs = 0
-    if solve is None and not op.is_dense and m < n - 1:
-        method = "arpack"
-        vals, vecs, total_matvecs = _arpack_round(op, m, rng.standard_normal(n))
-        resid = np.linalg.norm(_apply(op, vecs) - vecs * vals, axis=0) / scale
-        keep = resid <= tol
-        found_vals = vals[keep].tolist()
-        found_vecs = vecs[:, keep]
-
-    while True:
-        m_rem = m - len(found_vals)
-        dim_rem = n - found_vecs.shape[1]
-        if dim_rem == 0:
-            break
-        start = rng.standard_normal(n)
-        start -= found_vecs @ (found_vecs.T @ start)
-        norm = np.linalg.norm(start)
-        if norm < 1e-8:
-            failed_rounds += 1
-            if failed_rounds > max_restarts:
-                raise RuntimeError("lanczos: restart budget exhausted")
-            continue
-        start /= norm
-
-        jmax = min(dim_rem, sweep_budget)
-        alphas, betas, Q, breakdown, matvecs = _run_sweep(
-            apply, start, found_vecs, jmax, max(m_rem, 1), settled, breakdown_tol
-        )
-        total_matvecs += matvecs
-
-        k = len(alphas)
-        theta, s = eigh_tridiagonal(alphas, betas[: k - 1])
-        ritz_vecs = Q @ s
-        a_vals = to_eigenvalues(theta)
-        order = np.argsort(a_vals, kind="stable")
-        a_vals = a_vals[order]
-        ritz_vecs = ritz_vecs[:, order]
-        if not breakdown:
-            # trust only the extraction targets; interior Ritz values of an
-            # unexhausted Krylov space may be far from eigenvalues
-            a_vals = a_vals[: max(m_rem, 1)]
-            ritz_vecs = ritz_vecs[:, : max(m_rem, 1)]
-        resid = (
-            np.linalg.norm(
-                _apply(op, ritz_vecs) - ritz_vecs * a_vals, axis=0
-            )
-            / scale
-        )
-        keep = resid <= tol
-        new_vals = a_vals[keep]
-        new_vecs = ritz_vecs[:, keep]
-        if found_vecs.shape[1]:
-            new_vecs = new_vecs - found_vecs @ (found_vecs.T @ new_vecs)
-            norms = np.linalg.norm(new_vecs, axis=0)
-            good = norms > 0.5  # a converged direction cannot collapse here
-            new_vals, new_vecs = new_vals[good], new_vecs[:, good] / norms[good]
-
-        prev_mth = sorted(found_vals)[m - 1] if len(found_vals) >= m else None
-        if new_vals.size == 0:
-            failed_rounds += 1
-            if failed_rounds > max_restarts:
-                raise RuntimeError(
-                    f"lanczos failed to converge {m} pairs to tol={tol}"
-                )
-            # a longer sweep is the only lever against slow extremal
-            # convergence when the sweep ended without breakdown
-            if not breakdown:
-                sweep_budget = min(2 * sweep_budget, n)
-            continue
-        found_vals.extend(new_vals.tolist())
-        found_vecs = np.hstack([found_vecs, new_vecs])
-
-        if (
-            len(found_vals) >= m
-            and prev_mth is not None
-            and new_vals.min() >= prev_mth - 10 * tol_abs
-        ):
-            break
-        # a single Krylov start sees one vector per eigenspace, so copies
-        # of multiple eigenvalues surface only across deflated restarts;
-        # keep going until a round stops lowering the m-th smallest
-
-    order = np.argsort(found_vals, kind="stable")[:m]
-    vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
-    vecs = _fix_signs(found_vecs[:, order])
-    resid = np.linalg.norm(_apply(op, vecs) - vecs * vals, axis=0) / scale
-    pairs = [EigenPair(vals[i], vecs[:, i]) for i in range(m)]
-    return EigenSolveReport(
-        pairs=pairs,
-        residuals=resid,
-        iterations=total_matvecs,
-        converged=bool((resid <= tol).all()),
-        method=method,
-    )
-
-
-def _apply(op, block):
-    return op.dense @ block if op.is_dense else op.csr @ block
-
-
-def _arpack_round(op, m, v0):
-    """ARPACK's m smallest Ritz pairs of sparse A, and its matvec count.
-
-    On ArpackNoConvergence the pairs it did converge are returned, which
-    may be none; any other ARPACK error returns none.
+    Each round asks for max(m_rem, 1) Ritz pairs, m_rem being the count
+    still missing, from the start P g with g the next draw of the seeded
+    generator.  Ritz values theta <= 0 belong to the deflated directions
+    and are dropped.  A pair is accepted when its true normalized residual
+    ||A v - lambda v|| / scale is at most tol.  One Krylov start sees one
+    vector per eigenspace, so the rounds go on until one finds nothing
+    below the current m-th smallest value; that is what surfaces the
+    copies of a repeated eigenvalue.  A round that adds no pair (ARPACK
+    stopped short with none converged, or raised) retries from the next
+    draw, at most MAX_RESTARTS times.  ``iterations`` counts applications
+    of B over all rounds: matvecs, or banded solves.
     """
     from scipy.sparse.linalg import (
         ArpackError,
@@ -410,21 +253,90 @@ def _arpack_round(op, m, v0):
         eigsh,
     )
 
-    matvecs = 0
+    n = op.n
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    scale = max(1.0, op.inf_norm_estimate)
+    rng = np.random.default_rng(seed)
+    shift = SHIFT * scale
+    solve = _banded_shift_invert(op, shift, max(10 * m + 50, 300))
+    if solve is None:
+        method = "arpack"
+        sigma = op.gershgorin_bound
 
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return op.csr @ x
+        def apply(x):
+            return sigma * x - op.matvec(x)
 
-    a = LinearOperator((op.n, op.n), matvec=matvec, dtype=np.float64)
-    try:
-        vals, vecs = eigsh(a, k=m, which="SA", tol=0, v0=v0, maxiter=ARPACK_MAXITER)
-    except ArpackNoConvergence as err:
-        vals, vecs = err.eigenvalues, err.eigenvectors
-    except ArpackError:
-        vals, vecs = np.empty(0), np.empty((op.n, 0))
-    return vals, vecs, matvecs
+        def to_eigenvalues(theta):
+            return sigma - theta
+
+    else:
+        method = "shift-invert"
+        apply = solve
+
+        def to_eigenvalues(theta):
+            return shift + 1.0 / theta
+
+    found_vals = []
+    found_vecs = np.empty((n, 0))
+    applications = 0
+    failed_rounds = 0
+
+    def project(x):
+        return x - found_vecs @ (found_vecs.T @ x) if found_vecs.shape[1] else x
+
+    def deflated(x):
+        nonlocal applications
+        applications += 1
+        return project(apply(project(x)))
+
+    transform = LinearOperator((n, n), matvec=deflated, dtype=np.float64)
+    while len(found_vals) < n:
+        start = project(rng.standard_normal(n))
+        try:
+            theta, vecs = eigsh(
+                transform, k=max(m - len(found_vals), 1), which="LA", tol=0,
+                v0=start, maxiter=ARPACK_MAXITER,
+            )
+        except ArpackNoConvergence as err:
+            theta, vecs = err.eigenvalues, err.eigenvectors
+        except ArpackError:
+            theta, vecs = np.empty(0), np.empty((n, 0))
+        live = theta > 0
+        vals, vecs = to_eigenvalues(theta[live]), vecs[:, live]
+        keep = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0) / scale <= tol
+        new_vals, new_vecs = vals[keep], vecs[:, keep]
+        if found_vecs.shape[1]:
+            new_vecs = project(new_vecs)
+            norms = np.linalg.norm(new_vecs, axis=0)
+            good = norms > 0.5  # a converged direction cannot collapse here
+            new_vals, new_vecs = new_vals[good], new_vecs[:, good] / norms[good]
+
+        if new_vals.size == 0:
+            failed_rounds += 1
+            if failed_rounds > MAX_RESTARTS:
+                raise RuntimeError(
+                    f"lanczos failed to converge {m} pairs to tol={tol}"
+                )
+            continue
+        prev_mth = sorted(found_vals)[m - 1] if len(found_vals) >= m else None
+        found_vals.extend(new_vals.tolist())
+        found_vecs = np.hstack([found_vecs, new_vecs])
+        if prev_mth is not None and new_vals.min() >= prev_mth - 10 * tol * scale:
+            break
+
+    order = np.argsort(found_vals, kind="stable")[:m]
+    vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
+    vecs = _fix_signs(found_vecs[:, order])
+    resid = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0) / scale
+    pairs = [EigenPair(vals[i], vecs[:, i]) for i in range(m)]
+    return EigenSolveReport(
+        pairs=pairs,
+        residuals=resid,
+        iterations=applications,
+        converged=bool((resid <= tol).all()),
+        method=method,
+    )
 
 
 def _banded_shift_invert(op, shift, max_width):
@@ -432,8 +344,13 @@ def _banded_shift_invert(op, shift, max_width):
 
     None when A is held dense, when its reverse Cuthill-McKee bandwidth b
     has b + 1 > max_width, or when A - shift*I is not positive definite.
-    At b + 1 <= max_width a solve costs no more than one reorthogonalized
-    Lanczos step, and the factor is no larger than the Krylov basis.
+    Callers pass max_width = max(10m + 50, 300) for m wanted pairs, which
+    splits the operators where the transform pays: circle operators
+    (b = 2) and meshes (b = 74 on a 40x40 grid) factor and converge in
+    about a hundred solves instead of close to a thousand matvecs, while
+    kNN and random graphs (bands of several hundred to thousands) take
+    the Gershgorin shift.  A factor holds (b + 1) n floats, and a solve
+    costs about 4 (b + 1) n flops.
     """
     if op.is_dense:
         return None
@@ -463,50 +380,3 @@ def _banded_shift_invert(op, shift, max_width):
         return cho_solve_banded((factor, False), x[perm], check_finite=False)[inv]
 
     return solve
-
-
-def _run_sweep(apply, start, deflate, jmax, m_want, settled, breakdown_tol):
-    """Lanczos sweep on B (q -> apply(q)), deflated; full reorthogonalization.
-
-    Every 5 steps the m_want dominant Ritz values theta and the last
-    entries s_last of their eigenvectors give the residual estimates
-    beta*|s_last| of B's Ritz pairs; the sweep stops
-    once settled(theta, ests) holds, at breakdown, or after jmax steps.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    n = start.size
-    alphas, betas = [], []
-    Q = np.empty((n, jmax))
-    Q[:, 0] = start
-    matvecs = 0
-    breakdown = False
-    j = 0
-    while True:
-        q = Q[:, j]
-        w = apply(q)
-        matvecs += 1
-        alphas.append(float(q @ w))
-        for _ in range(2):
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-            if deflate.shape[1]:
-                w -= deflate @ (deflate.T @ w)
-        beta = float(np.linalg.norm(w))
-        j += 1
-        if beta <= breakdown_tol:
-            breakdown = True
-            break
-        if j == jmax:
-            break
-        betas.append(beta)
-        Q[:, j] = w / beta
-        if j >= m_want + 2 and j % 5 == 0:
-            theta, s = eigh_tridiagonal(
-                np.array(alphas),
-                np.array(betas)[: j - 1],
-                select="i",
-                select_range=(j - m_want, j - 1),
-            )
-            if settled(theta, beta * np.abs(s[-1])):
-                break
-    return np.array(alphas), np.array(betas), Q[:, :j], breakdown, matvecs

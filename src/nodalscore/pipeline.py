@@ -50,6 +50,7 @@ __all__ = [
     "MAX_PATCH_PIXELS",
     "MAX_PATCH_WORK",
     "check_patch_work",
+    "MAX_GRAPH_SOLVE_WORK",
     "WorkCapError",
 ]
 
@@ -62,6 +63,12 @@ MAX_VERTICES = 1 << 20
 # pixels * patch^2 floats; at both caps it runs about 12 s (README)
 MAX_PATCH_PIXELS = 1 << 15
 MAX_PATCH_WORK = 1 << 21
+
+# wanted pairs x vertices of the largest component, checked before any
+# solve: ARPACK keeps 2 * pairs + 1 Krylov vectors of component-size floats,
+# and a component solved for all its modes takes the full dense solve;
+# runs at this cap took 5-19 s and at most 346 MB (README)
+MAX_GRAPH_SOLVE_WORK = 1 << 19
 
 # rows of the distance matrix held at once by the exact kNN scan
 _KNN_BLOCK_ROWS = 256
@@ -522,7 +529,8 @@ def laplacian(graph, kind="combinatorial"):
 def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance, rel_tol):
     lap = laplacian(graph, kind)
     want = min(n_terms + 1, graph.n)
-    if graph.n <= DENSE_FALLBACK_N:
+    # the iterative solver needs want < n; all n modes take the full dense solve
+    if graph.n <= DENSE_FALLBACK_N or want == graph.n:
         report = dense_sym_eig(lap.op.densified(), m=want)
     else:
         report = lanczos_smallest(lap.op, want, tol=1e-10, seed=seed)
@@ -564,11 +572,21 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
 
     Disconnected graphs are scored per component (warning emitted), each
     component contributing its own nontrivial modes.  Components too small
-    to carry any nontrivial mode score zero.
+    to carry any nontrivial mode score zero.  WorkCapError, before any
+    solve, when the largest component's wanted pairs x size exceeds
+    MAX_GRAPH_SOLVE_WORK.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     labels, n_comp = graph.components()
+    sizes = np.bincount(labels, minlength=n_comp)
+    largest = int(sizes.max(initial=0))
+    want = min(n_terms + 1, largest)
+    if want * largest > MAX_GRAPH_SOLVE_WORK:
+        raise WorkCapError(
+            f"wanted pairs x component size = {want} x {largest} "
+            f"exceeds {MAX_GRAPH_SOLVE_WORK}"
+        )
     values = np.zeros(graph.n)
     hashes = []
     if n_comp > 1:
@@ -579,7 +597,6 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
     # one stable sort groups the vertices by component, ascending within each;
     # a vertex's rank in its group is its label in the component's subgraph
     order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_comp)
     ends = np.cumsum(sizes)
     local = np.empty(graph.n, dtype=np.int64)
     local[order] = np.arange(graph.n) - np.repeat(ends - sizes, sizes)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,47 @@ def test_graph_edges_format(capsys, tmp_path):
     assert summary["laplacian"] == "comb"
     lines = out.read_text().splitlines()
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("n", [500, 600])
+def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
+    # a cycle asked for all n - 1 nontrivial modes wants all n pairs; 500
+    # is at most DENSE_FALLBACK_N and 600 is above it, and both exit 0
+    edges = tmp_path / "cycle.csv"
+    edges.write_text("".join(f"{i},{(i + 1) % n}\n" for i in range(n)))
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # degenerate modes
+        code, stdout, err = run(
+            capsys,
+            ["graph", "--input", str(edges), "--format", "edges",
+             "--n-terms", str(n - 1), "--out", str(out)],
+        )
+    assert code == 0, err
+    assert parse_summary(stdout)["n_terms"] == str(n - 1)
+    assert len(out.read_text().splitlines()) == n
+
+
+def test_graph_solve_work_cap_exits_2_before_solving(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a component above the cap")
+
+    monkeypatch.setattr(pipeline, "dense_sym_eig", refuse)
+    monkeypatch.setattr(pipeline, "lanczos_smallest", refuse)
+    n = 2048
+    edges = tmp_path / "path.csv"
+    edges.write_text("".join(f"{i},{i + 1}\n" for i in range(n - 1)))
+    out = tmp_path / "s.csv"
+    n_terms = pipeline.MAX_GRAPH_SOLVE_WORK // n  # one pair over the cap
+    code, _, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges",
+         "--n-terms", str(n_terms), "--out", str(out)],
+    )
+    assert code == 2
+    assert "exceeds" in err
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.config.json").exists()
 
 
 def test_graph_obj_format(capsys, tmp_path):

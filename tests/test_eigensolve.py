@@ -330,7 +330,7 @@ def test_lanczos_rejects_m_not_below_n():
 
 
 @pytest.mark.parametrize(
-    "held, method", [("sparse", "shift-invert"), ("dense", "lanczos")]
+    "held, method", [("sparse", "shift-invert"), ("dense", "arpack")]
 )
 def test_lanczos_oracle_sweep_small(held, method):
     """Randomized dense-oracle equivalence on operators up to n = 300.
@@ -354,7 +354,7 @@ def test_lanczos_oracle_sweep_small(held, method):
 
 def test_lanczos_wide_band_sparse_takes_arpack_path():
     # connected, average degree 6: reverse Cuthill-McKee leaves a band of
-    # 380, wider than the sweep budget of 300 at m = 10
+    # 380, wider than the shift-invert band limit of 300 at m = 10
     op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
     report = lanczos_smallest(op, 10, seed=1)
     assert report.method == "arpack"
@@ -362,6 +362,15 @@ def test_lanczos_wide_band_sparse_takes_arpack_path():
     got = np.array([p.value for p in report.pairs])
     want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:10]])
     assert np.abs(got - want).max() <= 1e-8
+
+
+def test_lanczos_wide_band_operation_count():
+    # a count, not a time: the rounds take 463 matvecs here
+    op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
+    report = lanczos_smallest(op, 10, seed=1)
+    assert report.method == "arpack"
+    assert report.converged
+    assert report.iterations <= 600
 
 
 def block_copies(copies, isolated=0):
@@ -383,7 +392,7 @@ def oracle_values(op, m):
 def test_arpack_path_recovers_exact_copies(copies, isolated, m):
     # ARPACK's single Krylov start sees one vector per eigenspace, and on
     # isolated vertices no rounding ever adds another: it returns one zero
-    # of four at (1, 3).  The deflated Lanczos rounds after it must supply
+    # of four at (1, 3).  The deflated rounds after the first must supply
     # the missing copies.
     op = block_copies(copies, isolated)
     zeros = copies + isolated
@@ -408,12 +417,17 @@ def test_arpack_path_deterministic_bit_identical():
 
 @pytest.mark.parametrize("kept", [0, 4, None])
 def test_arpack_no_convergence_falls_through_to_lanczos(monkeypatch, kept):
-    # ARPACK stopping short, with none or some of its pairs converged, or
-    # failing outright (kept=None): the Lanczos rounds finish the solve
+    # the first ARPACK round stopping short, with none or some of its pairs
+    # converged, or failing outright (kept=None): the later rounds, run
+    # by the real eigsh, must finish the solve
     real_eigsh = spla.eigsh
+    calls = []
 
     def short_eigsh(a, k, **kwargs):
+        calls.append(k)
         vals, vecs = real_eigsh(a, k=k, **kwargs)
+        if len(calls) > 1:
+            return vals, vecs
         if kept is None:
             raise spla.ArpackError(-9999)
         raise spla.ArpackNoConvergence("no convergence", vals[:kept], vecs[:, :kept])
@@ -423,17 +437,14 @@ def test_arpack_no_convergence_falls_through_to_lanczos(monkeypatch, kept):
     report = lanczos_smallest(op, 10, seed=1)
     assert report.method == "arpack"
     assert report.converged
+    assert len(calls) >= 2
     got = np.array([p.value for p in report.pairs])
     assert np.abs(got - oracle_values(op, 10)).max() <= 1e-8
 
 
-def test_arpack_skipped_when_m_is_n_minus_one(monkeypatch):
-    # eigsh needs k < n - 1 here; an indefinite sparse operator is off the
-    # band path, so m = n - 1 goes to the Gershgorin rounds directly
-    def no_eigsh(*args, **kwargs):
-        raise AssertionError("eigsh called with m = n - 1")
-
-    monkeypatch.setattr(spla, "eigsh", no_eigsh)
+def test_arpack_rounds_reach_m_equal_n_minus_one():
+    # an indefinite sparse operator is off the band path; m = n - 1 asks
+    # ARPACK for n - 1 of n pairs and still meets the PSD contract
     lap = random_sparse_laplacian(np.random.default_rng(9), 40)
     op = SymOperator(n=lap.n, csr=(lap.csr - sp.identity(lap.n)).tocsr())
     with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
@@ -484,7 +495,7 @@ def test_lanczos_shift_invert_recovers_exact_circle_doubles():
 
 def test_lanczos_circle_well_operation_count():
     # a count, not a time: the Gershgorin-shifted iteration needed 876
-    # operator applications here, the shift-invert one needs about 85
+    # operator applications here, the shift-invert one needs about 100
     circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6))
     report = lanczos_smallest(circle.matrix, 11)
     assert report.method == "shift-invert"

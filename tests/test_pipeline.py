@@ -1,6 +1,7 @@
 """Ingestion, patch graphs, Laplacians, end-to-end scoring, exporters."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -10,12 +11,14 @@ from nodalscore import pipeline
 from nodalscore.core import ScoreField, ScoreConfig
 from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.pipeline import (
+    MAX_GRAPH_SOLVE_WORK,
     MAX_PATCH_PIXELS,
     MAX_VERTICES,
     Graph,
     Image,
     Mesh,
     PatchGraphConfig,
+    WorkCapError,
     check_patch_work,
     laplacian,
     mesh_graph,
@@ -518,6 +521,42 @@ def test_score_graph_stops_on_non_converged_solve(monkeypatch, solver, n):
     path = Graph(n=n, u=np.arange(n - 1), v=np.arange(1, n), w=np.ones(n - 1))
     with pytest.raises(RuntimeError, match="did not converge"):
         score_graph(path, 2, kind="combinatorial")
+
+
+class SolveReached(Exception):
+    pass
+
+
+def test_score_graph_work_cap_checked_before_any_solve(monkeypatch):
+    def reached(*args, **kwargs):
+        raise SolveReached
+
+    monkeypatch.setattr(pipeline, "dense_sym_eig", reached)
+    monkeypatch.setattr(pipeline, "lanczos_smallest", reached)
+    n = 2048
+    at_cap = MAX_GRAPH_SOLVE_WORK // n - 1  # n_terms + 1 pairs x n = the cap
+    u = np.arange(n - 1)
+    path = Graph(n=n, u=u, v=u + 1, w=np.ones(n - 1))
+    with pytest.raises(SolveReached):
+        score_graph(path, at_cap)
+    with pytest.raises(WorkCapError, match="exceeds"):
+        score_graph(path, at_cap + 1)
+    # the largest component decides, not the vertex total: two such paths
+    # side by side stay at the cap
+    two = Graph(
+        n=2 * n,
+        u=np.concatenate([u, u + n]),
+        v=np.concatenate([u + 1, u + n + 1]),
+        w=np.ones(2 * n - 2),
+    )
+    with pytest.warns(UserWarning, match="disconnected"), pytest.raises(SolveReached):
+        score_graph(two, at_cap)
+    # all the modes of one component: n^2 is the work
+    side = math.isqrt(MAX_GRAPH_SOLVE_WORK)
+    for size, exc in ((side, SolveReached), (side + 1, WorkCapError)):
+        u = np.arange(size - 1)
+        with pytest.raises(exc):
+            score_graph(Graph(n=size, u=u, v=u + 1, w=np.ones(size - 1)), size - 1)
 
 
 # -------------------------------------------------------------------- writers
