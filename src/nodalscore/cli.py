@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands: interval, square, rational-check, paley, torus, graph.  Every
-flag can also come from a JSON file via --config (explicit flags win), and
-every run that writes an output file also writes `<out>.config.json` with
-the effective configuration.  Summaries are stable key=value lines on
+Subcommands: interval, square, rational-check, paley, torus, graph, each
+with its flags declared once in COMMANDS.  Every flag can also come from a
+JSON file via --config (explicit flags win), and every run that writes an
+output file also writes `<out>.config.json` with the effective
+configuration.  Summaries are stable key=value lines on
 stdout.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
 """
 
@@ -69,27 +70,33 @@ def _config_value(parser, key, value, kinds):
     parser.error(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
 
 
-def _merge(args, parser, keys):
+# stands in for the default of a flag that must be set by flag or config
+REQUIRED = object()
+
+
+def _merge(args, parser, flags):
     """Fill unset flags from --config JSON; explicit flags take precedence.
 
-    keys maps each flag to (kinds, default): the JSON types its config value
+    flags maps each flag to (kinds, default): the JSON types its config value
     may have, and its value when neither the flag nor the config sets it
-    (a JSON null leaves it unset).
+    (a JSON null leaves it unset).  After the type checks, the first flag
+    still at REQUIRED, in table order, is a usage error.
     """
     cfg = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8 or bad JSON; RecursionError: nesting too deep
             parser.error(f"cannot read --config: {exc}")
         if not isinstance(cfg, dict):
             parser.error("--config must hold a JSON object")
-        unknown = set(cfg) - set(keys)
+        unknown = set(cfg) - set(flags)
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for key, (kinds, default) in keys.items():
+    for key, (kinds, default) in flags.items():
         cli_val = getattr(args, key.replace("-", "_"))
         if cli_val is not None:
             merged[key] = cli_val
@@ -97,13 +104,10 @@ def _merge(args, parser, keys):
             merged[key] = _config_value(parser, key, cfg[key], kinds)
         else:
             merged[key] = default
+    for key, value in merged.items():
+        if value is REQUIRED:
+            parser.error(f"--{key} is required (flag or config)")
     return merged
-
-
-def _require(parser, merged, *names):
-    for name in names:
-        if merged[name] is None:
-            parser.error(f"--{name} is required (flag or config)")
 
 
 def _parse_grid_2d(parser, text):
@@ -121,18 +125,8 @@ def _parse_grid_2d(parser, text):
     return mx, my
 
 
-def _cmd_interval(args, parser):
-    keys = {
-        "n-terms": ((int,), None),
-        "grid": ((int,), None),
-        "find-minima": ((bool,), False),
-        "out": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "n-terms", "grid", "out")
-    n_terms = int(merged["n-terms"])
-    grid = int(merged["grid"])
+def _cmd_interval(merged, parser):
+    n_terms, grid = merged["n-terms"], merged["grid"]
     if grid < 1:
         parser.error("--grid must be >= 1")
     if grid + 1 > MAX_GRID_POINTS:
@@ -162,17 +156,8 @@ def _cmd_interval(args, parser):
     return 0
 
 
-def _cmd_square(args, parser):
-    keys = {
-        "lambda-cut": ((float,), None),
-        "grid": ((str,), None),
-        "out": ((str,), None),
-        "pgm": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "lambda-cut", "grid", "out")
-    mx, my = _parse_grid_2d(parser, str(merged["grid"]))
+def _cmd_square(merged, parser):
+    mx, my = _parse_grid_2d(parser, merged["grid"])
     lam = float(merged["lambda-cut"])
     # interior lattice of the open square; the boundary scores 0 trivially
     xs = np.arange(1, mx + 1) / (mx + 1)
@@ -198,19 +183,9 @@ def _cmd_square(args, parser):
     return 0
 
 
-def _cmd_rational_check(args, parser):
-    keys = {
-        "p": ((int,), None),
-        "q": ((int,), None),
-        "n-terms": ((int,), None),
-        "step": ((float,), None),
-        "out": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "p", "q")
-    point = analytic.RationalPoint(int(merged["p"]), int(merged["q"]))
-    n_terms = int(merged["n-terms"]) if merged["n-terms"] is not None else point.q**2
+def _cmd_rational_check(merged, parser):
+    point = analytic.RationalPoint(merged["p"], merged["q"])
+    n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
     step = float(merged["step"]) if merged["step"] is not None else 1.0 / (8 * point.q**2)
     try:
         probe = analytic.probe_rational_minimum(point, n_terms, step)
@@ -233,16 +208,8 @@ def _cmd_rational_check(args, parser):
     return 0
 
 
-def _cmd_paley(args, parser):
-    keys = {
-        "p": ((int,), None),
-        "verify": ((bool,), False),
-        "out": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "p")
-    p = int(merged["p"])
+def _cmd_paley(merged, parser):
+    p = merged["p"]
     if p % 4 != 1 or p < 5:
         parser.error(f"--p {p} must be a prime congruent to 1 mod 4")
     if merged["verify"] and p > paley.NUMERIC_MAX_PRIME:
@@ -281,40 +248,28 @@ def _cmd_paley(args, parser):
     return 0
 
 
-def _cmd_torus(args, parser):
-    keys = {
-        "y": ((float,), None),
-        "eps": ((float,), None),
-        "bump": ((str,), "constant"),
-        "n-grid": ((int,), 512),
-        "n-terms": ((int,), None),
-        "find-n-eps": ((int,), None),
-        "out": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "y", "eps")
+def _cmd_torus(merged, parser):
     if (merged["n-terms"] is None) == (merged["find-n-eps"] is None):
         parser.error("set exactly one of --n-terms and --find-n-eps")
     bump = {"constant": "constant-well", "cosine": "cosine-well"}.get(merged["bump"])
     if bump is None:
         parser.error("--bump must be constant or cosine")
     spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
-    n_grid = int(merged["n-grid"])
+    n_grid = merged["n-grid"]
     if n_grid > torus.MAX_N_GRID:
         parser.error(f"--n-grid {n_grid} exceeds {torus.MAX_N_GRID}")
     pairs = merged["n-terms"] if merged["n-terms"] is not None else merged["find-n-eps"]
     try:
-        torus.check_solve_work(n_grid, int(pairs))
+        torus.check_solve_work(n_grid, pairs)
     except ValueError as exc:
         parser.error(str(exc))
     items = [("y", spec.y), ("eps", spec.eps), ("bump", merged["bump"]), ("n_grid", n_grid)]
     if merged["find-n-eps"] is not None:
-        n_eps = torus.find_N_eps(spec, n_grid, int(merged["find-n-eps"]), seed=int(merged["seed"]))
+        n_eps = torus.find_N_eps(spec, n_grid, merged["find-n-eps"], seed=merged["seed"])
         items.append(("n_eps", n_eps))
     else:
-        n_terms = int(merged["n-terms"])
-        field = torus.torus_score(n_grid, spec, n_terms, seed=int(merged["seed"]))
+        n_terms = merged["n-terms"]
+        field = torus.torus_score(n_grid, spec, n_terms, seed=merged["seed"])
         grid = np.arange(n_grid) * (2.0 * math.pi / n_grid)
         amin = int(np.argmin(field.values))
         items += [
@@ -331,21 +286,7 @@ def _cmd_torus(args, parser):
     return 0
 
 
-def _cmd_graph(args, parser):
-    keys = {
-        "input": ((str,), None),
-        "format": ((str,), None),
-        "laplacian": ((str,), "sym"),
-        "knn": ((int,), 16),
-        "patch": ((int,), 8),
-        "bandwidth": ((str, float), "auto"),
-        "n-terms": ((int,), None),
-        "out": ((str,), None),
-        "pgm": ((str,), None),
-        "seed": ((int,), 0),
-    }
-    merged = _merge(args, parser, keys)
-    _require(parser, merged, "input", "format", "n-terms", "out")
+def _cmd_graph(merged, parser):
     fmt = merged["format"]
     if fmt not in ("edges", "pgm", "obj"):
         parser.error("--format must be edges, pgm or obj")
@@ -366,9 +307,7 @@ def _cmd_graph(args, parser):
         if bandwidth != "auto":
             bandwidth = float(bandwidth)
         cfg = pipeline.PatchGraphConfig(
-            patch_size=int(merged["patch"]),
-            k_neighbors=int(merged["knn"]),
-            bandwidth=bandwidth,
+            patch_size=merged["patch"], k_neighbors=merged["knn"], bandwidth=bandwidth
         )
         with open(merged["input"], "rb") as fh:
             data = fh.read()
@@ -377,11 +316,9 @@ def _cmd_graph(args, parser):
             pipeline.check_patch_work(image.width * image.height, cfg.patch_size)
         except pipeline.WorkCapError as exc:
             parser.error(str(exc))
-        graph = pipeline.patch_graph(image, cfg, seed=int(merged["seed"]))
+        graph = pipeline.patch_graph(image, cfg)
     try:
-        field = pipeline.score_graph(
-            graph, int(merged["n-terms"]), kind=kind, seed=int(merged["seed"])
-        )
+        field = pipeline.score_graph(graph, merged["n-terms"], kind=kind, seed=merged["seed"])
     except pipeline.WorkCapError as exc:
         parser.error(str(exc))
     out = merged["out"]
@@ -394,7 +331,7 @@ def _cmd_graph(args, parser):
         [
             ("n_vertices", graph.n),
             ("n_edges", graph.n_edges),
-            ("n_terms", int(merged["n-terms"])),
+            ("n_terms", merged["n-terms"]),
             ("laplacian", merged["laplacian"]),
             ("argmax_index", int(np.argmax(values))),
             ("argmax_value", float(values.max())),
@@ -405,9 +342,62 @@ def _cmd_graph(args, parser):
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file with flag defaults")
-    sub.add_argument("--seed", type=int, default=None)
+# Every flag of every subcommand, declared once: name -> (help, handler,
+# {flag: (kinds, default)}).  kinds are the JSON types a --config value may
+# have and kinds[0] is the command-line type; a (bool,) flag is a switch.
+_SEED = ((int,), 0)
+COMMANDS = {
+    "interval": ("interval score on a uniform grid", _cmd_interval, {
+        "n-terms": ((int,), REQUIRED),
+        "grid": ((int,), REQUIRED),
+        "find-minima": ((bool,), False),
+        "out": ((str,), REQUIRED),
+        "seed": _SEED,
+    }),
+    "square": ("square score on an interior grid", _cmd_square, {
+        "lambda-cut": ((float,), REQUIRED),
+        "grid": ((str,), REQUIRED),
+        "out": ((str,), REQUIRED),
+        "pgm": ((str,), None),
+        "seed": _SEED,
+    }),
+    "rational-check": ("strict-minimum check at p/q", _cmd_rational_check, {
+        "p": ((int,), REQUIRED),
+        "q": ((int,), REQUIRED),
+        "n-terms": ((int,), None),
+        "step": ((float,), None),
+        "out": ((str,), None),
+        "seed": _SEED,
+    }),
+    "paley": ("three-valued Paley graph score", _cmd_paley, {
+        "p": ((int,), REQUIRED),
+        "verify": ((bool,), False),
+        "out": ((str,), None),
+        "seed": _SEED,
+    }),
+    "torus": ("perturbed circle operator score", _cmd_torus, {
+        "y": ((float,), REQUIRED),
+        "eps": ((float,), REQUIRED),
+        "bump": ((str,), "constant"),
+        "n-grid": ((int,), 512),
+        "n-terms": ((int,), None),
+        "find-n-eps": ((int,), None),
+        "out": ((str,), None),
+        "seed": _SEED,
+    }),
+    "graph": ("score a graph from a file", _cmd_graph, {
+        "input": ((str,), REQUIRED),
+        "format": ((str,), REQUIRED),
+        "laplacian": ((str,), "sym"),
+        "knn": ((int,), 16),
+        "patch": ((int,), 8),
+        "bandwidth": ((str, float), "auto"),
+        "n-terms": ((int,), REQUIRED),
+        "out": ((str,), REQUIRED),
+        "pgm": ((str,), None),
+        "seed": _SEED,
+    }),
+}
 
 
 def build_parser():
@@ -416,63 +406,14 @@ def build_parser():
         description="spectral anomaly scores on intervals, squares, graphs and the circle",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("interval", help="interval score on a uniform grid")
-    s.add_argument("--n-terms", type=int)
-    s.add_argument("--grid", type=int)
-    s.add_argument("--find-minima", action="store_true", default=None)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(func=_cmd_interval)
-
-    s = subs.add_parser("square", help="square score on an interior grid")
-    s.add_argument("--lambda-cut", type=float)
-    s.add_argument("--grid")
-    s.add_argument("--out")
-    s.add_argument("--pgm")
-    _add_common(s)
-    s.set_defaults(func=_cmd_square)
-
-    s = subs.add_parser("rational-check", help="strict-minimum check at p/q")
-    s.add_argument("--p", type=int)
-    s.add_argument("--q", type=int)
-    s.add_argument("--n-terms", type=int)
-    s.add_argument("--step", type=float)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(func=_cmd_rational_check)
-
-    s = subs.add_parser("paley", help="three-valued Paley graph score")
-    s.add_argument("--p", type=int)
-    s.add_argument("--verify", action="store_true", default=None)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(func=_cmd_paley)
-
-    s = subs.add_parser("torus", help="perturbed circle operator score")
-    s.add_argument("--y", type=float)
-    s.add_argument("--eps", type=float)
-    s.add_argument("--bump", choices=["constant", "cosine"])
-    s.add_argument("--n-grid", type=int)
-    s.add_argument("--n-terms", type=int)
-    s.add_argument("--find-n-eps", type=int)
-    s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(func=_cmd_torus)
-
-    s = subs.add_parser("graph", help="score a graph from a file")
-    s.add_argument("--input")
-    s.add_argument("--format", choices=["edges", "pgm", "obj"])
-    s.add_argument("--laplacian", choices=["sym", "comb"])
-    s.add_argument("--knn", type=int)
-    s.add_argument("--patch", type=int)
-    s.add_argument("--bandwidth")
-    s.add_argument("--n-terms", type=int)
-    s.add_argument("--out")
-    s.add_argument("--pgm")
-    _add_common(s)
-    s.set_defaults(func=_cmd_graph)
-
+    for name, (help_text, _, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, (kinds, _) in flags.items():
+            if kinds == (bool,):
+                sub.add_argument(f"--{flag}", action="store_true", default=None)
+            else:
+                sub.add_argument(f"--{flag}", type=kinds[0])
+        sub.add_argument("--config", help="JSON file with flag defaults")
     return parser
 
 
@@ -480,10 +421,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    try:
-        return args.func(args, parser)
+        _, handler, flags = COMMANDS[args.command]
+        return handler(_merge(args, parser, flags), parser)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     except (ValueError, RuntimeError, OSError) as exc:
@@ -493,3 +432,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -178,15 +178,12 @@ class PatchGraphConfig:
     patch_size: int = 8
     k_neighbors: int = 16
     bandwidth: float | str = "auto"
-    padding: str = "mirror"
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise ValueError("patch_size must be >= 1")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.padding != "mirror":
-            raise ValueError("only mirror padding is supported")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError("bandwidth must be 'auto' or a positive number")
@@ -381,14 +378,13 @@ def _knn_exact(patches, k):
     return idx_out, d2_out
 
 
-def patch_graph(img, config=None, seed=0):
+def patch_graph(img, config=None):
     """kNN patch graph of an image with Gaussian weights.
 
     sigma is the median distance to the k-th neighbor when bandwidth is
     "auto"; a zero median (constant image) is an error.  The directed kNN
     lists are symmetrized by union, both directions sharing one weight.
-    The construction is deterministic; seed is accepted for interface
-    symmetry with the other pipelines.
+    The construction is deterministic.
     """
     config = config or PatchGraphConfig()
     n = img.width * img.height

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import nodalscore
 from nodalscore import analytic, paley, pipeline, torus
-from nodalscore.cli import main
+from nodalscore.cli import COMMANDS, REQUIRED, _merge, build_parser, main
 from nodalscore.eigensolve import EigenSolveReport
 
 
@@ -919,3 +919,119 @@ def test_config_type_errors_torus_graph(capsys, tmp_path):
         assert f"config key '{key}'" in err, err
     code, _, _ = config_run(capsys, tmp_path, graph, {"n-terms": 2, "bandwidth": 0.5})
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"p": 13}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_config_undecodable_is_usage_error(capsys, tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    code, stdout, err = run(capsys, ["paley", "--config", str(cfg)])
+    assert code == 2
+    assert stdout == ""
+    assert "cannot read --config" in err
+
+
+def test_module_runs_as_a_script(tmp_path):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-m", "nodalscore.cli"]
+    proc = subprocess.run(
+        cmd + ["paley", "--p", "13"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_summary(proc.stdout)["p"] == "13"
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "usage" in proc.stderr
+
+
+# -------------------------------------------- the flag table is the one source
+
+_TABLE_FLAGS = [(name, flag) for name, (_, _, flags) in COMMANDS.items() for flag in flags]
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.integers(min_value=-(10**6), max_value=10**6).map(float)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_SAMPLE_ARG = {int: "3", float: "1.5", str: "x"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_TABLE_FLAGS), _JSON_VALUES)
+@example(("paley", "p"), 13.0)
+@example(("torus", "y"), 2)
+@example(("graph", "bandwidth"), float("nan"))
+@example(("square", "lambda-cut"), 10**400)
+def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_flag, value):
+    command, key = command_flag
+    flags = COMMANDS[command][2]
+    kinds, default = flags[key]
+    # the other required flags come from the command line, so only key can fail
+    argv = [command]
+    for flag, (flag_kinds, flag_default) in flags.items():
+        if flag_default is REQUIRED and flag != key:
+            argv += [f"--{flag}", _SAMPLE_ARG[flag_kinds[0]]]
+    cfg = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    cfg.write_text(json.dumps({key: value}))
+    parser = build_parser()
+    args = parser.parse_args(argv + ["--config", str(cfg)])
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            merged = _merge(args, parser, flags)
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert f"config key '{key}'" in err.getvalue() or (
+            value is None and f"--{key} is required" in err.getvalue()
+        ), err.getvalue()
+        return
+    got = merged[key]
+    if value is None:
+        assert got == default
+    else:
+        number = float in kinds and isinstance(got, int) and not isinstance(got, bool)
+        assert isinstance(got, kinds) or number, (got, kinds)
+        assert bool in kinds or not isinstance(got, bool)
+
+
+# one small accepted run per subcommand; True is a switch given without a value
+_ONE_RUN = {
+    "interval": {"n-terms": 50, "grid": 64, "find-minima": True, "out": "o.csv"},
+    "square": {"lambda-cut": 100.0, "grid": "8x8", "out": "o.csv", "pgm": "o.pgm"},
+    "rational-check": {"p": 2, "q": 5, "out": "o.txt"},
+    "paley": {"p": 101, "out": "o.csv"},
+    "torus": {"y": 2.0, "eps": 0.6, "n-grid": 576, "n-terms": 2, "out": "o.csv"},
+    "graph": {"input": "g.csv", "format": "edges", "n-terms": 2, "out": "o.csv"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_flags_and_config_give_the_same_run(capsys, tmp_path, monkeypatch, command):
+    values = _ONE_RUN[command]
+    argv = [command]
+    for flag, value in values.items():
+        argv += [f"--{flag}"] if value is True else [f"--{flag}", str(value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    results = []
+    for way, way_argv in (("flags", argv), ("config", [command, "--config", str(cfg)])):
+        work = tmp_path / way
+        work.mkdir()
+        write_edge_file(work / "g.csv")
+        monkeypatch.chdir(work)
+        code, stdout, _ = run(capsys, way_argv)
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        results.append((code, stdout, files))
+    assert results[0][0] == 0
+    assert f"{values['out']}.config.json" in results[0][2]
+    assert results[0] == results[1]
