@@ -16,7 +16,7 @@ Caps, each refused before anything of that size is allocated:
 - MAX_GRID_POINTS = 2**24 points on a command-line grid (interval
   --grid + 1, square mx * my), checked by the CLI;
 - rational_series needs den * min(den, n_terms) < 2**63, so every
-  integer product it forms fits in int64;
+  integer product it forms fits in int64 (int32 below 2**31);
 - square_series holds a dense (max m + 1) x (max n + 1) weight matrix of
   at most _CHUNK_BUDGET cells; on the Dirichlet lattice that is
   lambda_cut < 2**22.
@@ -34,6 +34,7 @@ MAX_GRID_POINTS = 1 << 24
 # points x terms evaluated per chunk, bounding each temporary to 32 MB
 _CHUNK_BUDGET = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_LIMIT = 1 << 31
 
 
 def _check_terms(n_terms):
@@ -77,9 +78,17 @@ def rational_series(nums, den, n_terms):
     """sum_{k<=n_terms} sin(pi * ((k*num) mod den) / den) / k for each integer num.
 
     This is the interval series at x = num/den, reduced exactly.  With
-    n_terms >= den the weights 1/k are summed per residue k mod den once
-    (smallest first), and each point costs den terms; otherwise every k is
-    reduced directly.
+    n_terms >= den the weights 1/k are summed per residue k mod den once,
+    and each point costs den terms; otherwise every k is reduced directly.
+
+    The residue weights come from one strided reduction: k = M, M-1, ..., 1
+    (M = n_terms rounded up to a multiple of den) is laid out as a
+    (M/den, den) array of 1/k with the entries above n_terms set to 0, and
+    summed down its columns.  Column c holds the k = -c (mod den), and
+    each column adds its terms largest k first from an exact 0.0, the same
+    additions in the same order as a bincount of 1/k over k = n_terms..1.
+    The residue products (num*k) mod den are formed in int32 when
+    den * min(den, n_terms) < 2**31, in int64 otherwise.
     """
     n_terms = _check_terms(n_terms)
     den = int(den)
@@ -88,21 +97,29 @@ def rational_series(nums, den, n_terms):
     terms = min(den, n_terms)
     if den > _INT64_MAX // terms:
         raise ValueError(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
-    nums = np.mod(np.asarray(nums, dtype=np.int64), den)
+    dtype = np.int32 if den * terms < _INT32_LIMIT else np.int64
+    nums = np.mod(np.asarray(nums, dtype=np.int64), den).astype(dtype)
     out = np.zeros(nums.shape[0])
     grouped = n_terms >= den
     if grouped:
-        k = np.arange(n_terms, 0, -1, dtype=np.int64)
-        weights = np.bincount(k % den, weights=1.0 / k, minlength=den)
-        k = np.arange(den, dtype=np.int64)  # one k per residue class
+        rows = -(-n_terms // den)
+        recip = np.arange(rows * den, 0, -1, dtype=np.float64)
+        np.reciprocal(recip, out=recip)
+        recip[:rows * den - n_terms] = 0.0  # the k above n_terms
+        # den == 1 sums its one column pairwise, but that column is
+        # residue 0, whose sine is 0, so its weight never reaches the output
+        weights = np.empty(den)
+        weights[-np.arange(den) % den] = recip.reshape(rows, den).sum(axis=0)
+        k = np.arange(den, dtype=dtype)  # one k per residue class
         table = _sin_pi_over(k, den)
     else:
-        k = np.arange(1, n_terms + 1, dtype=np.int64)
+        k = np.arange(1, n_terms + 1, dtype=dtype)
         weights = 1.0 / k
     chunk = max(1, _CHUNK_BUDGET // terms)
     for lo in range(0, nums.shape[0], chunk):
-        r = (nums[lo:lo + chunk, None] * k) % den
-        sines = table[r] if grouped else _sin_pi_over(r, den)
+        r = nums[lo:lo + chunk, None] * k
+        r %= den  # in place: a second 4-8 MB temporary costs page faults
+        sines = np.take(table, r) if grouped else _sin_pi_over(r, den)
         out[lo:lo + chunk] = sines @ weights
     return out
 

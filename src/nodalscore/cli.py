@@ -303,12 +303,16 @@ def _cmd_graph(merged, parser):
         with open(merged["input"]) as fh:
             graph = pipeline.mesh_graph(pipeline.parse_obj(fh.read()))
     else:
+        # usage errors, refused before the input is read
         bandwidth = merged["bandwidth"]
-        if bandwidth != "auto":
-            bandwidth = float(bandwidth)
-        cfg = pipeline.PatchGraphConfig(
-            patch_size=merged["patch"], k_neighbors=merged["knn"], bandwidth=bandwidth
-        )
+        try:
+            if bandwidth != "auto":
+                bandwidth = float(bandwidth)
+            cfg = pipeline.PatchGraphConfig(
+                patch_size=merged["patch"], k_neighbors=merged["knn"], bandwidth=bandwidth
+            )
+        except ValueError as exc:
+            parser.error(f"bad --patch, --knn or --bandwidth: {exc}")
         with open(merged["input"], "rb") as fh:
             data = fh.read()
         try:

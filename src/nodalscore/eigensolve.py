@@ -12,7 +12,10 @@ largest eigenvalues belong to the smallest ones of A:
     B = (A - SHIFT * scale * I)^-1,  SHIFT = -1e-3     ("shift-invert")
     B = sigma * I - A,  sigma = Gershgorin upper bound  ("arpack")
 
-where scale = max(1, ||A||_inf) is also the residual normalization.
+where scale = ||A||_inf is also the residual normalization.  The scale
+has no floor, so scaling A by c > 0 scales every eigenvalue by c and
+leaves the transform, the residuals and the convergence tests the same;
+the zero operator, which has no scale, is solved exactly by both solvers.
 Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when A is
 sparse, its reverse Cuthill-McKee band is narrow, and the shifted A has a
 banded Cholesky factor; each application of B is then a banded solve, and
@@ -44,7 +47,7 @@ __all__ = ["SymOperator", "EigenSolveReport", "dense_sym_eig", "lanczos_smallest
 DENSE_MAX_N = 4096
 # callers solve below this size densely; iterating would gain nothing
 DENSE_FALLBACK_N = 512
-# shift of the banded path in units of scale = max(1, ||A||_inf), so that
+# shift of the banded path in units of scale = ||A||_inf, so that
 # A - SHIFT*scale*I is positive definite for every PSD operator.  It scales
 # with A because rounding in B = (A - shift*I)^-1 is of order eps/|shift|:
 # with an absolute shift, the zero modes of a Laplacian with large weights
@@ -80,7 +83,7 @@ class SymOperator:
             raise ValueError("matrix must be square")
         if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
-        scale = max(1.0, np.abs(a).max(initial=0.0))
+        scale = np.abs(a).max(initial=0.0)
         if np.abs(a - a.T).max(initial=0.0) > 1e-12 * scale:
             raise ValueError("matrix is not symmetric (1e-12 relative)")
         return cls(n=a.shape[0], dense=a)
@@ -186,7 +189,8 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
     tridiagonalization plus divide and conquer); with m < n the subset
     driver ``dsyevr`` computes only the m smallest pairs, and only their
     residuals are formed.  Eigenvalues in [-1e-10 * scale, 0) are clamped
-    to zero so PSD operators round-trip through EigenPair.
+    to zero so PSD operators round-trip through EigenPair; residuals are
+    divided by scale = ||A||_inf.
     """
     if not op.is_dense:
         raise ValueError("dense_sym_eig needs a dense representation")
@@ -194,7 +198,7 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
         raise ValueError(f"dense solve limited to n <= {DENSE_MAX_N}")
     if m is not None and m < 1:
         raise ValueError("need m >= 1")
-    scale = max(1.0, op.inf_norm_estimate)
+    scale = op.inf_norm_estimate
     try:
         if m is None or m >= op.n:
             values, vectors = np.linalg.eigh(op.dense)
@@ -208,7 +212,9 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
         )
     values = _clamp_tiny_negatives(values, scale)
     vectors = _fix_signs(vectors)
-    resid = np.linalg.norm(op.dense @ vectors - vectors * values, axis=0) / scale
+    # LAPACK solves the zero operator exactly (0 and unit vectors), so its
+    # residuals are 0 and need no scale
+    resid = np.linalg.norm(op.dense @ vectors - vectors * values, axis=0) / (scale or 1.0)
     pairs = [EigenPair(values[i], vectors[:, i]) for i in range(values.size)]
     return EigenSolveReport(
         pairs=pairs,
@@ -228,7 +234,7 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
     accepted vectors F:
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
-      and scale = max(1, ||A||_inf), applied by a banded Cholesky solve.
+      and scale = ||A||_inf, applied by a banded Cholesky solve.
       Taken when A is sparse, its reverse Cuthill-McKee bandwidth b has
       b + 1 <= max(10m + 50, 300), and the shifted A factors.
     - ``"arpack"``: B = sigma*I - A with the Gershgorin bound sigma, for
@@ -244,7 +250,8 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
     copies of a repeated eigenvalue.  A round that adds no pair (ARPACK
     stopped short with none converged, or raised) retries from the next
     draw, at most MAX_RESTARTS times.  ``iterations`` counts applications
-    of B over all rounds: matvecs, or banded solves.
+    of B over all rounds: matvecs, or banded solves.  The zero operator
+    is returned exactly (``method="zero"``, no application).
     """
     from scipy.sparse.linalg import (
         ArpackError,
@@ -256,7 +263,13 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
     n = op.n
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    scale = max(1.0, op.inf_norm_estimate)
+    scale = op.inf_norm_estimate
+    if scale == 0.0:  # the zero operator: every vector has eigenvalue 0
+        vecs = np.eye(n, m)
+        return EigenSolveReport(
+            pairs=[EigenPair(0.0, vecs[:, i]) for i in range(m)],
+            residuals=np.zeros(m), iterations=0, converged=True, method="zero",
+        )
     rng = np.random.default_rng(seed)
     shift = SHIFT * scale
     solve = _banded_shift_invert(op, shift, max(10 * m + 50, 300))

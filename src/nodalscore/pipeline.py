@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EigenPair,
     ScoreConfig,
     ScoreField,
     SpectralBasis,
@@ -180,15 +179,15 @@ class PatchGraphConfig:
     bandwidth: float | str = "auto"
 
     def __post_init__(self):
-        if self.patch_size < 1:
+        # the negated comparisons also refuse nan
+        if not self.patch_size >= 1:
             raise ValueError("patch_size must be >= 1")
-        if self.k_neighbors < 1:
+        if not self.k_neighbors >= 1:
             raise ValueError("k_neighbors must be >= 1")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "auto":
-                raise ValueError("bandwidth must be 'auto' or a positive number")
-        elif self.bandwidth <= 0:
-            raise ValueError("bandwidth must be 'auto' or a positive number")
+        if self.bandwidth != "auto" and (
+            isinstance(self.bandwidth, str) or not 0.0 < self.bandwidth < np.inf
+        ):
+            raise ValueError("bandwidth must be 'auto' or a finite number > 0")
 
 
 def parse_edge_list(text):
@@ -477,23 +476,20 @@ def mesh_graph(mesh):
 
 @dataclass
 class GraphLaplacian:
-    """Laplacian operator plus the rescale vector for the random-walk kind."""
+    """Laplacian operator and the kind it was built as."""
 
     op: SymOperator
     kind: str
-    rescale: np.ndarray | None = None
 
 
-LAPLACIAN_KINDS = ("combinatorial", "sym-normalized", "random-walk-compatible")
+LAPLACIAN_KINDS = ("combinatorial", "sym-normalized")
 
 
 def laplacian(graph, kind="combinatorial"):
     """Graph Laplacian as a sparse symmetric operator.
 
-    combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}.
-    random-walk-compatible: the sym-normalized operator plus the D^{-1/2}
-    vector that turns its eigenvectors into random-walk ones (same
-    eigenvalues).  Normalized kinds reject isolated vertices.
+    combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}, which
+    rejects isolated vertices.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown laplacian kind {kind!r}")
@@ -503,23 +499,17 @@ def laplacian(graph, kind="combinatorial"):
     n = graph.n
     idx = np.arange(n)
     if kind == "combinatorial":
-        rows = np.concatenate([idx, graph.u])
-        cols = np.concatenate([idx, graph.v])
         vals = np.concatenate([deg, -graph.w])
-        return GraphLaplacian(
-            op=SymOperator.from_triplets(n, rows, cols, vals), kind=kind
+    else:
+        if (deg == 0).any():
+            raise ValueError("normalized laplacian undefined for isolated vertices")
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        vals = np.concatenate(
+            [np.ones(n), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]]
         )
-    if (deg == 0).any():
-        raise ValueError("normalized laplacian undefined for isolated vertices")
-    inv_sqrt = 1.0 / np.sqrt(deg)
     rows = np.concatenate([idx, graph.u])
     cols = np.concatenate([idx, graph.v])
-    vals = np.concatenate(
-        [np.ones(n), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]]
-    )
-    op = SymOperator.from_triplets(n, rows, cols, vals)
-    rescale = inv_sqrt if kind == "random-walk-compatible" else None
-    return GraphLaplacian(op=op, kind=kind, rescale=rescale)
+    return GraphLaplacian(op=SymOperator.from_triplets(n, rows, cols, vals), kind=kind)
 
 
 def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance, rel_tol):
@@ -534,11 +524,8 @@ def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance,
         raise RuntimeError(
             f"eigensolver did not converge on a component of size {graph.n}"
         )
-    pairs = report.pairs[:want]
-    if lap.rescale is not None:
-        pairs = [EigenPair(p.value, p.vector * lap.rescale) for p in pairs]
     basis = SpectralBasis.build(
-        pairs, domain_tag=f"graph n={graph.n}", drop_tolerance=drop_tolerance
+        report.pairs[:want], domain_tag=f"graph n={graph.n}", drop_tolerance=drop_tolerance
     )
     use = min(n_terms, basis.n_pairs)
     if use < n_terms:

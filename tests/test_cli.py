@@ -429,6 +429,43 @@ def test_graph_pgm_format_with_heatmap(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 256
 
 
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--bandwidth=abc"], None),
+        (["--bandwidth=-1"], None),
+        (["--bandwidth=0"], None),
+        (["--bandwidth=nan"], None),
+        (["--bandwidth=inf"], None),
+        (["--patch", "0"], None),
+        (["--knn", "0"], None),
+        ([], {"knn": -3}),
+        ([], {"bandwidth": 1e308 * 10}),
+    ],
+    ids=["bandwidth-abc", "bandwidth-negative", "bandwidth-zero", "bandwidth-nan",
+         "bandwidth-inf", "patch-0", "knn-0", "config-knn", "config-bandwidth-inf"],
+)
+def test_graph_patch_settings_are_usage_errors(capsys, tmp_path, monkeypatch, extra, config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the input before checking the flags")
+
+    monkeypatch.setattr(pipeline, "parse_pgm", refuse)
+    pgm_in = tmp_path / "img.pgm"
+    pgm_in.write_bytes(make_pgm_bytes(5, 12))
+    argv = ["graph", "--input", str(pgm_in), "--format", "pgm", "--n-terms", "3",
+            "--out", str(tmp_path / "s.csv"), "--pgm", str(tmp_path / "h.pgm")] + extra
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "--bandwidth" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["img.pgm"] + (["cfg.json"] if config is not None else [])
+    )
+
+
 def test_graph_heatmap_requires_pgm_input(capsys, tmp_path):
     edges = tmp_path / "g.csv"
     write_edge_file(edges)

@@ -46,6 +46,14 @@ def test_from_dense_rejects_asymmetry():
         SymOperator.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_from_dense_symmetry_check_is_relative_to_the_matrix():
+    # 1e-9 relative asymmetry in a matrix of entries near 1e-6
+    a = 1e-6 * np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymOperator.from_dense(a)
+    SymOperator.from_dense(np.zeros((3, 3)))
+
+
 def test_from_triplets_rejects_lower_triangle():
     with pytest.raises(ValueError):
         SymOperator.from_triplets(2, [1], [0], [1.0])
@@ -321,6 +329,21 @@ def test_lanczos_zero_mode_constant_on_connected_graph():
     vec = report.pairs[0].vector
     vec = vec / np.linalg.norm(vec)
     assert np.abs(vec - vec.mean()).max() <= 1e-6
+
+
+@pytest.mark.parametrize("held", ["dense", "sparse"])
+def test_zero_operator_is_solved_exactly(held):
+    n, m = 600, 5
+    op = (
+        SymOperator.from_dense(np.zeros((n, n))) if held == "dense"
+        else SymOperator.from_triplets(n, [0], [0], [0.0])
+    )
+    for report in (lanczos_smallest(op, m), dense_sym_eig(op.densified(), m=m)):
+        assert report.converged
+        assert [p.value for p in report.pairs] == [0.0] * m
+        assert not report.residuals.any()
+        vecs = np.column_stack([p.vector for p in report.pairs])
+        assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-14)
 
 
 def test_lanczos_rejects_m_not_below_n():

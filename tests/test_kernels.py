@@ -116,6 +116,52 @@ def test_rational_series_property(num, den, n_terms):
     assert mirror == got
 
 
+def bincount_rational_series(nums, den, n_terms):
+    """Reference formulation: int64 residues, weights by one bincount over k = N..1."""
+    nums = np.mod(np.asarray(nums, dtype=np.int64), den)
+    out = np.zeros(nums.shape[0])
+    grouped = n_terms >= den
+    if grouped:
+        k = np.arange(n_terms, 0, -1, dtype=np.int64)
+        weights = np.bincount(k % den, weights=1.0 / k, minlength=den)
+        k = np.arange(den, dtype=np.int64)
+        table = np.sin(np.pi * (np.minimum(k, den - k) / den))
+    else:
+        k = np.arange(1, n_terms + 1, dtype=np.int64)
+        weights = 1.0 / k
+    chunk = max(1, _kernels._CHUNK_BUDGET // min(den, n_terms))
+    for lo in range(0, nums.shape[0], chunk):
+        r = (nums[lo:lo + chunk, None] * k) % den
+        sines = table[r] if grouped else np.sin(np.pi * (np.minimum(r, den - r) / den))
+        out[lo:lo + chunk] = sines @ weights
+    return out
+
+
+def _bitwise_cases():
+    top = _kernels.MAX_TERMS
+    cases = []
+    for den in (1, 2, 3, 1024, 46340, 46341, (1 << 16) + 1, top):
+        for n_terms in (den, den + 1, 2 * den, top - 1, top):
+            if den <= n_terms <= top and (den, n_terms) not in cases:
+                cases.append((den, n_terms))
+        for n_terms in (1, 7, den - 1):  # direct reduction, n_terms < den
+            if 1 <= n_terms < den and (den, n_terms) not in cases:
+                cases.append((den, n_terms))
+    return cases
+
+
+@pytest.mark.parametrize("den, n_terms", _bitwise_cases())
+def test_rational_series_bitwise_equals_bincount_form(den, n_terms):
+    # the strided weight reduction must add the same terms in the same
+    # order as the bincount (largest k first), and the int32 residue
+    # products (46340^2 < 2^31 < 46341^2) must give the same integers;
+    # at den = 2^16 + 1 a product in int32 would overflow
+    nums = [0, 1, -1, den - 1, den // 2 + 1, -(2**62) - 3, 2**63 - 1, -(2**63)]
+    got = _kernels.rational_series(nums, den, n_terms)
+    want = bincount_rational_series(nums, den, n_terms)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_rational_series_agrees_with_float_kernel():
     nums = np.arange(0, 65)
     got = _kernels.rational_series(nums, 64, 4000)

@@ -339,7 +339,7 @@ def test_laplacian_k2_matrices():
 
 def test_laplacian_smallest_eigenvalue_zero():
     rng = np.random.default_rng(12)
-    for kind in ("combinatorial", "sym-normalized", "random-walk-compatible"):
+    for kind in ("combinatorial", "sym-normalized"):
         # random connected graph: a path plus chords
         n = 20
         u = list(range(n - 1))
@@ -365,13 +365,6 @@ def test_laplacian_guards():
         laplacian(isolated, "sym-normalized")
     with pytest.raises(ValueError, match="no edges"):
         laplacian(Graph(n=2, u=[], v=[], w=[]), "combinatorial")
-
-
-def test_laplacian_random_walk_rescale_vector():
-    g = Graph(n=3, u=[0, 1], v=[1, 2], w=[2.0, 2.0])
-    lap = laplacian(g, "random-walk-compatible")
-    assert lap.rescale is not None
-    assert np.allclose(lap.rescale, 1.0 / np.sqrt(g.degrees()))
 
 
 # ----------------------------------------------------------------- score_graph
@@ -499,6 +492,23 @@ def test_score_isolated_vertex_scores_zero():
     with pytest.warns(UserWarning):
         field = score_graph(g, 1, kind="combinatorial")
     assert field.values[2] == 0.0
+
+
+@pytest.mark.parametrize("n", [300, 2048], ids=["dense", "iterative"])
+def test_score_graph_scale_law_on_weighted_path(n):
+    # every weight times c scales every eigenvalue by c and the score by
+    # c^{-1/2}; the iterative solver failed below c = 1e-3 while its scale
+    # had a floor of 1
+    u = np.arange(n - 1)
+
+    def scores(weight):
+        graph = Graph(n=n, u=u, v=u + 1, w=np.full(n - 1, weight))
+        return score_graph(graph, 7, kind="combinatorial").values
+
+    assert (n > pipeline.DENSE_FALLBACK_N) == (n == 2048)
+    base = scores(1.0)
+    for c in (1e-8, 1e-4, 1e4):
+        assert np.abs(scores(c) * math.sqrt(c) - base).max() <= 1e-9 * base.max(), c
 
 
 def test_score_graph_rejects_bad_n_terms():
