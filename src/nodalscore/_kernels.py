@@ -16,7 +16,7 @@ Caps, each refused before anything of that size is allocated:
 - MAX_GRID_POINTS = 2**24 points on a command-line grid (interval
   --grid + 1, square mx * my), checked by the CLI;
 - rational_series needs den * min(den, n_terms) < 2**63, so every
-  integer product it forms fits in int64 (int32 below 2**31);
+  integer product it forms fits in int64;
 - square_series holds a dense (max m + 1) x (max n + 1) weight matrix of
   at most _CHUNK_BUDGET cells; on the Dirichlet lattice that is
   lambda_cut < 2**22.
@@ -34,7 +34,6 @@ MAX_GRID_POINTS = 1 << 24
 # points x terms evaluated per chunk, bounding each temporary to 32 MB
 _CHUNK_BUDGET = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
-_INT32_LIMIT = 1 << 31
 
 
 def _check_terms(n_terms):
@@ -87,8 +86,6 @@ def rational_series(nums, den, n_terms):
     summed down its columns.  Column c holds the k = -c (mod den), and
     each column adds its terms largest k first from an exact 0.0, the same
     additions in the same order as a bincount of 1/k over k = n_terms..1.
-    The residue products (num*k) mod den are formed in int32 when
-    den * min(den, n_terms) < 2**31, in int64 otherwise.
     """
     n_terms = _check_terms(n_terms)
     den = int(den)
@@ -97,8 +94,7 @@ def rational_series(nums, den, n_terms):
     terms = min(den, n_terms)
     if den > _INT64_MAX // terms:
         raise ValueError(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
-    dtype = np.int32 if den * terms < _INT32_LIMIT else np.int64
-    nums = np.mod(np.asarray(nums, dtype=np.int64), den).astype(dtype)
+    nums = np.mod(np.asarray(nums, dtype=np.int64), den)
     out = np.zeros(nums.shape[0])
     grouped = n_terms >= den
     if grouped:
@@ -110,16 +106,15 @@ def rational_series(nums, den, n_terms):
         # residue 0, whose sine is 0, so its weight never reaches the output
         weights = np.empty(den)
         weights[-np.arange(den) % den] = recip.reshape(rows, den).sum(axis=0)
-        k = np.arange(den, dtype=dtype)  # one k per residue class
+        k = np.arange(den, dtype=np.int64)  # one k per residue class
         table = _sin_pi_over(k, den)
     else:
-        k = np.arange(1, n_terms + 1, dtype=dtype)
+        k = np.arange(1, n_terms + 1, dtype=np.int64)
         weights = 1.0 / k
     chunk = max(1, _CHUNK_BUDGET // terms)
     for lo in range(0, nums.shape[0], chunk):
-        r = nums[lo:lo + chunk, None] * k
-        r %= den  # in place: a second 4-8 MB temporary costs page faults
-        sines = np.take(table, r) if grouped else _sin_pi_over(r, den)
+        r = (nums[lo:lo + chunk, None] * k) % den
+        sines = table[r] if grouped else _sin_pi_over(r, den)
         out[lo:lo + chunk] = sines @ weights
     return out
 
