@@ -218,8 +218,9 @@ def group_degenerate(basis, rel_tol):
     """Partition basis indices into maximal runs of near-equal values.
 
     Consecutive values lambda_i <= lambda_j join one group when
-    lambda_j - lambda_i <= rel_tol * max(lambda_j, lambda_i, 1); chaining
-    makes the runs maximal.
+    lambda_j - lambda_i <= rel_tol * max(lambda_j, lambda_i); chaining
+    makes the runs maximal.  The tolerance has no absolute floor, so
+    scaling every value by c > 0 leaves the groups the same.
     """
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
@@ -228,7 +229,7 @@ def group_degenerate(basis, rel_tol):
     current = [0] if len(values) else []
     for i in range(1, len(values)):
         gap = values[i] - values[i - 1]
-        if gap <= rel_tol * max(values[i], values[i - 1], 1.0):
+        if gap <= rel_tol * max(values[i], values[i - 1]):
             current.append(i)
         else:
             groups.append(current)

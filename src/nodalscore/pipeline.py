@@ -101,9 +101,13 @@ class Graph:
                 raise ValueError("edges must satisfy u < v (no self-loops)")
             if not np.isfinite(self.w).all() or (self.w <= 0).any():
                 raise ValueError("edge weights must be positive and finite")
+            # the parsers and graph builders emit edges in (u, v) order, and
+            # strictly increasing keys need no sort to rule out duplicates
             key = self.u * self.n + self.v
-            if np.unique(key).size != key.size:
-                raise ValueError("duplicate edges")
+            if not (key[1:] > key[:-1]).all():
+                key = np.sort(key)
+                if (key[1:] == key[:-1]).any():
+                    raise ValueError("duplicate edges")
 
     @property
     def n_edges(self):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nodalscore.eigensolve import (
+    CHECK_TOL,
     DENSE_MAX_N,
     SymOperator,
     dense_sym_eig,
@@ -524,3 +525,93 @@ def test_lanczos_circle_well_operation_count():
     assert report.method == "shift-invert"
     assert report.converged
     assert report.iterations <= 150
+
+
+def test_lanczos_circle_well_certificate_operation_count():
+    # a count, not a time: the loose certificate ends the solve after 81
+    # banded solves here; a tol=0 check round took 101
+    circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6))
+    report = lanczos_smallest(circle.matrix, 11)
+    assert report.method == "shift-invert"
+    assert report.converged
+    assert report.iterations <= 90
+
+
+def recording_eigsh(monkeypatch, loose=None):
+    """Log (k, tol, v0) of every eigsh call; ``loose`` replaces the certificate calls."""
+    real_eigsh = spla.eigsh
+    calls = []
+
+    def eigsh(a, k, **kwargs):
+        calls.append((k, kwargs["tol"], kwargs["v0"].copy()))
+        if kwargs["tol"] == CHECK_TOL and loose is not None:
+            return loose(real_eigsh, a, k, **kwargs)
+        return real_eigsh(a, k=k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    return calls
+
+
+def circle_copies():
+    circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix
+    csr = sp.block_diag([circle.csr, circle.csr], format="csr")
+    return SymOperator(n=csr.shape[0], csr=csr)
+
+
+@pytest.mark.parametrize(
+    "build, method", [(circle_copies, "shift-invert"), (lambda: block_copies(2), "arpack")]
+)
+def test_certificate_falls_back_on_exact_copies(monkeypatch, build, method):
+    # with m pairs accepted, one copy of each eigenvalue is still missing:
+    # the certificate must not end the solve, and the tol=0 round that
+    # follows, from the same start, must supply the copies
+    op = build()
+    calls = recording_eigsh(monkeypatch)
+    report = lanczos_smallest(op, 11, seed=1)
+    assert report.method == method
+    assert report.converged
+    fallbacks = [
+        i for i in range(len(calls) - 1)
+        if calls[i][1] == CHECK_TOL and calls[i + 1][:2] == (1, 0)
+        and (calls[i][2] == calls[i + 1][2]).all()
+    ]
+    assert fallbacks
+    got = np.array([p.value for p in report.pairs])
+    want = oracle_values(op, 11)
+    assert np.abs(want[0::2][:5] - want[1::2][:5]).max() <= 1e-8 * want.max()
+    assert np.abs(got - want).max() <= 1e-8 * want.max()
+
+
+def no_theta(real_eigsh, a, k, **kwargs):
+    return np.zeros(1), np.zeros((a.shape[0], 1))
+
+
+def arpack_error(real_eigsh, a, k, **kwargs):
+    raise spla.ArpackError(-9999)
+
+
+def no_convergence(real_eigsh, a, k, **kwargs):
+    vals, vecs = real_eigsh(a, k=k, **kwargs)
+    raise spla.ArpackNoConvergence("no convergence", vals, vecs)
+
+
+@pytest.mark.parametrize("loose", [arpack_error, no_convergence])
+def test_certificate_failure_reproduces_the_tol0_round(monkeypatch, loose):
+    # a certificate that raises takes the tol=0 round from the same start,
+    # with no extra draw: the pairs are bitwise those of a solve whose
+    # certificate sees no theta > 0, which runs no application for it and
+    # so is the solve without a certificate; an accepted certificate
+    # returns the same pairs too
+    op = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix
+    recording_eigsh(monkeypatch, no_theta)
+    reference = lanczos_smallest(op, 11, seed=2)
+    recording_eigsh(monkeypatch, loose)
+    failed = lanczos_smallest(op, 11, seed=2)
+    monkeypatch.undo()
+    certified = lanczos_smallest(op, 11, seed=2)
+    assert reference.converged and failed.converged and certified.converged
+    assert certified.iterations < reference.iterations
+    for report in (failed, certified):
+        for p1, p2 in zip(reference.pairs, report.pairs, strict=True):
+            assert p1.value == p2.value
+            assert (p1.vector == p2.vector).all()

@@ -60,6 +60,17 @@ def test_graph_invariants_enforced():
         Graph(n=3, u=[0, 0], v=[1, 1], w=[1.0, 1.0])  # duplicate
 
 
+def test_graph_rejects_duplicates_in_unsorted_edges():
+    # edges out of (u, v) order take the sorted check, wherever the copy is
+    u, v = [1, 0, 2, 0], [2, 1, 3, 1]
+    with pytest.raises(ValueError, match="duplicate edges"):
+        Graph(n=4, u=u, v=v, w=np.ones(4))
+    with pytest.raises(ValueError, match="duplicate edges"):
+        Graph(n=4, u=[2, 0, 1, 2], v=[3, 1, 2, 3], w=np.ones(4))
+    g = Graph(n=4, u=[2, 0, 1], v=[3, 1, 2], w=np.ones(3))
+    assert g.n_edges == 3
+
+
 def test_graph_components():
     g = Graph(n=5, u=[0, 3], v=[1, 4], w=[1.0, 1.0])
     labels, count = g.components()
@@ -498,12 +509,17 @@ def test_score_isolated_vertex_scores_zero():
 def test_score_graph_scale_law_on_weighted_path(n):
     # every weight times c scales every eigenvalue by c and the score by
     # c^{-1/2}; the iterative solver failed below c = 1e-3 while its scale
-    # had a floor of 1
+    # had a floor of 1, and the degeneracy test grouped every mode into
+    # one false cluster at small weights while its tolerance had one
     u = np.arange(n - 1)
 
     def scores(weight):
         graph = Graph(n=n, u=u, v=u + 1, w=np.full(n - 1, weight))
-        return score_graph(graph, 7, kind="combinatorial").values
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = score_graph(graph, 7, kind="combinatorial").values
+        assert not [w for w in caught if "degenerate eigenvalues" in str(w.message)], weight
+        return values
 
     assert (n > pipeline.DENSE_FALLBACK_N) == (n == 2048)
     base = scores(1.0)
