@@ -10,6 +10,7 @@ together: Laplacian, smallest nontrivial eigenpairs, score field.
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ MAX_VERTICES = 1 << 20
 
 # patch graphs: exact kNN takes pixels^2 * patch^2 multiply-adds plus a
 # selection over pixels^2 distances, and the patch matrix holds
-# pixels * patch^2 floats; at both caps it runs about 12 s (README)
+# pixels * patch^2 floats; at both caps it runs about 6 s on 2 CPUs (README)
 MAX_PATCH_PIXELS = 1 << 15
 MAX_PATCH_WORK = 1 << 21
 
@@ -69,8 +70,13 @@ MAX_PATCH_WORK = 1 << 21
 # runs at this cap took 5-19 s and at most 346 MB (README)
 MAX_GRAPH_SOLVE_WORK = 1 << 19
 
-# rows of the distance matrix held at once by the exact kNN scan
-_KNN_BLOCK_ROWS = 256
+# rows of one exact kNN block, fixed so that the bytes never depend on the
+# machine (BLAS results can depend on the block shape), and the rows of the
+# distance matrix held at once by all the blocks in flight
+_KNN_BLOCK_ROWS = 64
+_KNN_ROWS_IN_FLIGHT = 256
+# rows of the kNN sum-of-squares temporary, a small fraction of a block
+_KNN_STRIP_ROWS = 8
 
 
 class WorkCapError(ValueError):
@@ -290,9 +296,16 @@ def parse_pgm(data):
         body = _pgm_tokens(data, end, count)
         if len(body) < count:
             raise ValueError("truncated PGM pixel data")
-        vals = np.array([int(t[0]) for t in body], dtype=np.int64)
-        if vals.min(initial=0) < 0:
+        try:
+            samples = [int(t[0]) for t in body]
+        except ValueError:
+            raise ValueError("malformed PGM pixel data") from None
+        # range-checked as Python ints: a huge sample would overflow int64
+        if min(samples) < 0:
             raise ValueError("negative PGM sample")
+        if max(samples) > maxval:
+            raise ValueError("PGM sample exceeds maxval")
+        vals = np.array(samples, dtype=np.int64)
     else:
         # the payload starts one whitespace byte past the maxval token
         nbytes = count * (2 if maxval > 255 else 1)
@@ -301,8 +314,8 @@ def parse_pgm(data):
             raise ValueError("truncated PGM pixel data")
         dtype = ">u2" if maxval > 255 else np.uint8
         vals = np.frombuffer(payload, dtype=dtype).astype(np.int64)
-    if vals.max(initial=0) > maxval:
-        raise ValueError("PGM sample exceeds maxval")
+        if vals.max(initial=0) > maxval:
+            raise ValueError("PGM sample exceeds maxval")
     return Image(width=width, height=height, pixels=vals / maxval)
 
 
@@ -333,14 +346,67 @@ def check_patch_work(n_pixels, patch_size):
         )
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _knn_block(patches, sq, k, m, lo, idx_out, d2_out):
+    """Fill rows lo..lo+_KNN_BLOCK_ROWS-1 of idx_out and d2_out (see _knn_exact)."""
+    n = patches.shape[0]
+    hi = min(lo + _KNN_BLOCK_ROWS, n)
+    # doubling is exact, so 2a.b comes out of the product with no extra pass
+    d2 = (2.0 * patches[lo:hi]) @ patches.T
+    # (|a|^2 + |b|^2) - 2a.b in place, a few rows at a time, so the block
+    # holds one (rows, n) float array, not two
+    for r in range(lo, hi, _KNN_STRIP_ROWS):
+        strip = d2[r - lo : r - lo + _KNN_STRIP_ROWS]
+        np.subtract(sq[r : r + _KNN_STRIP_ROWS, None] + sq[None, :], strip, out=strip)
+    np.maximum(d2, 0.0, out=d2)
+    rows = np.arange(lo, hi)
+    d2[rows - lo, rows] = np.inf
+    # the m smallest, in (distance, index) order: index sort, then a
+    # stable distance sort
+    cand = np.argpartition(d2, m - 1, axis=1)[:, :m]
+    cand.sort(axis=1)
+    cand_d = np.take_along_axis(d2, cand, axis=1)
+    order = np.argsort(cand_d, axis=1, kind="stable")
+    cand = np.take_along_axis(cand, order, axis=1)
+    cand_d = np.take_along_axis(cand_d, order, axis=1)
+    idx_out[lo:hi] = cand[:, :k]
+    d2_out[lo:hi] = cand_d[:, :k]
+    # a row whose k-th distance equals the next one may have left out a
+    # smaller index at that distance: rank every row within it.  With
+    # k = n - 1 every other row is a candidate, so none is left out.
+    kth = cand_d[:, k - 1]
+    tied_rows = np.flatnonzero(kth == cand_d[:, k]) if m > k else ()
+    for r in tied_rows:
+        tied = np.flatnonzero(d2[r] <= kth[r])
+        tied = tied[np.lexsort((tied, d2[r, tied]))[:k]]
+        idx_out[lo + r] = tied
+        d2_out[lo + r] = d2[r, tied]
+
+
 def _knn_exact(patches, k):
     """k nearest rows per row (self excluded), ties broken by smaller index.
 
-    Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, so the scratch is
-    about three (_KNN_BLOCK_ROWS, n) float64 arrays whatever n is.  Each
-    squared distance is (|a|^2 + |b|^2) - 2 a.b, computed in that order.
+    Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
+    pool with one worker per CPU but at most
+    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, so the scratch is about two
+    (_KNN_ROWS_IN_FLIGHT, n) arrays of 8-byte entries (distances and the
+    selection's indices) whatever n and the CPU count are.  Each block
+    writes only its own output rows.  Each squared distance is
+    (|a|^2 + |b|^2) - 2 a.b, computed in that order; the fixed block shape
+    keeps the bytes independent of the worker count.
     Returns (indices (n, k), squared distances (n, k)).
     """
+    # imported here, not at module top: the closed-form subcommands build
+    # no graph and would pay its import on every start
+    from concurrent.futures import ThreadPoolExecutor
+
     n = patches.shape[0]
     sq = (patches * patches).sum(axis=1)
     idx_out = np.empty((n, k), dtype=np.int64)
@@ -348,36 +414,15 @@ def _knn_exact(patches, k):
     # one candidate past the k-th shows whether the k-th distance is tied
     # with a row left out
     m = min(k + 1, n - 1)
-    for lo in range(0, n, _KNN_BLOCK_ROWS):
-        hi = min(lo + _KNN_BLOCK_ROWS, n)
-        d2 = sq[lo:hi, None] + sq[None, :]
-        gram = patches[lo:hi] @ patches.T
-        gram *= 2.0
-        d2 -= gram
-        del gram
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(lo, hi)
-        d2[rows - lo, rows] = np.inf
-        # the m smallest, in (distance, index) order: index sort, then a
-        # stable distance sort
-        cand = np.argpartition(d2, m - 1, axis=1)[:, :m]
-        cand.sort(axis=1)
-        cand_d = np.take_along_axis(d2, cand, axis=1)
-        order = np.argsort(cand_d, axis=1, kind="stable")
-        cand = np.take_along_axis(cand, order, axis=1)
-        cand_d = np.take_along_axis(cand_d, order, axis=1)
-        idx_out[lo:hi] = cand[:, :k]
-        d2_out[lo:hi] = cand_d[:, :k]
-        # a row whose k-th distance equals the next one may have left out a
-        # smaller index at that distance: rank every row within it.  With
-        # k = n - 1 every other row is a candidate, so none is left out.
-        kth = cand_d[:, k - 1]
-        tied_rows = np.flatnonzero(kth == cand_d[:, k]) if m > k else ()
-        for r in tied_rows:
-            tied = np.flatnonzero(d2[r] <= kth[r])
-            tied = tied[np.lexsort((tied, d2[r, tied]))[:k]]
-            idx_out[lo + r] = tied
-            d2_out[lo + r] = d2[r, tied]
+    starts = range(0, n, _KNN_BLOCK_ROWS)
+    workers = min(_cpu_count(), _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the blocks release the GIL in numpy; iterating the results
+        # re-raises the first block that failed
+        for _ in pool.map(
+            lambda lo: _knn_block(patches, sq, k, m, lo, idx_out, d2_out), starts
+        ):
+            pass
     return idx_out, d2_out
 
 
@@ -424,6 +469,7 @@ def parse_obj(text):
     vertices = []
     faces = []
     ignored = 0
+    top, top_line = 0, 0  # largest face index and its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -449,6 +495,8 @@ def parse_obj(text):
                     raise ValueError(f"line {lineno}: bad face index {field!r}") from None
                 if k < 1:
                     raise ValueError(f"line {lineno}: face index must be >= 1")
+                if k > top:
+                    top, top_line = k, lineno
                 idx.append(k - 1)
             for t in range(1, len(idx) - 1):
                 faces.append((idx[0], idx[t], idx[t + 1]))
@@ -458,6 +506,11 @@ def parse_obj(text):
         warnings.warn(f"ignored {ignored} non-v/f OBJ records", stacklevel=2)
     if not vertices:
         raise ValueError("OBJ has no vertices")
+    # checked as a Python int: a huge index would overflow int64
+    if top > len(vertices):
+        raise ValueError(
+            f"line {top_line}: face index {top} exceeds the vertex count {len(vertices)}"
+        )
     mesh = Mesh(
         vertices=np.array(vertices, dtype=np.float64),
         faces=np.array(faces, dtype=np.int64).reshape(-1, 3),

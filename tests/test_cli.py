@@ -401,6 +401,25 @@ def test_graph_obj_format(capsys, tmp_path):
     assert summary["n_edges"] == "6"
 
 
+def test_graph_huge_integers_exit_1_without_traceback(capsys, tmp_path):
+    # 2^70 overflows int64: both inputs ended in an OverflowError traceback
+    pgm = tmp_path / "big.pgm"
+    pgm.write_bytes(b"P2\n2 2\n255\n1 2 3 1180591620717411303424\n")
+    obj = tmp_path / "big.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1180591620717411303424\n")
+    out = tmp_path / "o.csv"
+    for path, fmt, message in (
+        (pgm, "pgm", "PGM sample exceeds maxval"),
+        (obj, "obj", "line 4: face index 1180591620717411303424 exceeds"),
+    ):
+        argv = ["graph", "--input", str(path), "--format", fmt, "--n-terms", "2",
+                "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 1, fmt
+        assert message in err
+    assert not out.exists()
+
+
 def make_pgm_bytes(seed, size):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(size, size))
@@ -832,20 +851,22 @@ def test_interval_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
 _SRC = str(Path(nodalscore.__file__).resolve().parents[1])
 
 # runs one command in a cold interpreter and prints its exit code and the
-# scipy modules it loaded; in-process tests always see a warm sys.modules
+# modules it loaded whose names start with a prefix; in-process tests always
+# see a warm sys.modules
 _COLD_RUN = """
 import contextlib, io, json, sys
 from nodalscore.cli import main
+prefix = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    code = main(sys.argv[2:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefix))]))
 """
 
 
-def run_cold(argv, cwd):
+def run_cold(argv, cwd, prefix="scipy"):
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_RUN, *argv],
+        [sys.executable, "-c", _COLD_RUN, prefix, *argv],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
@@ -853,19 +874,27 @@ def run_cold(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["interval", "--n-terms", "50", "--grid", "64", "--find-minima", "--out", "i.csv"],
-        ["square", "--lambda-cut", "100", "--grid", "8x8", "--out", "s.csv", "--pgm", "s.pgm"],
-        ["rational-check", "--p", "2", "--q", "5", "--out", "r.txt"],
-        ["paley", "--p", "101", "--out", "p.csv"],
-        pytest.param(["paley", "--p", "101", "--verify"], id="paley-verify"),
-    ],
-    ids=lambda argv: argv[0],
-)
+_CLOSED_FORM_RUNS = [
+    ["interval", "--n-terms", "50", "--grid", "64", "--find-minima", "--out", "i.csv"],
+    ["square", "--lambda-cut", "100", "--grid", "8x8", "--out", "s.csv", "--pgm", "s.pgm"],
+    ["rational-check", "--p", "2", "--q", "5", "--out", "r.txt"],
+    ["paley", "--p", "101", "--out", "p.csv"],
+    pytest.param(["paley", "--p", "101", "--verify"], id="paley-verify"),
+]
+
+
+@pytest.mark.parametrize("argv", _CLOSED_FORM_RUNS, ids=lambda argv: argv[0])
 def test_closed_form_commands_never_load_scipy(tmp_path, argv):
     code, loaded = run_cold(argv, tmp_path)
+    assert code == 0
+    assert loaded == []
+
+
+# the kNN thread pool is imported where it runs: at module top it would cost
+# every start of these commands a few milliseconds
+@pytest.mark.parametrize("argv", _CLOSED_FORM_RUNS, ids=lambda argv: argv[0])
+def test_closed_form_commands_never_load_concurrent_futures(tmp_path, argv):
+    code, loaded = run_cold(argv, tmp_path, prefix="concurrent")
     assert code == 0
     assert loaded == []
 

@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodalscore import pipeline
 from nodalscore.core import ScoreField, ScoreConfig
@@ -120,6 +123,11 @@ def test_edge_list_errors_with_line_numbers():
 # ----------------------------------------------------------------- parse_pgm
 
 
+# 2^70: above int64, so these must be refused before any numpy conversion
+_HUGE_SAMPLE_PGM = b"P2\n2 2\n255\n1 2 3 1180591620717411303424\n"
+_HUGE_INDEX_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1180591620717411303424\n"
+
+
 def test_pgm_ascii_example():
     img = parse_pgm(b"P2\n2 2\n255\n0 255\n255 0\n")
     assert (img.width, img.height) == (2, 2)
@@ -151,6 +159,12 @@ def test_pgm_errors():
         parse_pgm(b"P2\n1 1\n0\n0\n")
     with pytest.raises(ValueError, match="exceeds"):
         parse_pgm(b"P2\n1 1\n10\n11\n")
+    with pytest.raises(ValueError, match="exceeds maxval"):
+        parse_pgm(_HUGE_SAMPLE_PGM)
+    with pytest.raises(ValueError, match="malformed PGM pixel data"):
+        parse_pgm(b"P2\n2 2\n255\n1 2 3 x\n")
+    with pytest.raises(ValueError, match="negative"):
+        parse_pgm(b"P2\n2 1\n255\n1 -1180591620717411303424\n")
 
 
 def test_pgm_pixel_cap_checked_from_header():
@@ -217,6 +231,9 @@ def test_patch_graph_anomaly_block_is_isolated_in_distance():
     assert np.median(mean_w[interior]) < np.median(mean_w[~interior])
 
 
+_ROWS = pipeline._KNN_BLOCK_ROWS
+
+
 def knn_oracle(patches, k):
     """Full-matrix reference: the same d2 formula, then a per-row lexsort."""
     n = patches.shape[0]
@@ -237,7 +254,10 @@ def knn_oracle(patches, k):
     [
         (7, 9, 1, 3, 5),  # one partial block, ties on every row
         (7, 9, 2, 2, 62),  # k = n - 1
-        (1, 257, 1, 2, 16),  # n = 257: one row in the second block
+        (1, _ROWS + 1, 1, 2, 16),  # one row in the second block
+        (1, _ROWS + 1, 1, 3, _ROWS),  # one row in the second block and k = n - 1
+        (5, 41, 2, 3, 16),  # n = 205, not a multiple of the block
+        (1, 257, 1, 2, 16),  # n = 257: one row in the last block
         (1, 257, 1, 3, 256),  # n = 257 and k = n - 1
         (13, 37, 2, 3, 16),  # n = 481, not a multiple of the block
         (16, 32, 3, 2, 1),  # two full blocks, k = 1
@@ -269,6 +289,68 @@ def test_knn_exact_scratch_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"kNN peaked at {peak / 2**20:.1f} MB"
+
+
+def record_pool_sizes(monkeypatch):
+    """Worker counts of the thread pools started from now on."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_knn_exact_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    # 8-bit gray levels are not dyadic, so the products round, and the
+    # block shapes, which can move the last bits, must not depend on the
+    # worker count.  4 workers is more than most test machines have cores,
+    # and a short switch interval interleaves the workers' Python steps.
+    img, _ = make_anomaly_image(5, size=40, block=6)
+    patches = pipeline._patch_matrix(img, 5)
+    sizes = record_pool_sizes(monkeypatch)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(pipeline, "_cpu_count", lambda: workers)
+            idx, d2 = pipeline._knn_exact(patches, 16)
+            results.append((idx.tobytes(), d2.tobytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [1, 2, 3, 4]
+    assert all(result == results[0] for result in results[1:])
+
+
+def test_knn_exact_workers_keep_the_rows_in_flight(monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 64)
+    img, _ = make_anomaly_image(0, size=40, block=6)
+    pipeline._knn_exact(pipeline._patch_matrix(img, 3), 4)
+    pipeline._knn_exact(pipeline._patch_matrix(img, 3)[: _ROWS + 1], 4)
+    assert sizes[0] * _ROWS <= pipeline._KNN_ROWS_IN_FLIGHT
+    assert sizes[1] == 2  # no more workers than blocks
+
+
+def test_knn_exact_raises_the_error_of_a_failed_block(monkeypatch):
+    block = pipeline._knn_block
+
+    def fail_second(patches, sq, k, m, lo, idx_out, d2_out):
+        if lo == _ROWS:
+            raise MemoryError("second block")
+        block(patches, sq, k, m, lo, idx_out, d2_out)
+
+    monkeypatch.setattr(pipeline, "_knn_block", fail_second)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    img, _ = make_anomaly_image(0, size=24, block=4)
+    with pytest.raises(MemoryError, match="second block"):
+        pipeline._knn_exact(pipeline._patch_matrix(img, 3), 4)
 
 
 def test_patch_graph_work_caps_checked_before_patches(monkeypatch):
@@ -319,11 +401,78 @@ def test_obj_slash_indices_and_ignored_records():
 
 def test_obj_errors():
     with pytest.raises(ValueError, match="face index"):
-        parse_obj("v 0 0 0\nf 1 2 3\n")  # out of range at Mesh construction
+        parse_obj("v 0 0 0\nf 1 2 3\n")  # above the vertex count
+    with pytest.raises(ValueError, match="line 4: face index 1180591620717411303424"):
+        parse_obj(_HUGE_INDEX_OBJ)
     with pytest.raises(ValueError, match="at least 3"):
         parse_obj("v 0 0 0\nv 1 0 0\nf 1 2\n")
     with pytest.raises(ValueError):
         parse_obj("f 1 2 3\n")  # no vertices
+
+
+# ------------------------------------------------------------ parser fuzzing
+
+# numbers around every bound the parsers check, from negative to past int64
+_NUMBERS = st.one_of(
+    st.integers(-3, 300),
+    st.sampled_from([65535, 65536, MAX_VERTICES - 1, MAX_VERTICES, 2**63, 2**70]),
+    st.integers(-(2**80), 2**80),
+).map(str)
+_JUNK = st.sampled_from(
+    ["", "x", "-0", "+1", "1_0", "0x10", "1e3", "nan", "inf", "-1.5", "5e-324", "#", "1/2/3", "\u0663"]
+)
+_FIELDS = st.one_of(_NUMBERS, _JUNK)
+
+
+def _lines(heads, sep):
+    line = st.tuples(heads, st.lists(_FIELDS, max_size=5)).map(
+        lambda t: sep.join([t[0], *t[1]]) if t[0] else sep.join(t[1])
+    )
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+def _returns_or_value_error(parse, data, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = parse(data)
+        except ValueError:
+            return
+    assert isinstance(result, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.tuples(
+            st.sampled_from([b"P2", b"P5", b"P2\n", b"P5 ", b"P6", b""]),
+            st.lists(_FIELDS, max_size=10).map(" ".join),
+            st.binary(max_size=24),
+        ).map(lambda t: t[0] + t[1].encode() + t[2]),
+    )
+)
+@example(_HUGE_SAMPLE_PGM)
+@example(b"P2\n2 2\n255\n1 2 3 x\n")
+@example(b"P5 2 1 65535\n\xff\xff\x00")
+def test_parse_pgm_fuzz(data):
+    _returns_or_value_error(parse_pgm, data, Image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _lines(st.sampled_from(["v", "f", "vn", "#", ""]), " ")))
+@example(_HUGE_INDEX_OBJ)
+@example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1180591620717411303424\n")
+def test_parse_obj_fuzz(text):
+    _returns_or_value_error(parse_obj, text, Mesh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _lines(st.just(""), ",")))
+@example("0,1180591620717411303424\n")
+@example("0,1,1e999\n")
+def test_parse_edge_list_fuzz(text):
+    _returns_or_value_error(parse_edge_list, text, Graph)
 
 
 def test_mesh_graph_isometry_invariance():
