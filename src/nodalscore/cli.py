@@ -297,10 +297,10 @@ def _cmd_graph(merged, parser):
         parser.error("--pgm output needs --format pgm input")
     image = None
     if fmt == "edges":
-        with open(merged["input"]) as fh:
+        with open(merged["input"], encoding="utf-8") as fh:
             graph = pipeline.parse_edge_list(fh.read())
     elif fmt == "obj":
-        with open(merged["input"]) as fh:
+        with open(merged["input"], encoding="utf-8") as fh:
             graph = pipeline.mesh_graph(pipeline.parse_obj(fh.read()))
     else:
         # usage errors, refused before the input is read

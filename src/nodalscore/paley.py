@@ -199,7 +199,14 @@ def paley_score_numeric(p):
     lam_plus = float(values[upper].mean())
 
     # validate the character basis against the numeric eigenspaces
-    chars = np.exp(2j * np.pi * (np.outer(ks, ks) % p) / p)  # column k = e_k
+    # column k = e_k, entry j = exp(2 pi i (jk mod p) / p): the p exponentials
+    # are taken once and gathered (same values, bit for bit); the exponent
+    # table is reduced in place and freed before the projections, which set
+    # the peak memory
+    exps = np.outer(ks, ks)
+    exps %= p
+    chars = np.exp(2j * np.pi * ks / p)[exps]
+    del exps
     for cluster_mask, class_mask in ((lower, mask), (upper, ~mask)):
         basis = vectors[:, cluster_mask]
         cls = class_mask.copy()

@@ -200,49 +200,87 @@ class PatchGraphConfig:
             raise ValueError("bandwidth must be 'auto' or a finite number > 0")
 
 
+def _convert(kind, column):
+    """kind of each stripped field, stopping before the first it rejects."""
+    try:
+        return list(map(kind, map(str.strip, column)))
+    except ValueError:
+        # error path only: find the first field kind rejects
+        values = []
+        for field in column:
+            try:
+                values.append(kind(field.strip()))
+            except ValueError:
+                return values
+
+
 def parse_edge_list(text):
     """Graph from "u,v[,w]" lines; '#' starts a comment, blanks skipped.
 
     Repeated pairs must agree on the weight; self-loops, non-positive
     weights and indices of MAX_VERTICES or more are rejected.  Vertex count
-    is max index + 1.
+    is max index + 1.  Fields follow Python's int and float rules.  An
+    error names the first faulty line; within a line the checks run in the
+    order: field count, malformed field, negative index, index too large,
+    self-loop, weight, conflicting repeat.
     """
-    seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u,v' or 'u,v,w'")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
-        if a < 0 or b < 0:
-            raise ValueError(f"line {lineno}: negative vertex index")
-        if max(a, b) >= MAX_VERTICES:
-            raise ValueError(
-                f"line {lineno}: vertex index {max(a, b)} exceeds {MAX_VERTICES - 1}"
-            )
-        if a == b:
-            raise ValueError(f"line {lineno}: self-loop at vertex {a}")
-        if not np.isfinite(w) or w <= 0:
-            raise ValueError(f"line {lineno}: weight must be positive and finite")
-        key = (min(a, b), max(a, b))
-        if key in seen and seen[key] != w:
-            raise ValueError(
-                f"line {lineno}: edge {key} repeated with conflicting weight"
-            )
-        seen[key] = w
-    if not seen:
+    content = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+    lines = [line for line in content if line]
+    if not lines:
         raise ValueError("edge list is empty")
-    edges = sorted(seen.items())
-    u = np.array([e[0][0] for e in edges], dtype=np.int64)
-    v = np.array([e[0][1] for e in edges], dtype=np.int64)
-    w = np.array([e[1] for e in edges])
-    return Graph(n=int(v.max()) + 1, u=u, v=v, w=w)
+    commas = [line.count(",") for line in lines]
+    # rows before stop passed every check so far; error is row stop's fault
+    stop, error = len(lines), None
+    if min(commas) < 1 or max(commas) > 2:
+        stop = next(i for i, k in enumerate(commas) if k not in (1, 2))
+        error = "expected 'u,v' or 'u,v,w'"
+    # a missing weight is 1, so "u,v" becomes "u,v,1" and one split of the
+    # joined rows gives every third cell to a column
+    rows = [line if k == 2 else line + ",1" for line, k in zip(lines[:stop], commas)]
+    cells = ",".join(rows).split(",")
+    a = _convert(int, cells[0::3])
+    b = _convert(int, cells[1 : 3 * len(a) : 3])
+    w = _convert(float, cells[2 : 3 * len(b) : 3])
+    if len(w) < stop:
+        stop, error = len(w), f"malformed edge {lines[len(w)]!r}"
+    # range checks on the Python ints, so a huge id never reaches int64
+    a, b = a[:stop], b[:stop]
+    if a and (min(min(a), min(b)) < 0 or max(max(a), max(b)) >= MAX_VERTICES):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x < 0 or y < 0:
+                stop, error = i, "negative vertex index"
+                break
+            if max(x, y) >= MAX_VERTICES:
+                stop, error = i, f"vertex index {max(x, y)} exceeds {MAX_VERTICES - 1}"
+                break
+    a = np.array(a[:stop], dtype=np.int64)
+    b = np.array(b[:stop], dtype=np.int64)
+    w = np.array(w[:stop], dtype=np.float64)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # a stable sort keeps each pair's rows in file order; the first row that
+    # differs from the row before it differs from the pair's first weight too
+    key = lo * MAX_VERTICES + hi
+    order = np.argsort(key, kind="stable")
+    key, ws = key[order], w[order]
+    repeat = key[1:] == key[:-1]
+    conflict = np.zeros(key.size, dtype=bool)
+    conflict[order[1:]] = repeat & (ws[1:] != ws[:-1])
+    # a check takes over only at a strictly earlier row, so a line with
+    # several faults reports the first in this order
+    faults = (
+        (a == b, lambda i: f"self-loop at vertex {a[i]}"),
+        (~(np.isfinite(w) & (w > 0)), lambda i: "weight must be positive and finite"),
+        (conflict, lambda i: f"edge ({lo[i]}, {hi[i]}) repeated with conflicting weight"),
+    )
+    for fault, message in faults:
+        hits = np.flatnonzero(fault[:stop])
+        if hits.size:
+            stop, error = int(hits[0]), message(hits[0])
+    if error is not None:
+        lineno = [i for i, line in enumerate(content, start=1) if line][stop]
+        raise ValueError(f"line {lineno}: {error}")
+    keep = order[np.r_[True, ~repeat]]
+    return Graph(n=int(hi[keep].max()) + 1, u=lo[keep], v=hi[keep], w=w[keep])
 
 
 def _pgm_tokens(data, start, limit):

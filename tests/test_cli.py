@@ -401,6 +401,25 @@ def test_graph_obj_format(capsys, tmp_path):
     assert summary["n_edges"] == "6"
 
 
+def test_graph_inputs_read_as_utf8_in_c_locale(tmp_path):
+    # under the C locale the default encoding is ASCII, and a UTF-8 comment
+    # made both text formats fail with a UnicodeDecodeError (exit 1)
+    (tmp_path / "g.csv").write_text("# Grüße\n0,1\n1,2 # ∞\n", encoding="utf-8")
+    (tmp_path / "m.obj").write_text(
+        "# Grüße\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", encoding="utf-8"
+    )
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for name, fmt in (("g.csv", "edges"), ("m.obj", "obj")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodalscore.cli", "graph", "--input", name,
+             "--format", fmt, "--n-terms", "1", "--out", f"{fmt}.out.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert parse_summary(proc.stdout)["n_vertices"] == "3"
+
+
 def test_graph_huge_integers_exit_1_without_traceback(capsys, tmp_path):
     # 2^70 overflows int64: both inputs ended in an OverflowError traceback
     pgm = tmp_path / "big.pgm"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import warnings
 
@@ -86,6 +87,54 @@ def test_graph_components():
 # ----------------------------------------------------------- parse_edge_list
 
 
+def _reference_parse_edge_list(text):
+    """The per-line parser parse_edge_list replaced: the oracle for its
+    result, its messages and which line it blames."""
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u,v' or 'u,v,w'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
+        if a < 0 or b < 0:
+            raise ValueError(f"line {lineno}: negative vertex index")
+        if max(a, b) >= MAX_VERTICES:
+            raise ValueError(
+                f"line {lineno}: vertex index {max(a, b)} exceeds {MAX_VERTICES - 1}"
+            )
+        if a == b:
+            raise ValueError(f"line {lineno}: self-loop at vertex {a}")
+        if not np.isfinite(w) or w <= 0:
+            raise ValueError(f"line {lineno}: weight must be positive and finite")
+        key = (min(a, b), max(a, b))
+        if key in seen and seen[key] != w:
+            raise ValueError(
+                f"line {lineno}: edge {key} repeated with conflicting weight"
+            )
+        seen[key] = w
+    if not seen:
+        raise ValueError("edge list is empty")
+    edges = sorted(seen.items())
+    u = np.array([e[0][0] for e in edges], dtype=np.int64)
+    v = np.array([e[0][1] for e in edges], dtype=np.int64)
+    w = np.array([e[1] for e in edges])
+    return Graph(n=int(v.max()) + 1, u=u, v=v, w=w)
+
+
+def _assert_same_graph(got, expected):
+    assert got.n == expected.n
+    for name in ("u", "v", "w"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_edge_list_basic_path():
     g = parse_edge_list("0,1\n1,2\n")
     assert g.n == 3 and g.n_edges == 2
@@ -118,6 +167,44 @@ def test_edge_list_errors_with_line_numbers():
         parse_edge_list("100000000,0\n")
     with pytest.raises(ValueError):
         parse_edge_list("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1\n-1,2\n0,x\n", "line 2: negative vertex index"),
+        ("0,1,1\n1,2\n0,y\n1,0,2\n", "line 3: malformed edge '0,y'"),
+        (f"3,3\n0,{2**70}\n", "line 1: self-loop at vertex 3"),
+        (
+            f"0,1\n0,{MAX_VERTICES}\n1,2,3,4\n",
+            f"line 2: vertex index {MAX_VERTICES} exceeds {MAX_VERTICES - 1}",
+        ),
+        ("0,1,2\n1,0,nan\n", "line 2: weight must be positive and finite"),
+        ("0,1,2\n5,5,-1\n1,0,1\n", "line 2: self-loop at vertex 5"),
+    ],
+)
+def test_edge_list_first_faulty_line_wins(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_edge_list(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _reference_parse_edge_list(text)
+
+
+def test_edge_list_matches_reference_on_a_large_file():
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 300, size=(2, 20000))
+    a[a == b] += 1
+    # pairs repeat often, each time with that pair's weight
+    weight = 1.0 + (np.minimum(a, b) * 7 + np.maximum(a, b)) % 13 / 4
+    rows = [f"{x}, {y},{z}\t" for x, y, z in zip(a, b, weight)]
+    text = "# u,v,w\r\n" + "\r\n".join(rows)
+    _assert_same_graph(parse_edge_list(text), _reference_parse_edge_list(text))
+    rows[-1] = f"{b[0]},{a[0]},{weight[0] + 1}"  # the first row's pair, another weight
+    pair = f"({min(a[0], b[0])}, {max(a[0], b[0])})"
+    message = f"line {len(rows) + 1}: edge {pair} repeated with conflicting weight"
+    for parse in (parse_edge_list, _reference_parse_edge_list):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse("# u,v,w\r\n" + "\r\n".join(rows))
 
 
 # ----------------------------------------------------------------- parse_pgm
@@ -424,11 +511,29 @@ _JUNK = st.sampled_from(
 _FIELDS = st.one_of(_NUMBERS, _JUNK)
 
 
-def _lines(heads, sep):
-    line = st.tuples(heads, st.lists(_FIELDS, max_size=5)).map(
-        lambda t: sep.join([t[0], *t[1]]) if t[0] else sep.join(t[1])
+# "\x1f" is whitespace to str.strip but not to int and float; "\x1c" and
+# "\u2028" end a line for str.splitlines
+_PAD = st.sampled_from(["", "", " ", "\t", " \t", "\x1f", "\xa0"])
+_PADDED = st.tuples(_PAD, _FIELDS, _PAD).map("".join)
+_TAILS = st.sampled_from(["", "", ",", " ,", " # note", "#,1", "\t# 0,1,2"])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\x1c", "\u2028"])
+# small ids, so pairs repeat, with weights that agree or conflict
+_PAIRS = st.tuples(
+    st.integers(0, 3).map(str),
+    st.integers(0, 3).map(str),
+    st.sampled_from(["", "1", "1.0", " 2", "0.5"]),
+).map(lambda t: ",".join(t if t[2] else t[:2]))
+
+
+def _lines(heads, sep, *more_lines):
+    """Texts of up to 8 lines, each a head and fields joined by sep, or one
+    drawn from more_lines."""
+    line = st.tuples(heads, st.lists(_PADDED, max_size=5), _TAILS).map(
+        lambda t: (sep.join([t[0], *t[1]]) if t[0] else sep.join(t[1])) + t[2]
     )
-    return st.lists(line, max_size=8).map("\n".join)
+    return st.tuples(st.lists(st.one_of(line, *more_lines), max_size=8), _BREAKS).map(
+        lambda t: t[1].join(t[0])
+    )
 
 
 def _returns_or_value_error(parse, data, kind):
@@ -467,12 +572,24 @@ def test_parse_obj_fuzz(text):
     _returns_or_value_error(parse_obj, text, Mesh)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(max_size=40), _lines(st.just(""), ",")))
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=40), _lines(st.just(""), ",", _PAIRS)))
 @example("0,1180591620717411303424\n")
 @example("0,1,1e999\n")
+@example("0,\x1f1\n")
+@example("0,1,1\n1,0,1.0\r\n0,1,2\n")
 def test_parse_edge_list_fuzz(text):
-    _returns_or_value_error(parse_edge_list, text, Graph)
+    # same graph, bit for bit, or the same error on the same line
+    try:
+        expected = _reference_parse_edge_list(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            parse_edge_list(text)
+        assert str(raised.value) == str(exc)
+        return
+    graph = parse_edge_list(text)
+    assert isinstance(graph, Graph)
+    _assert_same_graph(graph, expected)
 
 
 def test_mesh_graph_isometry_invariance():
