@@ -236,13 +236,11 @@ def _cmd_paley(merged, parser):
         # the field holds three values: format each once and pick per row by
         # class (0 vertex zero, 1 residue, 2 non-residue); same bytes as
         # write_score_csv of score.per_vertex.real
-        texts = np.array(
-            [format(s.real, ".17g") for s in (score.s_zero, score.s_residue, score.s_nonresidue)],
-            dtype=object,
-        )
+        values = (score.s_zero, score.s_residue, score.s_nonresidue)
+        texts = [format(s.real, ".17g") for s in values]
         classes = np.where(paley.PaleyField(p).residue_mask(), np.int8(1), np.int8(2))
         classes[0] = 0
-        pipeline._write_csv_rows(merged["out"], p, lambda lo, hi: texts[classes[lo:hi]])
+        pipeline.write_class_csv(merged["out"], texts, classes)
         _write_config(merged["out"], merged)
     _summary(items)
     return 0
@@ -404,13 +402,24 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argument parser: every subcommand, or only `command`'s.
+
+    A parser with one subcommand parses that command's argv as the full
+    one does, at a fraction of the set-up.  The handlers' usage errors
+    print the top-level usage line, so it still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="nodalscore",
         description="spectral anomaly scores on intervals, squares, graphs and the circle",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, flags) in COMMANDS.items():
+    names = COMMANDS if command is None else (command,)
+    # the full parser keeps the default: a metavar would also rename
+    # `command` in its "required" and "invalid choice" errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, flags = COMMANDS[name]
         sub = subs.add_parser(name, help=help_text)
         for flag, (kinds, _) in flags.items():
             if kinds == (bool,):
@@ -422,7 +431,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # no command, help or an unknown word: the full parser reports it
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         _, handler, flags = COMMANDS[args.command]

@@ -209,8 +209,11 @@ def paley_score_numeric(p):
     del exps
     for cluster_mask, class_mask in ((lower, mask), (upper, ~mask)):
         basis = vectors[:, cluster_mask]
+        # k = 1..(p-1)/2 only: -1 is a residue, so e_{p-k} = conj(e_k) is in
+        # the same class, and against a real basis its residual is e_k's
         cls = class_mask.copy()
         cls[0] = False
+        cls[half + 1 :] = False
         # the basis is real: project the real and imaginary parts side by
         # side in real arithmetic, a dgemm instead of a complex zgemm, with
         # no complex copy of the block and the residual formed in place

@@ -45,6 +45,7 @@ __all__ = [
     "laplacian",
     "score_graph",
     "write_score_csv",
+    "write_class_csv",
     "write_heatmap_pgm",
     "MAX_VERTICES",
     "MAX_PATCH_PIXELS",
@@ -716,27 +717,51 @@ def _field_values(field):
     return field.values if isinstance(field, ScoreField) else np.asarray(field, dtype=np.float64)
 
 
+# rows per write, which keeps the text of a huge field out of memory
 _CSV_BLOCK_ROWS = 1 << 16
-
-
-def _write_csv_rows(path, n_rows, row_texts):
-    """Write "index,value" lines for rows 0..n_rows-1.
-
-    row_texts(lo, hi) returns the value strings of rows lo..hi-1.
-    """
-    with open(path, "wb") as fh:
-        # one write per block of rows keeps the text of a huge field out of memory
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            texts = row_texts(lo, min(lo + _CSV_BLOCK_ROWS, n_rows))
-            fh.write("".join(f"{i},{text}\n" for i, text in enumerate(texts, lo)).encode())
 
 
 def write_score_csv(field, path):
     """Write "index,score" lines, scores at 17 significant digits."""
     values = _field_values(field)
-    _write_csv_rows(
-        path, len(values), lambda lo, hi: [f"{val:.17g}" for val in values[lo:hi].tolist()]
-    )
+    with open(path, "wb") as fh:
+        for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+            # values first, then rows: faster than one f-string per row
+            texts = [f"{val:.17g}" for val in values[lo : lo + _CSV_BLOCK_ROWS].tolist()]
+            fh.write("".join(f"{i},{text}\n" for i, text in enumerate(texts, lo)).encode())
+
+
+def write_class_csv(path, texts, classes):
+    """Write "index,text" lines for a field of few distinct values.
+
+    Row i is f"{i},{texts[classes[i]]}\n"; the texts must hold no NUL.
+    Each block of rows is assembled as one byte matrix: the index digits
+    right-aligned, then the comma, text and newline of the row's class from
+    a small table.  NUL pads both sides and is dropped on the way out.
+    """
+    encoded = [f",{text}\n".encode() for text in texts]
+    if any(b"\0" in data for data in encoded):
+        raise ValueError("class texts must not hold NUL")
+    table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
+    for row, data in enumerate(encoded):
+        table[row, : len(data)] = np.frombuffer(data, dtype=np.uint8)
+    classes = np.asarray(classes)
+    with open(path, "wb") as fh:
+        for lo in range(0, classes.size, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, classes.size)
+            n_digits = len(str(hi - 1))
+            block = np.empty((hi - lo, n_digits + table.shape[1]), dtype=np.uint8)
+            for col in range(n_digits):
+                power = 10 ** (n_digits - 1 - col)
+                # index // power is a step function: one run of rows per quotient
+                quotients = np.arange(lo // power, (hi - 1) // power + 2)
+                runs = np.diff(np.clip(quotients * power, lo, hi))
+                quotients = quotients[:-1]
+                # a leading zero is padding; the units digit of 0 is not
+                digits = np.where((quotients > 0) | (power == 1), quotients % 10 + ord("0"), 0)
+                block[:, col] = np.repeat(digits, runs)
+            block[:, n_digits:] = table[classes[lo:hi]]
+            fh.write(block[block != 0].tobytes())
 
 
 def write_heatmap_pgm(field, width, height, path):

@@ -1,5 +1,6 @@
 """Command line front end: subcommands, config merge, exit codes, outputs."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -1120,3 +1121,74 @@ def test_flags_and_config_give_the_same_run(capsys, tmp_path, monkeypatch, comma
     assert results[0][0] == 0
     assert f"{values['out']}.config.json" in results[0][2]
     assert results[0] == results[1]
+
+
+# main parses with one subcommand's parser when argv names a command; each
+# argv must give the same exit code, stdout and stderr as the full parser
+_TORUS = ["torus", "--y", "2", "--eps", "0.6", "--n-grid", "64"]
+_PARSER_CASES = [
+    [],
+    ["bogus"],
+    ["bogus", "--p", "13"],
+    ["-h"],
+    ["--help"],
+    ["--p", "13"],
+    *([name, "-h"] for name in COMMANDS),
+    ["paley", "--help"],
+    ["paley"],  # missing required flag
+    ["interval", "--grid", "8", "--out", "o.csv"],
+    ["paley", "--p", "13", "--bogus"],  # unknown flag
+    ["paley", "--p", "13", "stray"],  # stray positional
+    ["paley", "--p"],
+    ["rational-check", "--p", "x", "--q", "3"],
+    ["interval", "--n-t", "5", "--grid", "8", "--out", "o.csv"],  # abbreviated flag
+    ["interval", "--n-terms", "5", "--grid", "0", "--out", "o.csv"],
+    ["paley", "--p", "7"],
+    ["square", "--lambda-cut", "50", "--grid", "3", "--out", "o.csv"],
+    [*_TORUS, "--n-terms", "2", "--find-n-eps", "2"],
+    [*_TORUS, "--bump", "square", "--n-terms", "2"],
+    ["paley", "--p", "13", "--config", "missing.json"],
+    ["paley", "--p", "13", "--config", "list.json"],
+    ["rational-check", "--p", "1", "--q", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")
+    got = run(capsys, argv)
+    monkeypatch.setattr("nodalscore.cli.build_parser", lambda command=None: build_parser())
+    want = run(capsys, argv)
+    assert got == want
+    assert "usage: nodalscore" in got[2] or got[0] == 0
+
+
+def test_full_parser_errors_name_the_command_argument(capsys):
+    assert "error: the following arguments are required: command\n" in run(capsys, [])[2]
+    assert "error: argument command: invalid choice: 'bogus'" in run(capsys, ["bogus"])[2]
+
+
+def test_one_command_parser_registers_only_its_flags(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    code, _, _ = run(capsys, ["rational-check", "--p", "1", "--q", "3"])
+    assert code == 0
+    # its flags, --config, and -h on the top-level parser and on the subparser
+    assert len(calls) <= len(COMMANDS["rational-check"][2]) + 1 + 2
+
+
+@pytest.mark.parametrize("p", [5, 101, 10009, 65537])
+def test_paley_out_bytes_equal_the_per_vertex_score_csv(capsys, tmp_path, p):
+    out = tmp_path / "paley.csv"
+    code, _, _ = run(capsys, ["paley", "--p", str(p), "--out", str(out)])
+    assert code == 0
+    want = tmp_path / "want.csv"
+    pipeline.write_score_csv(paley.paley_score_closed_form(p).per_vertex.real, want)
+    assert out.read_bytes() == want.read_bytes()

@@ -7,6 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from nodalscore.core import EigenPair
 from nodalscore.eigensolve import dense_sym_eig
 from nodalscore.paley import (
     PER_VERTEX_MAX_PRIME,
@@ -229,3 +230,24 @@ def test_per_vertex_cap():
     with pytest.raises(ValueError, match="per-vertex"):
         score.per_vertex
     assert PER_VERTEX_MAX_PRIME >= 10**7
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_numeric_rejects_a_basis_off_the_character_eigenspaces(monkeypatch, p):
+    # turn one lambda_minus eigenvector 1e-6 rad towards one lambda_plus
+    # eigenvector: the eigenvalues and their clusters stay, but some residue
+    # character now leaves a residual near 1e-6 |<e_k, v>| / |e_k|
+    def rotated_solve(op):
+        report = dense_sym_eig(op)
+        values = [pair.value for pair in report.pairs]
+        lo, hi = 1, int(np.argmax(np.array(values) >= op.n / 2.0))
+        u, v = report.pairs[lo].vector, report.pairs[hi].vector
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        report.pairs[lo] = EigenPair(values[lo], c * u + s * v)
+        report.pairs[hi] = EigenPair(values[hi], c * v - s * u)
+        return report
+
+    paley_score_numeric(p)
+    monkeypatch.setattr("nodalscore.paley.dense_sym_eig", rotated_solve)
+    with pytest.raises(ValueError, match="eigenspace mismatch: character projection residual"):
+        paley_score_numeric(p)
