@@ -11,6 +11,7 @@ stdout.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -233,14 +234,13 @@ def _cmd_paley(merged, parser):
         items.append(("verify_max_deviation", deviation))
         items.append(("verify_pass", deviation <= 1e-10))
     if merged["out"]:
-        # the field holds three values: format each once and pick per row by
-        # class (0 vertex zero, 1 residue, 2 non-residue); same bytes as
-        # write_score_csv of score.per_vertex.real
-        values = (score.s_zero, score.s_residue, score.s_nonresidue)
-        texts = [format(s.real, ".17g") for s in values]
+        # the field holds three values, picked per row by class (0 vertex
+        # zero, 1 residue, 2 non-residue); same bytes as write_score_csv of
+        # score.per_vertex.real
+        values = (score.s_zero.real, score.s_residue.real, score.s_nonresidue.real)
         classes = np.where(paley.PaleyField(p).residue_mask(), np.int8(1), np.int8(2))
         classes[0] = 0
-        pipeline.write_class_csv(merged["out"], texts, classes)
+        pipeline.write_class_csv(merged["out"], values, classes)
         _write_config(merged["out"], merged)
     _summary(items)
     return 0
@@ -402,24 +402,13 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The argument parser: every subcommand, or only `command`'s.
-
-    A parser with one subcommand parses that command's argv as the full
-    one does, at a fraction of the set-up.  The handlers' usage errors
-    print the top-level usage line, so it still lists every command.
-    """
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="nodalscore",
         description="spectral anomaly scores on intervals, squares, graphs and the circle",
     )
-    names = COMMANDS if command is None else (command,)
-    # the full parser keeps the default: a metavar would also rename
-    # `command` in its "required" and "invalid choice" errors
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, _, flags = COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for flag, (kinds, _) in flags.items():
             if kinds == (bool,):
@@ -430,11 +419,12 @@ def build_parser(command=None):
     return parser
 
 
+# one parser per process: parsing, _merge and parser.error only read it
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    # no command, help or an unknown word: the full parser reports it
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         _, handler, flags = COMMANDS[args.command]

@@ -731,17 +731,16 @@ def write_score_csv(field, path):
             fh.write("".join(f"{i},{text}\n" for i, text in enumerate(texts, lo)).encode())
 
 
-def write_class_csv(path, texts, classes):
-    """Write "index,text" lines for a field of few distinct values.
+def write_class_csv(path, values, classes):
+    """Write "index,value" lines for a field of few distinct values.
 
-    Row i is f"{i},{texts[classes[i]]}\n"; the texts must hold no NUL.
-    Each block of rows is assembled as one byte matrix: the index digits
-    right-aligned, then the comma, text and newline of the row's class from
-    a small table.  NUL pads both sides and is dropped on the way out.
+    Row i holds values[classes[i]] at 17 significant digits, the bytes
+    write_score_csv writes for that field.  Each block of rows is assembled
+    as one byte matrix: the index digits right-aligned, then the comma,
+    value and newline of the row's class from a small table.  NUL pads
+    both sides and is dropped on the way out.
     """
-    encoded = [f",{text}\n".encode() for text in texts]
-    if any(b"\0" in data for data in encoded):
-        raise ValueError("class texts must not hold NUL")
+    encoded = [f",{val:.17g}\n".encode() for val in _field_values(values).tolist()]
     table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
     for row, data in enumerate(encoded):
         table[row, : len(data)] = np.frombuffer(data, dtype=np.uint8)

@@ -1,6 +1,5 @@
 """Command line front end: subcommands, config merge, exit codes, outputs."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalscore
-from nodalscore import analytic, paley, pipeline, torus
+from nodalscore import analytic, cli, paley, pipeline, torus
 from nodalscore.cli import COMMANDS, REQUIRED, _merge, build_parser, main
 from nodalscore.eigensolve import EigenSolveReport
 
@@ -1123,65 +1122,32 @@ def test_flags_and_config_give_the_same_run(capsys, tmp_path, monkeypatch, comma
     assert results[0] == results[1]
 
 
-# main parses with one subcommand's parser when argv names a command; each
-# argv must give the same exit code, stdout and stderr as the full parser
-_TORUS = ["torus", "--y", "2", "--eps", "0.6", "--n-grid", "64"]
-_PARSER_CASES = [
+# main builds one parser per process and reuses it; no call, error or help
+# may leave anything in it that changes the next call
+_REUSE_CASES = [
     [],
     ["bogus"],
-    ["bogus", "--p", "13"],
     ["-h"],
-    ["--help"],
-    ["--p", "13"],
-    *([name, "-h"] for name in COMMANDS),
-    ["paley", "--help"],
+    ["paley", "-h"],
     ["paley"],  # missing required flag
-    ["interval", "--grid", "8", "--out", "o.csv"],
     ["paley", "--p", "13", "--bogus"],  # unknown flag
     ["paley", "--p", "13", "stray"],  # stray positional
-    ["paley", "--p"],
-    ["rational-check", "--p", "x", "--q", "3"],
     ["interval", "--n-t", "5", "--grid", "8", "--out", "o.csv"],  # abbreviated flag
-    ["interval", "--n-terms", "5", "--grid", "0", "--out", "o.csv"],
-    ["paley", "--p", "7"],
-    ["square", "--lambda-cut", "50", "--grid", "3", "--out", "o.csv"],
-    [*_TORUS, "--n-terms", "2", "--find-n-eps", "2"],
-    [*_TORUS, "--bump", "square", "--n-terms", "2"],
-    ["paley", "--p", "13", "--config", "missing.json"],
+    ["torus", "--y", "2", "--eps", "0.6", "--n-grid", "64", "--n-terms", "2", "--find-n-eps", "2"],
     ["paley", "--p", "13", "--config", "list.json"],
     ["rational-check", "--p", "1", "--q", "3"],
 ]
 
 
-@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(capsys, tmp_path, monkeypatch, argv):
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "list.json").write_text("[1]")
-    got = run(capsys, argv)
-    monkeypatch.setattr("nodalscore.cli.build_parser", lambda command=None: build_parser())
-    want = run(capsys, argv)
-    assert got == want
-    assert "usage: nodalscore" in got[2] or got[0] == 0
-
-
-def test_full_parser_errors_name_the_command_argument(capsys):
-    assert "error: the following arguments are required: command\n" in run(capsys, [])[2]
-    assert "error: argument command: invalid choice: 'bogus'" in run(capsys, ["bogus"])[2]
-
-
-def test_one_command_parser_registers_only_its_flags(capsys, monkeypatch):
-    calls = []
-    add_argument = argparse._ActionsContainer.add_argument
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return add_argument(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-    code, _, _ = run(capsys, ["rational-check", "--p", "1", "--q", "3"])
-    assert code == 0
-    # its flags, --config, and -h on the top-level parser and on the subparser
-    assert len(calls) <= len(COMMANDS["rational-check"][2]) + 1 + 2
+    fresh = []
+    for argv in _REUSE_CASES:
+        cli._shared_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert [run(capsys, argv) for argv in _REUSE_CASES] == fresh
+    assert [code for code, _, _ in fresh] == [2, 2, 0, 0, 2, 2, 2, 0, 2, 2, 0]
 
 
 @pytest.mark.parametrize("p", [5, 101, 10009, 65537])

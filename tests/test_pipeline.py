@@ -883,37 +883,37 @@ def test_csv_bytes_match_per_row_format(tmp_path, monkeypatch, block_rows):
     assert path.read_bytes() == b""
 
 
-def _per_row_class_csv(path, texts, classes):
+def _per_row_class_csv(path, values, classes):
     """Reference for write_class_csv: one f-string per row."""
     with open(path, "wb") as fh:
         for lo in range(0, len(classes), pipeline._CSV_BLOCK_ROWS):
             rows = classes[lo : lo + pipeline._CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(f"{i},{texts[c]}\n" for i, c in enumerate(rows, lo)).encode())
+            fh.write("".join(f"{i},{values[c]:.17g}\n" for i, c in enumerate(rows, lo)).encode())
 
 
 # every change in the index's digit count up to 5, and past one 65536-row block
 @pytest.mark.parametrize("p", [5, 13, 101, 1009, 10009, 65537])
 def test_class_csv_matches_per_row_writer_on_paley_fields(tmp_path, p):
     score = paley_score_closed_form(p)
-    texts = [format(s.real, ".17g") for s in (score.s_zero, score.s_residue, score.s_nonresidue)]
+    values = [s.real for s in (score.s_zero, score.s_residue, score.s_nonresidue)]
     classes = np.where(PaleyField(p).residue_mask(), np.int8(1), np.int8(2))
     classes[0] = 0
-    write_class_csv(tmp_path / "got.csv", texts, classes)
-    _per_row_class_csv(tmp_path / "want.csv", texts, classes)
+    write_class_csv(tmp_path / "got.csv", values, classes)
+    _per_row_class_csv(tmp_path / "want.csv", values, classes)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("block_rows", [7, 100, pipeline._CSV_BLOCK_ROWS])
-def test_class_csv_matches_per_row_writer_on_any_texts(tmp_path, monkeypatch, block_rows):
+def test_class_csv_matches_per_row_writer_on_any_values(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
-    texts = ["", "a", "-1.2345678901234567e-05", "\u00e9", "x,y"]
+    values = [0.0, -0.0, np.inf, np.nan, 5e-324, -1.2345678901234567e-05, 1.7976931348623157e308]
     for n in (0, 1, 10, 11, 1000, 1001):
-        classes = np.random.default_rng(n).integers(0, len(texts), n)
-        write_class_csv(tmp_path / "got.csv", texts, classes)
-        _per_row_class_csv(tmp_path / "want.csv", texts, classes)
+        classes = np.random.default_rng(n).integers(0, len(values), n)
+        write_class_csv(tmp_path / "got.csv", values, classes)
+        _per_row_class_csv(tmp_path / "want.csv", values, classes)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), n
-    with pytest.raises(ValueError, match="NUL"):
-        write_class_csv(tmp_path / "nul.csv", ["a\0"], np.zeros(1, dtype=int))
+        write_score_csv(np.array(values)[classes], tmp_path / "score.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "score.csv").read_bytes(), n
 
 
 def test_heatmap_pgm_extremes(tmp_path):
