@@ -33,6 +33,8 @@ MAX_TERMS = 1 << 20
 MAX_GRID_POINTS = 1 << 24
 # points x terms evaluated per chunk, bounding each temporary to 32 MB
 _CHUNK_BUDGET = 1 << 22
+# residues formed at once by rational_series: at most 256 KB, cache-resident
+_STRIP_CELLS = 1 << 15
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -111,10 +113,21 @@ def rational_series(nums, den, n_terms):
     else:
         k = np.arange(1, n_terms + 1, dtype=np.int64)
         weights = 1.0 / k
+    if den * terms < 1 << 31:  # every product fits: int32 halves the modulo's time
+        nums, k = nums.astype(np.int32), k.astype(np.int32)
     chunk = max(1, _CHUNK_BUDGET // terms)
+    strip = max(1, _STRIP_CELLS // terms)
     for lo in range(0, nums.shape[0], chunk):
-        r = (nums[lo:lo + chunk, None] * k) % den
-        sines = table[r] if grouped else _sin_pi_over(r, den)
+        block = nums[lo:lo + chunk]
+        sines = np.empty((block.shape[0], terms))
+        # the residues are formed a strip of rows at a time; the product
+        # stays one (rows x terms) gemv, whose bits depend on the row count
+        for s in range(0, block.shape[0], strip):
+            r = (block[s:s + strip, None] * k) % den
+            if grouped:  # 0 <= r < den; "clip" writes into out unbuffered
+                np.take(table, r, out=sines[s:s + strip], mode="clip")
+            else:
+                sines[s:s + strip] = _sin_pi_over(r, den)
         out[lo:lo + chunk] = sines @ weights
     return out
 
@@ -124,8 +137,10 @@ def square_series(xs, ys, ms, ns, ws):
 
     The terms are scattered into a dense weight matrix W[m, n] (duplicates
     summed), so the series is the separable form rowsum((Sx @ W) * Sy) with
-    Sx[i, m] = |sin(m*pi*x_i)| for m = 0..max m: one sine per frequency
-    and point rather than one per term.
+    Sx[i, m] = |sin(m*pi*x_i)| for m = 0..max m.  Within each chunk of
+    points, the rows of Sx @ W and of Sy are built once per distinct x and
+    distinct y and gathered per point, so a tensor grid costs one sine per
+    frequency and grid line, and one gemm row per distinct x.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -152,7 +167,13 @@ def square_series(xs, ys, ms, ns, ws):
     n = np.arange(n_size, dtype=np.float64)
     chunk = max(1, _CHUNK_BUDGET // max(m_size, n_size))
     for lo in range(0, xs.shape[0], chunk):
-        sx = np.sin(np.pi * _frac_multiples(xs[lo:lo + chunk], m))
-        sy = np.sin(np.pi * _frac_multiples(ys[lo:lo + chunk], n))
-        out[lo:lo + chunk] = ((sx @ weights) * sy).sum(axis=1)
+        ux, ix = np.unique(xs[lo:lo + chunk], return_inverse=True)
+        uy, iy = np.unique(ys[lo:lo + chunk], return_inverse=True)
+        if ux.size == 1 < ix.size:
+            # numpy sends a one-row product to gemv, which rounds unlike
+            # the gemm rows of a chunk of two or more points
+            ux = np.repeat(ux, 2)
+        sxw = np.sin(np.pi * _frac_multiples(ux, m)) @ weights
+        sy = np.sin(np.pi * _frac_multiples(uy, n))
+        out[lo:lo + chunk] = (sxw[ix] * sy[iy]).sum(axis=1)
     return out

@@ -30,6 +30,11 @@ MAX_LAMBDA_CUT = 1 << 22
 # about 7 s at this cap with n_terms >= grid (grouped by residue) and 20 s
 # below it (one sine per term; README)
 MAX_INTERVAL_WORK = 1 << 29
+# square grids cost points * (isqrt(lambda_cut) + 1) per-point products, and
+# a wide grid adds one (isqrt + 1)^2 gemm row per distinct x: about 10 s at
+# this cap on a wide grid at the largest cutoff, 1-2.5 s on tall or square
+# ones (README)
+MAX_SQUARE_WORK = 1 << 26
 
 __all__ = [
     "RationalPoint",
@@ -39,6 +44,7 @@ __all__ = [
     "interval_score_grid",
     "interval_score_uniform",
     "check_interval_work",
+    "check_square_work",
     "square_score",
     "square_score_grid",
     "square_lattice",
@@ -90,7 +96,7 @@ def interval_score(x, n_terms):
 def interval_score_grid(xs, n_terms):
     """Vectorized interval score over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
         raise ValueError("grid points must lie in [0, 1]")
     return _kernels.interval_series(xs, n_terms)
 
@@ -120,16 +126,30 @@ def square_lattice(lambda_cut):
         raise ValueError("lambda_cut must be >= 2 (no lattice point otherwise)")
     if not lambda_cut < MAX_LAMBDA_CUT:
         raise ValueError(f"lambda_cut must be below {MAX_LAMBDA_CUT}")
-    ms, ns = [], []
-    m_max = math.isqrt(math.floor(lambda_cut))
-    for m in range(1, m_max + 1):
-        n_max = math.isqrt(math.floor(lambda_cut - m * m))
-        ms.extend([m] * n_max)
-        ns.extend(range(1, n_max + 1))
-    ms = np.array(ms, dtype=np.int32)
-    ns = np.array(ns, dtype=np.int32)
+    cut = math.floor(lambda_cut)
+    # column m holds n = 1..isqrt(cut - m^2), counted in integers
+    counts = np.array([math.isqrt(cut - m * m) for m in range(1, math.isqrt(cut) + 1)],
+                      dtype=np.int32)
+    ms = np.repeat(np.arange(1, counts.size + 1, dtype=np.int32), counts)
+    starts = np.cumsum(counts, dtype=np.int32) - counts
+    ns = np.arange(1, ms.size + 1, dtype=np.int32) - np.repeat(starts, counts)
     ws = 1.0 / np.sqrt(ms.astype(np.float64) ** 2 + ns.astype(np.float64) ** 2)
     return ms, ns, ws
+
+
+def check_square_work(points, lambda_cut):
+    """ValueError when points * (isqrt(lambda_cut) + 1) exceeds MAX_SQUARE_WORK.
+
+    A cutoff that square_lattice refuses is left for it to report.
+    """
+    lambda_cut = float(lambda_cut)
+    if not 2.0 <= lambda_cut < MAX_LAMBDA_CUT:
+        return
+    work = points * (math.isqrt(math.floor(lambda_cut)) + 1)
+    if work > MAX_SQUARE_WORK:
+        raise ValueError(
+            f"points x (isqrt(lambda_cut) + 1) = {work} exceeds {MAX_SQUARE_WORK}"
+        )
 
 
 def square_score(x, y, lambda_cut):
@@ -147,7 +167,7 @@ def square_score_grid(xs, ys, lambda_cut):
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     for arr, name in ((xs, "xs"), (ys, "ys")):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise ValueError(f"{name} must lie in [0, 1]")
     ms, ns, ws = square_lattice(lambda_cut)
     return _kernels.square_series(xs, ys, ms, ns, ws)

@@ -160,6 +160,10 @@ def _cmd_interval(merged, parser):
 def _cmd_square(merged, parser):
     mx, my = _parse_grid_2d(parser, merged["grid"])
     lam = float(merged["lambda-cut"])
+    try:
+        analytic.check_square_work(mx * my, lam)
+    except ValueError as exc:
+        parser.error(str(exc))
     # interior lattice of the open square; the boundary scores 0 trivially
     xs = np.arange(1, mx + 1) / (mx + 1)
     ys = np.arange(1, my + 1) / (my + 1)

@@ -130,6 +130,51 @@ def test_square_lattice_counts():
             square_lattice(bad)
 
 
+def loop_square_lattice(lambda_cut):
+    """Reference formulation: one Python loop over the columns m."""
+    ms, ns = [], []
+    for m in range(1, math.isqrt(math.floor(lambda_cut)) + 1):
+        n_max = math.isqrt(math.floor(lambda_cut - m * m))
+        ms.extend([m] * n_max)
+        ns.extend(range(1, n_max + 1))
+    ms = np.array(ms, dtype=np.int32)
+    ns = np.array(ns, dtype=np.int32)
+    ws = 1.0 / np.sqrt(ms.astype(np.float64) ** 2 + ns.astype(np.float64) ** 2)
+    return ms, ns, ws
+
+
+@pytest.mark.parametrize("lam", [2.0, 4.0, 24.999, 25.0, 25.5, 4000.0, 4000.5, 1e5, 1e5 - 0.25])
+def test_square_lattice_equals_loop_form(lam):
+    # 25 and 1e5 lie on lattice circles (3^2 + 4^2, 300^2 + 100^2)
+    for got, want in zip(square_lattice(lam), loop_square_lattice(lam)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_fn", [
+    lambda xs: interval_score_grid(xs, 50),
+    lambda xs: square_score_grid(xs, np.full(xs.shape, 0.5), 4000.0),
+    lambda xs: square_score_grid(np.full(xs.shape, 0.5), xs, 4000.0),
+], ids=["interval", "square-xs", "square-ys"])
+def test_grid_scores_refuse_nan_and_points_outside(grid_fn):
+    for bad in ([math.nan, 0.5], [0.5, math.nan], [math.nan], [-0.25, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            grid_fn(np.array(bad))
+    assert grid_fn(np.array([0.0, 0.5, 1.0])).shape == (3,)
+
+
+def test_check_square_work_bounds_points_times_frequencies():
+    cap = analytic.MAX_SQUARE_WORK
+    analytic.check_square_work(cap // 64, 4000.0)  # isqrt(4000) + 1 = 64
+    with pytest.raises(ValueError, match="exceeds"):
+        analytic.check_square_work(cap // 64 + 1, 4000.0)
+    # the benchmark's 48x48 grid at 4000 stays two orders below the cap
+    assert 48 * 48 * 64 * 100 < cap
+    # a cutoff square_lattice refuses is left for it to report
+    for bad in (1.5, math.nan, math.inf, float(analytic.MAX_LAMBDA_CUT)):
+        analytic.check_square_work(1 << 24, bad)
+
+
 def test_square_score_grid_matches_pointwise():
     rng = np.random.default_rng(13)
     xs = rng.uniform(0.0, 1.0, 12)

@@ -865,6 +865,24 @@ def test_interval_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
     analytic.check_interval_work(16384, 1 << 20)
 
 
+def test_square_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a square grid above the work cap")
+
+    monkeypatch.setattr(analytic, "square_score_grid", refuse)
+    monkeypatch.setattr(analytic, "square_lattice", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    out = tmp_path / "x.csv"
+    # both pass the grid cap; the first would run for hours
+    for lam, grid in (("4000000", "4096x4096"), ("4194303", "16385x2")):
+        argv = ["square", "--lambda-cut", lam, "--grid", grid, "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "exceeds" in err
+    assert not out.exists()
+    analytic.check_square_work(16384 * 2, 4194303.0)  # the cap met exactly
+
+
 # ---------------------------------------------------------- start-up imports
 
 _SRC = str(Path(nodalscore.__file__).resolve().parents[1])

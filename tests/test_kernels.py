@@ -1,13 +1,14 @@
 """Series kernels: reduced-argument series vs naive direct summation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalscore import _kernels
+from nodalscore import _kernels, analytic
 
 
 def naive_interval(xs, n_terms):
@@ -160,6 +161,25 @@ def test_rational_series_bitwise_equals_bincount_form(den, n_terms):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 100])
+@pytest.mark.parametrize(
+    "den, n_terms, n_points",
+    [(1024, 9000, 1025), (1024, 9000, 77), (5000, 3000, 333), (10**6 + 3, 3000, 45), (97, 96, 250)],
+    ids=["interval-job", "one-strip", "direct", "int64-residues", "direct-narrow"],
+)
+def test_rational_series_bitwise_in_strips_and_chunks(monkeypatch, den, n_terms, n_points, chunk_rows):
+    # the residues are formed a strip of rows at a time; none of these point
+    # counts is a multiple of the strip, and with chunk_rows the points also
+    # span several chunks, the last one partial
+    if chunk_rows is not None:
+        monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", chunk_rows * min(den, n_terms))
+    nums = np.arange(n_points) * 7919 - 3
+    assert n_points % max(1, _kernels._STRIP_CELLS // min(den, n_terms)) != 0
+    got = _kernels.rational_series(nums, den, n_terms)
+    want = bincount_rational_series(nums, den, n_terms)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_rational_series_agrees_with_float_kernel():
     nums = np.arange(0, 65)
     got = _kernels.rational_series(nums, 64, 4000)
@@ -199,6 +219,116 @@ def test_square_series_duplicates_zero_frequency_scattered_points():
         for x, y in zip(xs, ys)
     ]
     assert np.abs(got - want).max() <= 1e-13
+
+
+def per_point_square_series(xs, ys, ms, ns, ws):
+    """Reference formulation: the sine tables and the Sx @ W rows built per point."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    ms = np.abs(np.asarray(ms, dtype=np.int64))
+    ns = np.abs(np.asarray(ns, dtype=np.int64))
+    ws = np.ascontiguousarray(ws, dtype=np.float64)
+    out = np.zeros(xs.shape[0])
+    m_size, n_size = int(ms.max()) + 1, int(ns.max()) + 1
+    weights = np.bincount(
+        ms * n_size + ns, weights=ws, minlength=m_size * n_size
+    ).reshape(m_size, n_size)
+    m = np.arange(m_size, dtype=np.float64)
+    n = np.arange(n_size, dtype=np.float64)
+    chunk = max(1, _kernels._CHUNK_BUDGET // max(m_size, n_size))
+    for lo in range(0, xs.shape[0], chunk):
+        sx = np.sin(np.pi * _kernels._frac_multiples(xs[lo:lo + chunk], m))
+        sy = np.sin(np.pi * _kernels._frac_multiples(ys[lo:lo + chunk], n))
+        out[lo:lo + chunk] = ((sx @ weights) * sy).sum(axis=1)
+    return out
+
+
+def tensor_grid(mx, my):
+    """The interior mx x my grid of the square command, x varying fastest."""
+    gx, gy = np.meshgrid(np.arange(1, mx + 1) / (mx + 1), np.arange(1, my + 1) / (my + 1))
+    return gx.ravel(), gy.ravel()
+
+
+def _square_point_sets():
+    rng = np.random.default_rng(31)
+    xs, ys = rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, 1.0, 300)
+    sets = {f"grid-{mx}x{my}": tensor_grid(mx, my)
+            for mx, my in ((48, 48), (37, 23), (2, 2), (2, 64), (64, 3), (13, 100))}
+    sets["scattered"] = (xs, ys)
+    sets["scattered-repeats"] = (rng.choice(xs[:5], 300), rng.choice(ys[:7], 300))
+    sets["one-x-many-y"] = (np.full(40, 0.3), ys[:40])
+    sets["one-point-repeated"] = (np.full(40, 0.3), np.full(40, 0.7))
+    sets["single-point"] = (xs[:1], ys[:1])
+    return sets
+
+
+_SQUARE_SETS = _square_point_sets()
+
+
+@pytest.mark.parametrize("lam", [50.0, 900.0, 4000.0])
+@pytest.mark.parametrize("name", list(_SQUARE_SETS))
+def test_square_series_bitwise_equals_per_point_form(name, lam):
+    # one Sx @ W row per distinct x is the row the per-point form computes
+    # for every point with that x; at these cutoffs (the benchmark uses
+    # 4000) OpenBLAS rounds each gemm row the same for any row count
+    xs, ys = _SQUARE_SETS[name]
+    ms, ns, ws = analytic.square_lattice(lam)
+    got = _kernels.square_series(xs, ys, ms, ns, ws)
+    assert got.tobytes() == per_point_square_series(xs, ys, ms, ns, ws).tobytes()
+
+
+@pytest.mark.parametrize("lam", [300.0, 20000.0, 1e5])
+def test_square_series_near_per_point_form_where_blas_rounds_by_row_count(lam):
+    # at these inner sizes OpenBLAS rounds a gemm row differently with the
+    # row count and the thread split, so the per-point form itself is only
+    # reproducible to an ulp; both agree to that
+    for xs, ys in (tensor_grid(64, 64), tensor_grid(37, 23), tensor_grid(3, 23)):
+        ms, ns, ws = analytic.square_lattice(lam)
+        got = _kernels.square_series(xs, ys, ms, ns, ws)
+        want = per_point_square_series(xs, ys, ms, ns, ws)
+        assert np.abs(got - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).max()
+
+
+_ZERO_FREQUENCY_TERMS = (
+    np.array([0, 1, 1, 3, 3, 7, 2, 0, 11, -4], dtype=np.int32),
+    np.array([2, 1, 1, 5, 5, 0, 9, 0, 4, 6], dtype=np.int32),
+    np.array([0.5, 1.0, 2.0, 0.25, -0.75, 3.0, 1.5, 4.0, 0.125, 0.3]),
+)
+
+
+def test_square_series_bitwise_zero_frequency_terms():
+    for xs, ys in _SQUARE_SETS.values():
+        got = _kernels.square_series(xs, ys, *_ZERO_FREQUENCY_TERMS)
+        want = per_point_square_series(xs, ys, *_ZERO_FREQUENCY_TERMS)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_square_series_bitwise_across_chunks(monkeypatch):
+    # 64 frequencies per axis at lambda = 4000: chunks of 100 points, so the
+    # 48x48 grid spans 24 chunks (the last one partial) and the scattered
+    # set 3, each chunk with its own distinct coordinates
+    monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", 6400)
+    ms, ns, ws = analytic.square_lattice(4000.0)
+    for name in ("grid-48x48", "grid-13x100", "scattered", "scattered-repeats"):
+        xs, ys = _SQUARE_SETS[name]
+        got = _kernels.square_series(xs, ys, ms, ns, ws)
+        assert got.tobytes() == per_point_square_series(xs, ys, ms, ns, ws).tobytes(), name
+
+
+def test_square_series_memory_stays_within_chunks(monkeypatch):
+    # 20000 scattered points: one (points x 64) float64 array would be
+    # 10 MB, a chunk's is 64 KB
+    monkeypatch.setattr(_kernels, "_CHUNK_BUDGET", 1 << 13)
+    rng = np.random.default_rng(41)
+    xs, ys = rng.uniform(0.0, 1.0, 20000), rng.uniform(0.0, 1.0, 20000)
+    ms, ns, ws = analytic.square_lattice(4000.0)
+    tracemalloc.start()
+    try:
+        _kernels.square_series(xs, ys, ms, ns, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_square_series_refuses_large_weight_matrix():
