@@ -113,8 +113,6 @@ def rational_series(nums, den, n_terms):
     else:
         k = np.arange(1, n_terms + 1, dtype=np.int64)
         weights = 1.0 / k
-    if den * terms < 1 << 31:  # every product fits: int32 halves the modulo's time
-        nums, k = nums.astype(np.int32), k.astype(np.int32)
     chunk = max(1, _CHUNK_BUDGET // terms)
     strip = max(1, _STRIP_CELLS // terms)
     for lo in range(0, nums.shape[0], chunk):

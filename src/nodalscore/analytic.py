@@ -30,11 +30,11 @@ MAX_LAMBDA_CUT = 1 << 22
 # about 7 s at this cap with n_terms >= grid (grouped by residue) and 20 s
 # below it (one sine per term; README)
 MAX_INTERVAL_WORK = 1 << 29
-# square grids cost points * (isqrt(lambda_cut) + 1) per-point products, and
-# a wide grid adds one (isqrt + 1)^2 gemm row per distinct x: about 10 s at
-# this cap on a wide grid at the largest cutoff, 1-2.5 s on tall or square
-# ones (README)
-MAX_SQUARE_WORK = 1 << 26
+# square grids cost per-point products, sines per distinct coordinate and
+# gemm rows per distinct x, weighted by their times (check_square_work):
+# the kernel takes at most about 9 s at this cap, on a tall grid at a small
+# cutoff (README)
+MAX_SQUARE_WORK = 1 << 30
 
 __all__ = [
     "RationalPoint",
@@ -137,18 +137,29 @@ def square_lattice(lambda_cut):
     return ms, ns, ws
 
 
-def check_square_work(points, lambda_cut):
-    """ValueError when points * (isqrt(lambda_cut) + 1) exceeds MAX_SQUARE_WORK.
+def check_square_work(mx, my, lambda_cut):
+    """ValueError when square_series' work on the mx x my grid exceeds MAX_SQUARE_WORK.
 
-    A cutoff that square_lattice refuses is left for it to report.
+    With k = isqrt(lambda_cut) + 1 frequencies per axis, each chunk of
+    points evaluates k sines per distinct x and per distinct y, one k x k
+    gemm row per distinct x and a k-term product per point.  The grid is
+    ordered x fastest, so a chunk holds at most mx distinct x and my
+    distinct y.  The work counts a product as 1, a sine as 8 and a gemm
+    multiply-add as 1/128, about their relative times.  A cutoff that
+    square_lattice refuses is left for it to report.
     """
     lambda_cut = float(lambda_cut)
     if not 2.0 <= lambda_cut < MAX_LAMBDA_CUT:
         return
-    work = points * (math.isqrt(math.floor(lambda_cut)) + 1)
+    k = math.isqrt(math.floor(lambda_cut)) + 1
+    points = mx * my
+    chunks = -(-points // max(1, _kernels._CHUNK_BUDGET // k))
+    rows_x, rows_y = min(points, mx * chunks), min(points, my * chunks)
+    work = points * k + 8 * (rows_x + rows_y) * k + rows_x * k * k // 128
     if work > MAX_SQUARE_WORK:
         raise ValueError(
-            f"points x (isqrt(lambda_cut) + 1) = {work} exceeds {MAX_SQUARE_WORK}"
+            f"square work {work} on a {mx}x{my} grid at lambda_cut {lambda_cut!r} "
+            f"exceeds {MAX_SQUARE_WORK}"
         )
 
 

@@ -161,7 +161,7 @@ def _cmd_square(merged, parser):
     mx, my = _parse_grid_2d(parser, merged["grid"])
     lam = float(merged["lambda-cut"])
     try:
-        analytic.check_square_work(mx * my, lam)
+        analytic.check_square_work(mx, my, lam)
     except ValueError as exc:
         parser.error(str(exc))
     # interior lattice of the open square; the boundary scores 0 trivially

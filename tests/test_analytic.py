@@ -163,16 +163,24 @@ def test_grid_scores_refuse_nan_and_points_outside(grid_fn):
     assert grid_fn(np.array([0.0, 0.5, 1.0])).shape == (3,)
 
 
-def test_check_square_work_bounds_points_times_frequencies():
-    cap = analytic.MAX_SQUARE_WORK
-    analytic.check_square_work(cap // 64, 4000.0)  # isqrt(4000) + 1 = 64
+def test_check_square_work_counts_the_kernels_work():
+    # 4096x4096 at 4000: k = 64, 256 chunks of 65536 points, each with 4096
+    # distinct x and 16 distinct y, bounded by 2^20 rows per axis; work =
+    # 2^24 * 64 + 8 * 2^21 * 64 + 2^20 * 64^2 / 128
+    with pytest.raises(ValueError, match=f"square work {2**31 + 2**25} on a 4096x4096"):
+        analytic.check_square_work(4096, 4096, 4000.0)
+    # square grids at moderate cutoffs stay accepted; wide grids at the
+    # largest cutoff pay a 2048^2 gemm row per point and are refused
+    for mx, my, lam in ((2048, 2048, 4000.0), (1024, 1024, 65535.0), (1 << 20, 14, 63.0)):
+        analytic.check_square_work(mx, my, lam)
     with pytest.raises(ValueError, match="exceeds"):
-        analytic.check_square_work(cap // 64 + 1, 4000.0)
-    # the benchmark's 48x48 grid at 4000 stays two orders below the cap
-    assert 48 * 48 * 64 * 100 < cap
+        analytic.check_square_work(16384, 2, 4194303.0)
+    # the benchmark's 48x48 grid at 4000 (work 198144) stays far below
+    analytic.check_square_work(48, 48, 4000.0)
+    assert 198144 * 1000 < analytic.MAX_SQUARE_WORK
     # a cutoff square_lattice refuses is left for it to report
     for bad in (1.5, math.nan, math.inf, float(analytic.MAX_LAMBDA_CUT)):
-        analytic.check_square_work(1 << 24, bad)
+        analytic.check_square_work(4096, 4096, bad)
 
 
 def test_square_score_grid_matches_pointwise():

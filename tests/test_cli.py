@@ -873,14 +873,18 @@ def test_square_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(analytic, "square_lattice", refuse)
     monkeypatch.setattr(np, "meshgrid", refuse)
     out = tmp_path / "x.csv"
-    # both pass the grid cap; the first would run for hours
-    for lam, grid in (("4000000", "4096x4096"), ("4194303", "16385x2")):
+    # all pass the grid cap; the first would run for hours
+    for lam, grid in (("4000000", "4096x4096"), ("4194303", "16384x2"), ("4000", "4096x4096")):
         argv = ["square", "--lambda-cut", lam, "--grid", grid, "--out", str(out)]
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert "exceeds" in err
     assert not out.exists()
-    analytic.check_square_work(16384 * 2, 4194303.0)  # the cap met exactly
+    # the slowest accepted shapes (README), each one row short of the cap
+    for mx, my, lam in ((1 << 20, 14, 63.0), (16384, 976, 1023.0)):
+        analytic.check_square_work(mx, my, lam)
+        with pytest.raises(ValueError, match="exceeds"):
+            analytic.check_square_work(mx, my + 1, lam)
 
 
 # ---------------------------------------------------------- start-up imports

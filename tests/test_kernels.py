@@ -165,7 +165,7 @@ def test_rational_series_bitwise_equals_bincount_form(den, n_terms):
 @pytest.mark.parametrize(
     "den, n_terms, n_points",
     [(1024, 9000, 1025), (1024, 9000, 77), (5000, 3000, 333), (10**6 + 3, 3000, 45), (97, 96, 250)],
-    ids=["interval-job", "one-strip", "direct", "int64-residues", "direct-narrow"],
+    ids=["interval-job", "one-strip", "direct", "large-den", "direct-narrow"],
 )
 def test_rational_series_bitwise_in_strips_and_chunks(monkeypatch, den, n_terms, n_points, chunk_rows):
     # the residues are formed a strip of rows at a time; none of these point
@@ -270,7 +270,10 @@ _SQUARE_SETS = _square_point_sets()
 def test_square_series_bitwise_equals_per_point_form(name, lam):
     # one Sx @ W row per distinct x is the row the per-point form computes
     # for every point with that x; at these cutoffs (the benchmark uses
-    # 4000) OpenBLAS rounds each gemm row the same for any row count
+    # 4000) the OpenBLAS build these tests were written on rounds each gemm
+    # row the same for any row count.  That is a property of the BLAS
+    # kernel, not of this code: another CPU or BLAS build may round a row
+    # by the row count, as this one does at the cutoffs of the next test
     xs, ys = _SQUARE_SETS[name]
     ms, ns, ws = analytic.square_lattice(lam)
     got = _kernels.square_series(xs, ys, ms, ns, ws)
