@@ -115,13 +115,22 @@ def rational_series(nums, den, n_terms):
         weights = 1.0 / k
     chunk = max(1, _CHUNK_BUDGET // terms)
     strip = max(1, _STRIP_CELLS // terms)
+    products = np.empty((min(strip, nums.shape[0]), terms), dtype=np.int64)
+    quotients = np.empty_like(products)
     for lo in range(0, nums.shape[0], chunk):
         block = nums[lo:lo + chunk]
         sines = np.empty((block.shape[0], terms))
         # the residues are formed a strip of rows at a time; the product
         # stays one (rows x terms) gemv, whose bits depend on the row count
         for s in range(0, block.shape[0], strip):
-            r = (block[s:s + strip, None] * k) % den
+            part = block[s:s + strip]
+            r, q = products[:part.shape[0]], quotients[:part.shape[0]]
+            np.multiply(part[:, None], k, out=r)
+            # r - den * (r // den): numpy divides by a scalar without a
+            # hardware division per element, which % does not
+            np.floor_divide(r, den, out=q)
+            q *= den
+            r -= q
             if grouped:  # 0 <= r < den; "clip" writes into out unbuffered
                 np.take(table, r, out=sines[s:s + strip], mode="clip")
             else:

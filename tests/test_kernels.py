@@ -148,6 +148,7 @@ def _bitwise_cases():
         for n_terms in (1, 7, den - 1):  # direct reduction, n_terms < den
             if 1 <= n_terms < den and (den, n_terms) not in cases:
                 cases.append((den, n_terms))
+    cases.append(((2**63 - 1) // 50, 50))  # residue products just below 2^63
     return cases
 
 
