@@ -13,34 +13,23 @@ image/mesh graph pipeline; the command line lives in nodalscore.cli.
 
 __version__ = "0.1.0"
 
-from .core import (
-    DegeneracyGroups,
+from .core import compute_score_field, find_strict_local_minima, group_degenerate
+from .eigensolve import (
     EigenPair,
-    ScoreConfig,
-    ScoreField,
-    SpectralBasis,
-    compute_score_field,
-    find_strict_local_minima,
-    group_degenerate,
-    nodal_proxy,
-    rotation_averaged_score,
+    EigenSolveReport,
+    SymOperator,
+    dense_sym_eig,
+    lanczos_smallest,
 )
-from .eigensolve import EigenSolveReport, SymOperator, dense_sym_eig, lanczos_smallest
 
 __all__ = [
-    "DegeneracyGroups",
     "EigenPair",
     "EigenSolveReport",
-    "ScoreConfig",
-    "ScoreField",
-    "SpectralBasis",
     "SymOperator",
     "compute_score_field",
     "dense_sym_eig",
     "find_strict_local_minima",
     "group_degenerate",
     "lanczos_smallest",
-    "nodal_proxy",
-    "rotation_averaged_score",
     "__version__",
 ]

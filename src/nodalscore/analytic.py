@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .core import EigenPair, SpectralBasis
 
 # the square kernel's weight matrix has (isqrt(lambda_cut) + 1)^2 cells,
 # at most _kernels._CHUNK_BUDGET = 2^22 below this cutoff
@@ -349,8 +348,9 @@ def nodal_distance_sum(x, n_terms):
 def interval_sine_basis(grid_intervals, n_pairs):
     """Sine modes sampled on the uniform grid i/grid_intervals, i = 0..grid.
 
-    Eigenvalues are k^2 (the normalization in which the interval score is
-    exactly sum |sin(k pi x)| / k).  Pick grid_intervals divisible by
+    Returns (values, vectors), one mode per column of vectors.  Eigenvalues
+    are k^2 (the normalization in which the interval score is exactly
+    sum |sin(k pi x)| / k).  Pick grid_intervals divisible by
     4 * lcm(1..n_pairs) when exact unit sup norms matter.
     """
     grid_intervals = int(grid_intervals)
@@ -358,7 +358,5 @@ def interval_sine_basis(grid_intervals, n_pairs):
     if grid_intervals < 2 or n_pairs < 1:
         raise ValueError("need grid_intervals >= 2 and n_pairs >= 1")
     xs = np.arange(grid_intervals + 1) / grid_intervals
-    pairs = [
-        EigenPair(float(k * k), np.sin(k * np.pi * xs)) for k in range(1, n_pairs + 1)
-    ]
-    return SpectralBasis(pairs, domain_tag=f"interval grid {grid_intervals}")
+    ks = np.arange(1, n_pairs + 1)
+    return (ks * ks).astype(np.float64), np.sin(xs[:, None] * (ks * np.pi))

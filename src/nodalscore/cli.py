@@ -271,18 +271,18 @@ def _cmd_torus(merged, parser):
         items.append(("n_eps", n_eps))
     else:
         n_terms = merged["n-terms"]
-        field = torus.torus_score(n_grid, spec, n_terms, seed=merged["seed"])
+        values = torus.torus_score(n_grid, spec, n_terms, seed=merged["seed"])
         grid = np.arange(n_grid) * (2.0 * math.pi / n_grid)
-        amin = int(np.argmin(field.values))
+        amin = int(np.argmin(values))
         items += [
             ("n_terms", n_terms),
             ("argmin_index", amin),
             ("argmin_x", float(grid[amin])),
             ("in_window", bool(torus.window_mask(grid[amin : amin + 1], spec)[0])),
-            ("min_value", float(field.values.min())),
+            ("min_value", float(values.min())),
         ]
         if merged["out"]:
-            pipeline.write_score_csv(field.values, merged["out"])
+            pipeline.write_score_csv(values, merged["out"])
             _write_config(merged["out"], merged)
     _summary(items)
     return 0
@@ -324,15 +324,14 @@ def _cmd_graph(merged, parser):
             parser.error(str(exc))
         graph = pipeline.patch_graph(image, cfg)
     try:
-        field = pipeline.score_graph(graph, merged["n-terms"], kind=kind, seed=merged["seed"])
+        values = pipeline.score_graph(graph, merged["n-terms"], kind=kind, seed=merged["seed"])
     except pipeline.WorkCapError as exc:
         parser.error(str(exc))
     out = merged["out"]
-    pipeline.write_score_csv(field, out)
+    pipeline.write_score_csv(values, out)
     _write_config(out, merged)
     if merged["pgm"]:
-        pipeline.write_heatmap_pgm(field, image.width, image.height, merged["pgm"])
-    values = field.values
+        pipeline.write_heatmap_pgm(values, image.width, image.height, merged["pgm"])
     _summary(
         [
             ("n_vertices", graph.n),
@@ -358,14 +357,12 @@ COMMANDS = {
         "grid": ((int,), REQUIRED),
         "find-minima": ((bool,), False),
         "out": ((str,), REQUIRED),
-        "seed": _SEED,
     }),
     "square": ("square score on an interior grid", _cmd_square, {
         "lambda-cut": ((float,), REQUIRED),
         "grid": ((str,), REQUIRED),
         "out": ((str,), REQUIRED),
         "pgm": ((str,), None),
-        "seed": _SEED,
     }),
     "rational-check": ("strict-minimum check at p/q", _cmd_rational_check, {
         "p": ((int,), REQUIRED),
@@ -373,13 +370,11 @@ COMMANDS = {
         "n-terms": ((int,), None),
         "step": ((float,), None),
         "out": ((str,), None),
-        "seed": _SEED,
     }),
     "paley": ("three-valued Paley graph score", _cmd_paley, {
         "p": ((int,), REQUIRED),
         "verify": ((bool,), False),
         "out": ((str,), None),
-        "seed": _SEED,
     }),
     "torus": ("perturbed circle operator score", _cmd_torus, {
         "y": ((float,), REQUIRED),

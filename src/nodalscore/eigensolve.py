@@ -32,20 +32,26 @@ pays for the full tol=0 round.  The solvers are intended for
 positive-semidefinite operators (Laplacians, Schroedinger
 discretizations).
 
-Both solvers fix the eigenvector sign by making the entry of largest
-magnitude positive, report which method ran, and are bitwise deterministic
-for a fixed seed.
+Both solvers return the pairs as two arrays, ascending ``values`` and
+the eigenvectors as the columns of ``vectors``, fix each eigenvector's
+sign by making its entry of largest magnitude positive, report which
+method ran, and are bitwise deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import EigenPair
-
-__all__ = ["SymOperator", "EigenSolveReport", "dense_sym_eig", "lanczos_smallest"]
+__all__ = [
+    "SymOperator",
+    "EigenPair",
+    "EigenSolveReport",
+    "dense_sym_eig",
+    "lanczos_smallest",
+]
 
 DENSE_MAX_N = 4096
 # callers solve below this size densely; iterating would gain nothing
@@ -159,21 +165,35 @@ class SymOperator:
         return float((diag + off).max(initial=0.0))
 
 
+class EigenPair(NamedTuple):
+    """One eigenvalue and its eigenvector."""
+
+    value: float
+    vector: np.ndarray
+
+
 @dataclass
 class EigenSolveReport:
     """Solver output: ascending eigenpairs, normalized residuals, bookkeeping.
 
-    ``iterations`` counts operator applications: 1 for a dense solve, and
-    applications of the spectral transform over all rounds for the
-    iterative solver (matvecs for ``"arpack"``, banded solves for
+    ``values`` has shape (m,) and ``vectors`` (n, m), one eigenvector per
+    column.  ``iterations`` counts operator applications: 1 for a dense
+    solve, and applications of the spectral transform over all rounds for
+    the iterative solver (matvecs for ``"arpack"``, banded solves for
     ``"shift-invert"``); ``method`` names the solver that ran.
     """
 
-    pairs: list[EigenPair]
+    values: np.ndarray
+    vectors: np.ndarray
     residuals: np.ndarray
     iterations: int
     converged: bool
     method: str = ""
+
+    @property
+    def pairs(self):
+        """The pairs as (value, vector) tuples, read from the two arrays."""
+        return tuple(map(EigenPair, self.values.tolist(), self.vectors.T))
 
 
 def _fix_signs(vectors):
@@ -191,6 +211,21 @@ def _clamp_tiny_negatives(values, scale):
     return out
 
 
+def _psd_report(values, vectors, residuals, iterations, tol, method):
+    """The report of a solve, or ValueError when a value is negative or NaN."""
+    bad = ~(values >= 0.0)
+    if bad.any():
+        raise ValueError(f"eigenvalue must be >= 0, got {float(values[bad][0])}")
+    return EigenSolveReport(
+        values=values,
+        vectors=vectors,
+        residuals=residuals,
+        iterations=iterations,
+        converged=bool((residuals <= tol).all()),
+        method=method,
+    )
+
+
 def dense_sym_eig(op, residual_tol=1e-10, m=None):
     """Smallest m (default: all n) eigenpairs of a dense symmetric operator.
 
@@ -198,8 +233,8 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
     tridiagonalization plus divide and conquer); with m < n the subset
     driver ``dsyevr`` computes only the m smallest pairs, and only their
     residuals are formed.  Eigenvalues in [-1e-10 * scale, 0) are clamped
-    to zero so PSD operators round-trip through EigenPair; residuals are
-    divided by scale = ||A||_inf.
+    to zero and a value below that raises ValueError, so only PSD
+    operators pass; residuals are divided by scale = ||A||_inf.
     """
     if not op.is_dense:
         raise ValueError("dense_sym_eig needs a dense representation")
@@ -217,21 +252,15 @@ def dense_sym_eig(op, residual_tol=1e-10, m=None):
             values, vectors = eigh(op.dense, subset_by_index=[0, m - 1])
     except np.linalg.LinAlgError:
         return EigenSolveReport(
-            pairs=[], residuals=np.array([]), iterations=0, converged=False
+            values=np.empty(0), vectors=np.empty((op.n, 0)), residuals=np.empty(0),
+            iterations=0, converged=False,
         )
     values = _clamp_tiny_negatives(values, scale)
     vectors = _fix_signs(vectors)
     # LAPACK solves the zero operator exactly (0 and unit vectors), so its
     # residuals are 0 and need no scale
     resid = np.linalg.norm(op.dense @ vectors - vectors * values, axis=0) / (scale or 1.0)
-    pairs = [EigenPair(values[i], vectors[:, i]) for i in range(values.size)]
-    return EigenSolveReport(
-        pairs=pairs,
-        residuals=resid,
-        iterations=1,
-        converged=bool((resid <= residual_tol).all()),
-        method="dense",
-    )
+    return _psd_report(values, vectors, resid, 1, residual_tol, "dense")
 
 
 def lanczos_smallest(op, m, tol=1e-10, seed=0):
@@ -284,10 +313,9 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
         raise ValueError("need 1 <= m < n")
     scale = op.inf_norm_estimate
     if scale == 0.0:  # the zero operator: every vector has eigenvalue 0
-        vecs = np.eye(n, m)
         return EigenSolveReport(
-            pairs=[EigenPair(0.0, vecs[:, i]) for i in range(m)],
-            residuals=np.zeros(m), iterations=0, converged=True, method="zero",
+            values=np.zeros(m), vectors=np.eye(n, m), residuals=np.zeros(m),
+            iterations=0, converged=True, method="zero",
         )
     rng = np.random.default_rng(seed)
     shift = SHIFT * scale
@@ -377,14 +405,7 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
     vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
     vecs = _fix_signs(found_vecs[:, order])
     resid = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0) / scale
-    pairs = [EigenPair(vals[i], vecs[:, i]) for i in range(m)]
-    return EigenSolveReport(
-        pairs=pairs,
-        residuals=resid,
-        iterations=applications,
-        converged=bool((resid <= tol).all()),
-        method=method,
-    )
+    return _psd_report(vals, vecs, resid, applications, tol, method)
 
 
 def _banded_shift_invert(op, shift, max_width):

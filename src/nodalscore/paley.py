@@ -172,7 +172,8 @@ def paley_score_numeric(p):
     its cluster's eigenspace with residual at most 1e-8; otherwise
     "eigenspace mismatch" is raised.  The score at each vertex is then
     the explicit character sum with the measured cluster weights, so it
-    checks the Gauss-sum values of the closed form independently.
+    checks the Gauss-sum values of the closed form independently.  A
+    solve that does not converge raises RuntimeError.
     """
     p = int(p)
     if p > NUMERIC_MAX_PRIME:
@@ -185,8 +186,9 @@ def paley_score_numeric(p):
     lap = np.where(mask[(ks[None, :] - ks[:, None]) % p], -1.0, 0.0)
     lap[ks, ks] = (p - 1) / 2.0
     report = dense_sym_eig(SymOperator(n=p, dense=lap))
-    values = np.array([pair.value for pair in report.pairs])
-    vectors = np.stack([pair.vector for pair in report.pairs], axis=1)
+    if not report.converged:
+        raise RuntimeError(f"eigensolver did not converge on the Paley Laplacian (p={p})")
+    values, vectors = report.values, report.vectors
 
     if values[0] > 1e-9 * p:
         raise ValueError("eigenspace mismatch: smallest eigenvalue is not 0")

@@ -9,21 +9,13 @@ together: Laplacian, smallest nontrivial eigenpairs, score field.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ScoreConfig,
-    ScoreField,
-    SpectralBasis,
-    compute_score_field,
-    group_degenerate,
-    rotation_averaged_score,
-)
+from .core import compute_score_field
 from .eigensolve import (
     DENSE_FALLBACK_N,
     SymOperator,
@@ -608,7 +600,7 @@ def laplacian(graph, kind="combinatorial"):
     return GraphLaplacian(op=SymOperator.from_triplets(n, rows, cols, vals), kind=kind)
 
 
-def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance, rel_tol):
+def _score_component(graph, n_terms, kind, seed):
     lap = laplacian(graph, kind)
     want = min(n_terms + 1, graph.n)
     # the iterative solver needs want < n; all n modes take the full dense solve
@@ -620,10 +612,11 @@ def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance,
         raise RuntimeError(
             f"eigensolver did not converge on a component of size {graph.n}"
         )
-    basis = SpectralBasis.build(
-        report.pairs[:want], domain_tag=f"graph n={graph.n}", drop_tolerance=drop_tolerance
-    )
-    use = min(n_terms, basis.n_pairs)
+    # numerically zero modes (a Laplacian's constants) score nothing: the
+    # ascending values below 1e-9 times the largest one are dropped
+    values, vectors = report.values, report.vectors
+    first = int(np.count_nonzero(values < 1e-9 * values.max(initial=0.0)))
+    use = min(n_terms, values.size - first)
     if use < n_terms:
         warnings.warn(
             f"component of size {graph.n} supplied only {use} nontrivial modes "
@@ -631,27 +624,17 @@ def _score_component(graph, n_terms, kind, policy, trials, seed, drop_tolerance,
             stacklevel=3,
         )
     if use == 0:
-        return np.zeros(graph.n), ""
-    config = ScoreConfig(
-        n_terms=use,
-        degenerate_policy=policy,
-        trials=trials,
-        seed=seed if policy == "rotation-average" else None,
-    )
-    if policy == "rotation-average":
-        field = rotation_averaged_score(basis, group_degenerate(basis, rel_tol), config)
-    else:
-        field = compute_score_field(basis, config)
-    return field.values, field.basis_hash
+        return np.zeros(graph.n)
+    return compute_score_field(values[first:], vectors[:, first:], use)
 
 
-def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-given",
-                trials=64, seed=0, drop_tolerance=None, rel_tol=1e-8):
+def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     """Score every vertex from the smallest nontrivial Laplacian eigenpairs.
 
-    Disconnected graphs are scored per component (warning emitted), each
-    component contributing its own nontrivial modes.  Components too small
-    to carry any nontrivial mode score zero.  WorkCapError, before any
+    Returns one float per vertex.  Disconnected graphs are scored per
+    component (warning emitted), each component contributing its own
+    nontrivial modes.  Components too small to carry any nontrivial mode
+    score zero.  WorkCapError, before any
     solve, when the largest component's wanted pairs x size exceeds
     MAX_GRAPH_SOLVE_WORK.
     """
@@ -667,7 +650,6 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
             f"exceeds {MAX_GRAPH_SOLVE_WORK}"
         )
     values = np.zeros(graph.n)
-    hashes = []
     if n_comp > 1:
         warnings.warn(
             f"graph is disconnected ({n_comp} components); scoring per component",
@@ -698,32 +680,17 @@ def score_graph(graph, n_terms, kind="sym-normalized", degenerate_policy="as-giv
             v=local[graph.v[edges]],
             w=graph.w[edges],
         )
-        vals, digest = _score_component(
-            sub, n_terms, kind, degenerate_policy, trials, seed, drop_tolerance, rel_tol
-        )
-        values[vertices] = vals
-        hashes.append(digest)
-    config = ScoreConfig(
-        n_terms=n_terms,
-        degenerate_policy=degenerate_policy,
-        trials=trials,
-        seed=seed if degenerate_policy == "rotation-average" else None,
-    )
-    digest = hashlib.sha256("|".join(hashes).encode()).hexdigest()[:16]
-    return ScoreField(values, config, digest)
-
-
-def _field_values(field):
-    return field.values if isinstance(field, ScoreField) else np.asarray(field, dtype=np.float64)
+        values[vertices] = _score_component(sub, n_terms, kind, seed)
+    return values
 
 
 # rows per write, which keeps the text of a huge field out of memory
 _CSV_BLOCK_ROWS = 1 << 16
 
 
-def write_score_csv(field, path):
+def write_score_csv(values, path):
     """Write "index,score" lines, scores at 17 significant digits."""
-    values = _field_values(field)
+    values = np.asarray(values, dtype=np.float64)
     with open(path, "wb") as fh:
         for lo in range(0, len(values), _CSV_BLOCK_ROWS):
             # values first, then rows: faster than one f-string per row
@@ -740,7 +707,8 @@ def write_class_csv(path, values, classes):
     value and newline of the row's class from a small table.  NUL pads
     both sides and is dropped on the way out.
     """
-    encoded = [f",{val:.17g}\n".encode() for val in _field_values(values).tolist()]
+    values = np.asarray(values, dtype=np.float64)
+    encoded = [f",{val:.17g}\n".encode() for val in values.tolist()]
     table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
     for row, data in enumerate(encoded):
         table[row, : len(data)] = np.frombuffer(data, dtype=np.uint8)
@@ -763,12 +731,12 @@ def write_class_csv(path, values, classes):
             fh.write(block[block != 0].tobytes())
 
 
-def write_heatmap_pgm(field, width, height, path):
+def write_heatmap_pgm(values, width, height, path):
     """Write the field min-max normalized as a binary 8-bit PGM.
 
     A constant field maps to mid-gray 128.
     """
-    values = _field_values(field)
+    values = np.asarray(values, dtype=np.float64)
     if values.size != width * height:
         raise ValueError("field size does not match width * height")
     lo, hi = float(values.min()), float(values.max())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreConfig, SpectralBasis, compute_score_field, group_degenerate, rotation_averaged_score
+from .core import compute_score_field
 from .eigensolve import DENSE_FALLBACK_N, SymOperator, dense_sym_eig, lanczos_smallest
 
 __all__ = [
@@ -159,11 +159,10 @@ def _smallest_pairs(op, m, seed):
         raise RuntimeError(
             f"eigensolver did not converge on the circle operator (n={op.n})"
         )
-    return report.pairs[:m]
+    return report.values, report.vectors
 
 
-def torus_score(n_grid, spec, n_pairs, degenerate_policy="as-given",
-                trials=64, seed=0, rel_tol=1e-8):
+def torus_score(n_grid, spec, n_pairs, seed=0):
     """Score field from the n_pairs split pairs above the ground mode.
 
     Solves the 2*n_pairs + 1 smallest eigenpairs and sums the 2*n_pairs
@@ -178,19 +177,8 @@ def torus_score(n_grid, spec, n_pairs, degenerate_policy="as-given",
         raise ValueError("n_pairs must be at most n_grid / 8")
     check_solve_work(n_grid, n_pairs)
     circle = build_circle_operator(n_grid, spec)
-    m = 2 * n_pairs + 1
-    pairs = _smallest_pairs(circle.matrix, m, seed)
-    basis = SpectralBasis(pairs[1:], domain_tag=f"circle {n_grid}", drop_tolerance=0.0)
-    config = ScoreConfig(
-        n_terms=2 * n_pairs,
-        degenerate_policy=degenerate_policy,
-        trials=trials,
-        seed=seed if degenerate_policy == "rotation-average" else None,
-    )
-    if degenerate_policy == "rotation-average":
-        groups = group_degenerate(basis, rel_tol)
-        return rotation_averaged_score(basis, groups, config)
-    return compute_score_field(basis, config)
+    values, vectors = _smallest_pairs(circle.matrix, 2 * n_pairs + 1, seed)
+    return compute_score_field(values[1:], vectors[:, 1:], 2 * n_pairs)
 
 
 def find_N_eps(spec, n_grid, n_max, seed=0):
@@ -213,14 +201,12 @@ def find_N_eps(spec, n_grid, n_max, seed=0):
         raise ValueError("n_max must be at most n_grid / 8")
     check_solve_work(n_grid, n_max)
     circle = build_circle_operator(n_grid, spec)
-    pairs = _smallest_pairs(circle.matrix, 2 * n_max + 1, seed)
-    basis = SpectralBasis(pairs[1:], domain_tag=f"circle {n_grid}", drop_tolerance=0.0)
+    values, vectors = _smallest_pairs(circle.matrix, 2 * n_max + 1, seed)
     inside = window_mask(circle.grid, spec)
     best = 0
     for n in range(1, n_max + 1):
-        config = ScoreConfig(n_terms=2 * n)
-        values = compute_score_field(basis, config, _warn=False).values
-        strict = (values < np.roll(values, 1)) & (values < np.roll(values, -1))
+        field = compute_score_field(values[1:], vectors[:, 1:], 2 * n, _warn=False)
+        strict = (field < np.roll(field, 1)) & (field < np.roll(field, -1))
         if not (strict & inside).any():
             break
         best = n

@@ -137,7 +137,7 @@ def test_acceptance_05_circle_minimum_in_window_and_sweep(capsys):
     in_window = 0
     for n_pairs in range(1, n_eps + 1):
         field = torus.torus_score(n_grid, spec, n_pairs)
-        amin = int(np.argmin(field.values))
+        amin = int(np.argmin(field))
         in_window += bool(torus.window_mask(grid[amin : amin + 1], spec)[0])
     sweep = [
         torus.find_N_eps(

@@ -26,7 +26,7 @@ from nodalscore.analytic import (
     square_score_grid,
 )
 from nodalscore import analytic
-from nodalscore.core import ScoreConfig, compute_score_field
+from nodalscore.core import compute_score_field
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -70,9 +70,9 @@ def test_interval_score_domain_check():
 
 def test_interval_score_agrees_with_sine_basis_field():
     """The closed form equals the generic score on an interval sine basis."""
-    basis = interval_sine_basis(240, 4)
+    values, vectors = interval_sine_basis(240, 4)
     xs = np.arange(241) / 240
-    field = compute_score_field(basis, ScoreConfig(n_terms=4)).values
+    field = compute_score_field(values, vectors, 4)
     closed = interval_score_grid(xs, 4)
     # grid of 240 intervals keeps every sup norm exactly 1 for k <= 4
     assert np.abs(field - closed).max() <= 1e-10
@@ -386,6 +386,6 @@ def test_remark_scaling_constant_exists():
 def test_interval_sine_basis_validation():
     with pytest.raises(ValueError):
         interval_sine_basis(1, 2)
-    basis = interval_sine_basis(48, 3)
-    assert basis.n_pairs == 3
-    assert np.allclose(basis.values, [1.0, 4.0, 9.0])
+    values, vectors = interval_sine_basis(48, 3)
+    assert vectors.shape == (49, 3)
+    assert np.allclose(values, [1.0, 4.0, 9.0])

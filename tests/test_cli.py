@@ -63,7 +63,7 @@ def test_interval_writes_csv_and_sidecar(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "interval.csv.config.json").read_text())
     assert sidecar["n-terms"] == 50
     assert sidecar["grid"] == 200
-    assert sidecar["seed"] == 0
+    assert "seed" not in sidecar  # the closed-form commands have no seed
 
 
 def test_interval_find_minima_reports_half(capsys, tmp_path):
@@ -679,11 +679,13 @@ def test_vertex_id_above_cap_exits_one(capsys, tmp_path):
 def test_non_converged_solve_exits_one(capsys, tmp_path, monkeypatch):
     def unconverged(*args, **kwargs):
         return EigenSolveReport(
-            pairs=[], residuals=np.array([]), iterations=0, converged=False
+            values=np.empty(0), vectors=np.empty((0, 0)), residuals=np.empty(0),
+            iterations=0, converged=False,
         )
 
     monkeypatch.setattr(pipeline, "dense_sym_eig", unconverged)
     monkeypatch.setattr(torus, "dense_sym_eig", unconverged)
+    monkeypatch.setattr(paley, "dense_sym_eig", unconverged)
     edges = tmp_path / "g.csv"
     write_edge_file(edges)
     code, _, err = run(
@@ -701,6 +703,11 @@ def test_non_converged_solve_exits_one(capsys, tmp_path, monkeypatch):
         ["torus", "--y", "2.0", "--eps", "0.6", "--n-grid", "256", "--n-terms", "3"],
     )
     assert code == 1
+    assert err.startswith("error:")
+    assert "did not converge" in err
+    code, stdout, err = run(capsys, ["paley", "--p", "13", "--verify"])
+    assert code == 1
+    assert stdout == ""
     assert err.startswith("error:")
     assert "did not converge" in err
 
@@ -1001,7 +1008,7 @@ def test_config_type_errors_rational_paley(capsys, tmp_path):
         assert code == 2, cfg
         assert stdout == ""
         assert f"config key '{key}'" in err, err
-    code, stdout, _ = config_run(capsys, tmp_path, ["paley"], {"p": 13.0, "seed": None})
+    code, stdout, _ = config_run(capsys, tmp_path, ["paley"], {"p": 13.0, "out": None})
     assert code == 0
     assert parse_summary(stdout)["p"] == "13"
 

@@ -7,8 +7,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from nodalscore.core import EigenPair
-from nodalscore.eigensolve import dense_sym_eig
+from nodalscore import paley
+from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.paley import (
     PER_VERTEX_MAX_PRIME,
     PaleyField,
@@ -239,15 +239,27 @@ def test_numeric_rejects_a_basis_off_the_character_eigenspaces(monkeypatch, p):
     # character now leaves a residual near 1e-6 |<e_k, v>| / |e_k|
     def rotated_solve(op):
         report = dense_sym_eig(op)
-        values = [pair.value for pair in report.pairs]
-        lo, hi = 1, int(np.argmax(np.array(values) >= op.n / 2.0))
-        u, v = report.pairs[lo].vector, report.pairs[hi].vector
+        lo, hi = 1, int(np.argmax(report.values >= op.n / 2.0))
+        u, v = report.vectors[:, lo].copy(), report.vectors[:, hi].copy()
         c, s = math.cos(1e-6), math.sin(1e-6)
-        report.pairs[lo] = EigenPair(values[lo], c * u + s * v)
-        report.pairs[hi] = EigenPair(values[hi], c * v - s * u)
+        report.vectors[:, lo] = c * u + s * v
+        report.vectors[:, hi] = c * v - s * u
         return report
 
     paley_score_numeric(p)
     monkeypatch.setattr("nodalscore.paley.dense_sym_eig", rotated_solve)
     with pytest.raises(ValueError, match="eigenspace mismatch: character projection residual"):
         paley_score_numeric(p)
+
+
+def test_numeric_stops_on_non_converged_solve(monkeypatch):
+    # the failed dense solve returns no pairs; the check precedes any use
+    def failed(op):
+        return EigenSolveReport(
+            values=np.empty(0), vectors=np.empty((op.n, 0)), residuals=np.empty(0),
+            iterations=0, converged=False,
+        )
+
+    monkeypatch.setattr(paley, "dense_sym_eig", failed)
+    with pytest.raises(RuntimeError, match="did not converge on the Paley Laplacian"):
+        paley_score_numeric(13)
