@@ -5,7 +5,8 @@ with its flags declared once in COMMANDS.  Every flag can also come from a
 JSON file via --config (explicit flags win), and every run that writes an
 output file also writes `<out>.config.json` with the effective
 configuration.  Summaries are stable key=value lines on
-stdout.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
+stdout, and each library warning is one `warning: <message>` line on
+stderr.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -422,17 +424,27 @@ def build_parser():
 _shared_parser = functools.cache(build_parser)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = _shared_parser()
-    try:
-        args = parser.parse_args(argv)
-        _, handler, flags = COMMANDS[args.command]
-        return handler(_merge(args, parser, flags), parser)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # every library warning, on every call, as one line with no source
+    # location: Python's default shows each location once per process and
+    # echoes the install path and source line
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            _, handler, flags = COMMANDS[args.command]
+            return handler(_merge(args, parser, flags), parser)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 0
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry():

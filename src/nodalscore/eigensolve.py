@@ -429,17 +429,20 @@ def _banded_shift_invert(op, shift, max_width):
     from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    perm = reverse_cuthill_mckee(op.csr, symmetric_mode=True)
+    csr = op.csr
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(op.n, dtype=perm.dtype)
-    coo = op.csr.tocoo()
-    rows, cols = inv[coo.row], inv[coo.col]
+    # the permuted width straight from the CSR arrays: a wide band (kNN and
+    # random graphs) is refused before any COO copy or band is built
+    rows = np.repeat(inv, np.diff(csr.indptr))
+    cols = inv[csr.indices]
     width = int(np.abs(cols - rows).max(initial=0))
     if width + 1 > max_width:
         return None
     upper = cols >= rows
     band = np.zeros((width + 1, op.n))  # LAPACK upper band storage
-    np.add.at(band, (width + rows[upper] - cols[upper], cols[upper]), coo.data[upper])
+    np.add.at(band, (width + rows[upper] - cols[upper], cols[upper]), csr.data[upper])
     band[width] -= shift
     try:
         factor = cholesky_banded(band)

@@ -1,14 +1,16 @@
 """Graphs from files and images, Laplacians, and the end-to-end score.
 
 Images turn into patch graphs: one vertex per pixel, an 8x8 mirror-padded
-patch per vertex, exact k-nearest-neighbor search over all patch pairs,
-Gaussian edge weights exp(-d^2 / sigma^2), union symmetrization.  Meshes
-and edge lists map straight to weighted graphs.  score_graph ties it
-together: Laplacian, smallest nontrivial eigenpairs, score field.
+patch of integer samples per vertex, exact k-nearest-neighbor search over
+all patch pairs with integer distances, Gaussian edge weights
+exp(-d^2 / sigma^2), union symmetrization.  Meshes and edge lists map
+straight to weighted graphs.  score_graph ties it together: Laplacian,
+smallest nontrivial eigenpairs, score field.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -63,9 +65,9 @@ MAX_PATCH_WORK = 1 << 21
 # runs at this cap took 5-19 s and at most 346 MB (README)
 MAX_GRAPH_SOLVE_WORK = 1 << 19
 
-# rows of one exact kNN block, fixed so that the bytes never depend on the
-# machine (BLAS results can depend on the block shape), and the rows of the
-# distance matrix held at once by all the blocks in flight
+# rows of one exact kNN block, fixed so that the scratch never depends on
+# the machine, and the rows of the distance matrix held at once by all the
+# blocks in flight
 _KNN_BLOCK_ROWS = 64
 _KNN_ROWS_IN_FLIGHT = 256
 # rows of the kNN sum-of-squares temporary, a small fraction of a block
@@ -134,23 +136,34 @@ class Graph:
 
 @dataclass
 class Image:
-    """Grayscale image, intensities in [0, 1], row-major."""
+    """Grayscale image of integer samples 0..maxval, row-major."""
 
     width: int
     height: int
-    pixels: np.ndarray
+    samples: np.ndarray
+    maxval: int
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64).ravel()
+        self.samples = np.asarray(self.samples).ravel()
+        self.maxval = operator.index(self.maxval)
         if self.width < 1 or self.height < 1:
             raise ValueError("empty image")
-        if self.pixels.size != self.width * self.height:
+        if self.samples.size != self.width * self.height:
             raise ValueError("pixel count does not match dimensions")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ValueError("intensities must lie in [0, 1]")
+        if self.samples.dtype.kind not in "iu":
+            raise ValueError("samples must be integers")
+        if not 1 <= self.maxval <= 65535:
+            raise ValueError("maxval must be in 1..65535")
+        if self.samples.min() < 0 or self.samples.max() > self.maxval:
+            raise ValueError("samples must lie in 0..maxval")
+
+    @property
+    def pixels(self):
+        """Intensities in [0, 1]: samples / maxval."""
+        return self.samples / self.maxval
 
     def as_2d(self):
-        return self.pixels.reshape(self.height, self.width)
+        return self.samples.reshape(self.height, self.width)
 
 
 @dataclass
@@ -323,6 +336,8 @@ def parse_pgm(data):
     if count > MAX_PATCH_PIXELS:
         raise WorkCapError(f"image of {count} pixels exceeds {MAX_PATCH_PIXELS}")
     end = header[2][1]
+    # one or two bytes per sample, as in the binary payload
+    stored = np.dtype(np.uint16 if maxval > 255 else np.uint8)
     if magic == b"P2":
         body = _pgm_tokens(data, end, count)
         if len(body) < count:
@@ -336,22 +351,36 @@ def parse_pgm(data):
             raise ValueError("negative PGM sample")
         if max(samples) > maxval:
             raise ValueError("PGM sample exceeds maxval")
-        vals = np.array(samples, dtype=np.int64)
+        vals = np.array(samples, dtype=stored)
     else:
         # the payload starts one whitespace byte past the maxval token
-        nbytes = count * (2 if maxval > 255 else 1)
+        nbytes = count * stored.itemsize
         payload = data[end + 1 : end + 1 + nbytes]
         if len(payload) < nbytes:
             raise ValueError("truncated PGM pixel data")
-        dtype = ">u2" if maxval > 255 else np.uint8
-        vals = np.frombuffer(payload, dtype=dtype).astype(np.int64)
+        vals = np.frombuffer(payload, dtype=stored.newbyteorder(">")).astype(stored)
         if vals.max(initial=0) > maxval:
             raise ValueError("PGM sample exceeds maxval")
-    return Image(width=width, height=height, pixels=vals / maxval)
+    return Image(width=width, height=height, samples=vals, maxval=maxval)
+
+
+def _patch_dtype(patch_size, maxval):
+    """float32 when its 24-bit significand holds every patch distance term.
+
+    A patch of integer samples 0..maxval has |a|^2 and 2a.b at most
+    patch^2 maxval^2, so every partial sum of the kNN distance formula is
+    an integer below 2 patch^2 maxval^2: exact in float32 below 2^24
+    (patch <= 11 at 8 bits), and otherwise in float64, whose 2^53 the
+    work caps keep out of reach.
+    """
+    return np.float32 if 2 * patch_size**2 * maxval**2 < 1 << 24 else np.float64
 
 
 def _patch_matrix(img, patch_size):
-    """All mirror-padded patches, one row per pixel, anchored at the center."""
+    """All mirror-padded patches of samples, one row per pixel, anchored at the center.
+
+    The entries are the integer samples, held in _patch_dtype's float type.
+    """
     lo = (patch_size - 1) // 2
     hi = patch_size // 2
     arr = img.as_2d()
@@ -359,7 +388,11 @@ def _patch_matrix(img, patch_size):
         raise ValueError("image too small for the patch size")
     padded = np.pad(arr, ((lo, hi), (lo, hi)), mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size))
-    return windows.reshape(img.height * img.width, patch_size * patch_size).copy()
+    # one converting copy straight from the windows, no integer copy first
+    dtype = _patch_dtype(patch_size, img.maxval)
+    patches = np.empty((img.height, img.width, patch_size, patch_size), dtype=dtype)
+    patches[...] = windows
+    return patches.reshape(img.height * img.width, patch_size * patch_size)
 
 
 def check_patch_work(n_pixels, patch_size):
@@ -390,13 +423,12 @@ def _knn_block(patches, sq, k, m, lo, idx_out, d2_out):
     n = patches.shape[0]
     hi = min(lo + _KNN_BLOCK_ROWS, n)
     # doubling is exact, so 2a.b comes out of the product with no extra pass
-    d2 = (2.0 * patches[lo:hi]) @ patches.T
+    d2 = (2 * patches[lo:hi]) @ patches.T
     # (|a|^2 + |b|^2) - 2a.b in place, a few rows at a time, so the block
-    # holds one (rows, n) float array, not two
+    # holds one (rows, n) float array, not two; exact, so never negative
     for r in range(lo, hi, _KNN_STRIP_ROWS):
         strip = d2[r - lo : r - lo + _KNN_STRIP_ROWS]
         np.subtract(sq[r : r + _KNN_STRIP_ROWS, None] + sq[None, :], strip, out=strip)
-    np.maximum(d2, 0.0, out=d2)
     rows = np.arange(lo, hi)
     d2[rows - lo, rows] = np.inf
     # the m smallest, in (distance, index) order: index sort, then a
@@ -424,15 +456,20 @@ def _knn_block(patches, sq, k, m, lo, idx_out, d2_out):
 def _knn_exact(patches, k):
     """k nearest rows per row (self excluded), ties broken by smaller index.
 
+    patches holds integers, in float32 or float64 (see _patch_dtype), and
+    every squared distance (|a|^2 + |b|^2) - 2 a.b is formed in that type.
+    While 2 max|a|^2 is below 2^24 (float32) or 2^53 (float64), every
+    product, norm and partial sum is an integer the type holds, so each
+    distance is exact in any summation order: equal distances are true
+    ties, ranked by index, and the bytes do not depend on the BLAS, the
+    block shape or the thread count.
     Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
     pool with one worker per CPU but at most
-    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, so the scratch is about two
-    (_KNN_ROWS_IN_FLIGHT, n) arrays of 8-byte entries (distances and the
-    selection's indices) whatever n and the CPU count are.  Each block
-    writes only its own output rows.  Each squared distance is
-    (|a|^2 + |b|^2) - 2 a.b, computed in that order; the fixed block shape
-    keeps the bytes independent of the worker count.
-    Returns (indices (n, k), squared distances (n, k)).
+    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, so the scratch is about
+    _KNN_ROWS_IN_FLIGHT rows of n distances and n 8-byte selection
+    indices whatever n and the CPU count are.  Each block writes only its
+    own output rows.
+    Returns (indices (n, k), squared distances (n, k) in float64).
     """
     # imported here, not at module top: the closed-form subcommands build
     # no graph and would pay its import on every start
@@ -460,8 +497,9 @@ def _knn_exact(patches, k):
 def patch_graph(img, config=None):
     """kNN patch graph of an image with Gaussian weights.
 
-    sigma is the median distance to the k-th neighbor when bandwidth is
-    "auto"; a zero median (constant image) is an error.  The directed kNN
+    Distances are in intensity units (samples / maxval).  sigma is the
+    median distance to the k-th neighbor when bandwidth is "auto"; a zero
+    median (constant image) is an error.  The directed kNN
     lists are symmetrized by union, both directions sharing one weight.
     The construction is deterministic.
     """
@@ -472,6 +510,8 @@ def patch_graph(img, config=None):
     check_patch_work(n, config.patch_size)
     patches = _patch_matrix(img, config.patch_size)
     nbr_idx, nbr_d2 = _knn_exact(patches, config.k_neighbors)
+    # exact squared sample distances to intensity units, one rounding each
+    nbr_d2 /= img.maxval * img.maxval
     if config.bandwidth == "auto":
         sigma = float(np.median(np.sqrt(nbr_d2[:, -1])))
         if sigma == 0.0:

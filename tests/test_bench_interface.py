@@ -67,3 +67,31 @@ def test_solver_reports_read_as_the_tracer_reads_them(solve):
     assert pairs[0].vector.size == report.vectors.shape[0]
     with pytest.raises(AttributeError):
         report.pairs = ()
+
+
+def test_knn_counter_and_patch_graph_span_read_a_parsed_pgm(tmp_path, capsys):
+    # the image-anomaly jobs: a P5 file through `graph --format pgm`
+    width, height = 12, 10
+    samples = np.random.default_rng(0).integers(0, 256, width * height).astype(np.uint8)
+    pgm = tmp_path / "clutter.pgm"
+    pgm.write_bytes(f"P5\n{width} {height}\n255\n".encode() + samples.tobytes())
+    n = width * height
+    image = pipeline.parse_pgm(pgm.read_bytes())
+    assert tracer._count_knn((image, pipeline.PatchGraphConfig()), {}, None) == {
+        "pipeline.knn.pairs": n * (n - 1)
+    }
+    recorder = tracer.Tracer(_nodalscore_modules())
+    recorder.install()
+    try:
+        code = nodalscore.cli.main(
+            ["graph", "--input", str(pgm), "--format", "pgm", "--patch", "3", "--knn", "4",
+             "--n-terms", "3", "--out", str(tmp_path / "s.csv")]
+        )
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    spans, counts, _ = recorder.harvest()
+    assert code == 0
+    names = [span[0] for span in spans]
+    assert names.count("pipeline.parse_pgm") == names.count("pipeline.patch_graph") == 1
+    assert counts["pipeline.knn.pairs"] == n * (n - 1)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +339,20 @@ def test_graph_edges_format(capsys, tmp_path):
     assert len(lines) == 6
 
 
+def test_graph_warnings_are_one_fixed_stderr_line_on_every_call(capsys, tmp_path):
+    edges = tmp_path / "two.csv"
+    edges.write_text("0,1\n1,2\n3,4\n4,5\n")  # two 3-vertex paths
+    argv = ["graph", "--input", str(edges), "--format", "edges",
+            "--n-terms", "1", "--out", str(tmp_path / "s.csv")]
+    first = run(capsys, argv)
+    second = run(capsys, argv)
+    assert first == second
+    code, _, err = first
+    assert code == 0
+    assert err == "warning: graph is disconnected (2 components); scoring per component\n"
+    assert ".py:" not in err
+
+
 @pytest.mark.parametrize("n", [500, 600])
 def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
     # a cycle asked for all n - 1 nontrivial modes wants all n pairs; 500
@@ -347,13 +360,11 @@ def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
     edges = tmp_path / "cycle.csv"
     edges.write_text("".join(f"{i},{(i + 1) % n}\n" for i in range(n)))
     out = tmp_path / "s.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # degenerate modes
-        code, stdout, err = run(
-            capsys,
-            ["graph", "--input", str(edges), "--format", "edges",
-             "--n-terms", str(n - 1), "--out", str(out)],
-        )
+    code, stdout, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges",
+         "--n-terms", str(n - 1), "--out", str(out)],
+    )
     assert code == 0, err
     assert parse_summary(stdout)["n_terms"] == str(n - 1)
     assert len(out.read_text().splitlines()) == n

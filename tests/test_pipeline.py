@@ -43,9 +43,8 @@ def make_anomaly_image(seed, size=64, block=8):
     r0, c0 = rng.integers(block, size - 2 * block + 1, 2)
     patch = 0.92 + 0.02 * rng.standard_normal((block, block))
     img[r0 : r0 + block, c0 : c0 + block] = patch
-    img = np.clip(img, 0.0, 1.0)
-    img = np.floor(img * 255.0 + 0.5) / 255.0
-    return Image(width=size, height=size, pixels=img.ravel()), (int(r0), int(c0))
+    samples = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    return Image(width=size, height=size, samples=samples, maxval=255), (int(r0), int(c0))
 
 
 # -------------------------------------------------------------------- Graph
@@ -237,6 +236,26 @@ def test_pgm_sixteen_bit_big_endian():
     assert np.allclose(img.pixels, [0.0, 1.0])
 
 
+def test_pgm_keeps_integer_samples():
+    img = parse_pgm(b"P2\n3 1\n1000\n0 7 1000\n")
+    assert img.maxval == 1000 and img.samples.dtype == np.uint16
+    assert img.samples.tolist() == [0, 7, 1000]
+    assert img.pixels.tolist() == [0.0, 7 / 1000, 1.0]
+    binary = parse_pgm(b"P5\n2 1\n255\n" + bytes([3, 250]))
+    assert binary.samples.dtype == np.uint8 and binary.samples.tolist() == [3, 250]
+
+
+def test_image_refuses_samples_outside_0_to_maxval():
+    with pytest.raises(ValueError, match="integers"):
+        Image(width=2, height=1, samples=[0.0, 0.5], maxval=1)
+    with pytest.raises(ValueError, match="0..maxval"):
+        Image(width=2, height=1, samples=[0, 3], maxval=2)
+    with pytest.raises(ValueError, match="0..maxval"):
+        Image(width=2, height=1, samples=[-1, 0], maxval=2)
+    with pytest.raises(ValueError, match="maxval"):
+        Image(width=1, height=1, samples=[0], maxval=65536)
+
+
 def test_pgm_errors():
     with pytest.raises(ValueError, match="magic"):
         parse_pgm(b"P6\n1 1\n255\n\x00")
@@ -269,7 +288,7 @@ def test_pgm_pixel_cap_checked_from_header():
 
 
 def test_patch_graph_constant_image_zero_bandwidth():
-    img = Image(width=10, height=10, pixels=np.full(100, 0.5))
+    img = Image(width=10, height=10, samples=np.full(100, 1), maxval=2)
     with pytest.raises(ValueError, match="zero bandwidth"):
         patch_graph(img, PatchGraphConfig(k_neighbors=3))
 
@@ -277,8 +296,8 @@ def test_patch_graph_constant_image_zero_bandwidth():
 def test_patch_graph_two_tone_pairs():
     # 2x2 checkerboard-free split: left column dark, right column bright;
     # with k=1 and patch 1 each pixel links to its same-tone vertical twin
-    pixels = np.array([[0.0, 1.0], [0.0, 1.0]])
-    img = Image(width=2, height=2, pixels=pixels.ravel())
+    samples = np.array([[0, 1], [0, 1]])
+    img = Image(width=2, height=2, samples=samples, maxval=1)
     g = patch_graph(img, PatchGraphConfig(patch_size=1, k_neighbors=1, bandwidth=1.0))
     edges = set(zip(g.u.tolist(), g.v.tolist()))
     assert edges == {(0, 2), (1, 3)}
@@ -293,7 +312,7 @@ def test_patch_graph_determinism():
 
 
 def test_patch_graph_rejects_oversized_k():
-    img = Image(width=3, height=3, pixels=np.linspace(0, 1, 9))
+    img = Image(width=3, height=3, samples=np.arange(9), maxval=8)
     with pytest.raises(ValueError):
         patch_graph(img, PatchGraphConfig(patch_size=1, k_neighbors=9))
 
@@ -322,18 +341,45 @@ _ROWS = pipeline._KNN_BLOCK_ROWS
 
 
 def knn_oracle(patches, k):
-    """Full-matrix reference: the same d2 formula, then a per-row lexsort."""
+    """Brute force in int64 on integer patches: every squared distance, then
+    a full per-row lexsort((index, distance)).
+
+    Returns the k nearest (indices, squared distances) and the (k+1)-th
+    distance of each row (None when k = n - 1).
+    """
+    ints = np.asarray(patches).astype(np.int64)
+    assert np.array_equal(ints, patches)  # integers only
+    patches = ints
     n = patches.shape[0]
     sq = (patches * patches).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    gram = patches @ patches.T
-    gram *= 2.0
-    d2 -= gram
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    idx = np.arange(n)
-    order = np.array([np.lexsort((idx, row))[:k] for row in d2])
-    return order, np.take_along_axis(d2, order, axis=1)
+    index = np.arange(n)
+    idx = np.empty((n, k), dtype=np.int64)
+    d2 = np.empty((n, k), dtype=np.int64)
+    nxt = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, 256):
+        rows = index[lo : lo + 256]
+        block = sq[rows, None] + sq[None, :] - 2 * (patches[rows] @ patches.T)
+        block[rows - lo, rows] = np.iinfo(np.int64).max  # self last
+        order = np.lexsort((np.broadcast_to(index, block.shape), block), axis=-1)
+        ranked = np.take_along_axis(block, order[:, : k + 1], axis=1)
+        idx[rows], d2[rows], nxt[rows] = order[:, :k], ranked[:, :k], ranked[:, -1]
+    return idx, d2, (nxt if k < n - 1 else None)
+
+
+def sample_patches(samples, patch_size):
+    """Mirror-padded integer patches of a 2-D sample array, built in int64."""
+    lo, hi = (patch_size - 1) // 2, patch_size // 2
+    padded = np.pad(np.asarray(samples, dtype=np.int64), ((lo, hi), (lo, hi)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (patch_size, patch_size))
+    return windows.reshape(samples.size, patch_size * patch_size)
+
+
+def assert_knn_matches_oracle(patches, k, ref):
+    idx, d2 = pipeline._knn_exact(patches, k)
+    ref_idx, ref_d2, _ = ref
+    assert d2.dtype == np.float64
+    assert np.array_equal(idx, ref_idx)
+    assert d2.tobytes() == ref_d2.astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -352,16 +398,96 @@ def knn_oracle(patches, k):
     ],
 )
 def test_knn_exact_matches_full_matrix_oracle(height, width, patch_size, levels, k):
-    # dyadic gray levels keep every product and sum exact, so the distances
-    # cannot depend on how the matrix product is blocked
     rng = np.random.default_rng(height * width + levels)
-    pixels = rng.integers(0, levels, height * width) / (levels - 1)
-    img = Image(width=width, height=height, pixels=pixels)
+    samples = rng.integers(0, levels, (height, width))
+    img = Image(width=width, height=height, samples=samples, maxval=levels - 1)
     patches = pipeline._patch_matrix(img, patch_size)
-    idx, d2 = pipeline._knn_exact(patches, k)
-    ref_idx, ref_d2 = knn_oracle(patches, k)
-    assert np.array_equal(idx, ref_idx)
-    assert d2.tobytes() == ref_d2.tobytes()
+    ref = knn_oracle(sample_patches(samples, patch_size), k)
+    assert_knn_matches_oracle(patches, k, ref)
+
+
+def _clutter(seed, size, levels):
+    return np.random.default_rng(seed).integers(90, 90 + levels, (size, size))
+
+
+def _flat_block(size, r0):
+    samples = _clutter(0, size, 80)
+    samples[r0 : r0 + 10, r0 : r0 + 10] = 235
+    return samples
+
+
+@pytest.mark.parametrize(
+    "samples, patch_size, k",
+    [
+        (_flat_block(32, 11), 3, 8),  # many identical patches in the block
+        (_flat_block(32, 0), 5, 16),  # a flat corner: mirror-padded twins
+        (_clutter(1, 32, 3), 8, 16),  # 3 levels: most k-th distances tied
+        (_clutter(1, 32, 8), 5, 16),
+        (make_anomaly_image(1)[0].samples.reshape(64, 64), 8, 16),
+    ],
+    ids=["flat-block", "flat-corner", "3-levels", "8-levels", "anomaly-64"],
+)
+def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
+    # 8-bit samples scaled to [0, 1] are not dyadic: a float distance of
+    # intensities rounds, and equal distances came out unequal by a last
+    # bit, ranked by rounding noise instead of by index
+    height, width = samples.shape
+    img = Image(width=width, height=height, samples=samples.astype(np.uint8), maxval=255)
+    ref = knn_oracle(sample_patches(samples, patch_size), k)
+    _, ref_d2, nxt = ref
+    assert (ref_d2[:, -1] == nxt).any()  # some k-th distances are tied
+    assert_knn_matches_oracle(pipeline._patch_matrix(img, patch_size), k, ref)
+
+
+def test_patch_dtype_is_float32_inside_its_exact_range():
+    # float32 holds every integer below 2^24, and 2 patch^2 maxval^2 bounds
+    # every partial sum of a distance
+    assert pipeline._patch_dtype(11, 255) is np.float32
+    assert pipeline._patch_dtype(12, 255) is np.float64
+    assert pipeline._patch_dtype(1, 2896) is np.float32  # 2 * 2896^2 < 2^24
+    assert pipeline._patch_dtype(1, 2897) is np.float64
+    assert pipeline._patch_dtype(1, 65535) is np.float64
+    img, _ = make_anomaly_image(0, size=16, block=4)
+    assert pipeline._patch_matrix(img, 8).dtype == np.float32
+
+
+@pytest.mark.parametrize(
+    "patch_size, maxval",
+    [(11, 255), (12, 255), (3, 65535)],
+    ids=["patch-11-8bit", "patch-12-8bit", "patch-3-16bit"],
+)
+def test_knn_exact_float32_and_float64_on_both_sides_of_the_bound(patch_size, maxval):
+    # samples maxval - 1 and maxval put every norm at the top of its range,
+    # and an odd count of maxval samples in a pair makes |a|^2 + |b|^2 odd
+    rng = np.random.default_rng(patch_size)
+    samples = maxval - rng.integers(0, 2, (24, 24))
+    img = Image(width=24, height=24, samples=samples, maxval=maxval)
+    patches = pipeline._patch_matrix(img, patch_size)
+    ref = knn_oracle(sample_patches(samples, patch_size), 16)
+    runs = {
+        dtype: pipeline._knn_exact(patches.astype(dtype), 16) for dtype in (np.float32, np.float64)
+    }
+    assert_knn_matches_oracle(patches, 16, ref)
+    assert_knn_matches_oracle(patches.astype(np.float64), 16, ref)
+    same = all(a.tobytes() == b.tobytes() for a, b in zip(runs[np.float32], runs[np.float64]))
+    # inside the bound float32 is exact; past it an odd sum above 2^24
+    # rounds, so float32 is wrong there and the patches are float64
+    assert same == (patches.dtype == np.float32)
+
+
+def test_float64_distances_are_exact_at_every_accepted_patch_size():
+    # an image must be wider and taller than half a patch, so the smallest
+    # image a patch size accepts has (patch // 2 + 1)^2 pixels
+    accepted = []
+    for patch_size in range(1, math.isqrt(pipeline.MAX_PATCH_WORK) + 1):
+        try:
+            check_patch_work((patch_size // 2 + 1) ** 2, patch_size)
+        except WorkCapError:
+            continue
+        accepted.append(patch_size)
+    largest = max(accepted)
+    assert 2 * largest**2 * 65535**2 < 2**53
+    assert pipeline._patch_dtype(largest, 65535) is np.float64
 
 
 def test_knn_exact_scratch_is_bounded():
@@ -394,10 +520,9 @@ def record_pool_sizes(monkeypatch):
 
 
 def test_knn_exact_bytes_do_not_depend_on_the_worker_count(monkeypatch):
-    # 8-bit gray levels are not dyadic, so the products round, and the
-    # block shapes, which can move the last bits, must not depend on the
-    # worker count.  4 workers is more than most test machines have cores,
-    # and a short switch interval interleaves the workers' Python steps.
+    # the distances are exact, so no block shape or worker count can move
+    # a last bit; 4 workers is more than most test machines have cores,
+    # and a short switch interval interleaves the workers' Python steps
     img, _ = make_anomaly_image(5, size=40, block=6)
     patches = pipeline._patch_matrix(img, 5)
     sizes = record_pool_sizes(monkeypatch)
@@ -445,10 +570,12 @@ def test_patch_graph_work_caps_checked_before_patches(monkeypatch):
         raise AssertionError("built a patch matrix above the cap")
 
     monkeypatch.setattr(pipeline, "_patch_matrix", refuse)
-    wide = Image(width=MAX_PATCH_PIXELS + 1, height=1, pixels=np.zeros(MAX_PATCH_PIXELS + 1))
+    wide = Image(
+        width=MAX_PATCH_PIXELS + 1, height=1, samples=np.zeros(MAX_PATCH_PIXELS + 1, int), maxval=1
+    )
     with pytest.raises(ValueError, match="exceeds"):
         patch_graph(wide, PatchGraphConfig(patch_size=1))
-    square = Image(width=64, height=64, pixels=np.zeros(4096))
+    square = Image(width=64, height=64, samples=np.zeros(4096, int), maxval=1)
     with pytest.raises(ValueError, match="exceeds"):
         patch_graph(square, PatchGraphConfig(patch_size=23))
     check_patch_work(MAX_PATCH_PIXELS, 8)  # both caps met exactly
