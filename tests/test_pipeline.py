@@ -374,8 +374,8 @@ def sample_patches(samples, patch_size):
     return windows.reshape(samples.size, patch_size * patch_size)
 
 
-def assert_knn_matches_oracle(patches, k, ref):
-    idx, d2 = pipeline._knn_exact(patches, k)
+def assert_knn_matches_oracle(result, ref):
+    idx, d2 = result
     ref_idx, ref_d2, _ = ref
     assert d2.dtype == np.float64
     assert np.array_equal(idx, ref_idx)
@@ -403,7 +403,7 @@ def test_knn_exact_matches_full_matrix_oracle(height, width, patch_size, levels,
     img = Image(width=width, height=height, samples=samples, maxval=levels - 1)
     patches = pipeline._patch_matrix(img, patch_size)
     ref = knn_oracle(sample_patches(samples, patch_size), k)
-    assert_knn_matches_oracle(patches, k, ref)
+    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
 
 
 def _clutter(seed, size, levels):
@@ -428,15 +428,16 @@ def _flat_block(size, r0):
     ids=["flat-block", "flat-corner", "3-levels", "8-levels", "anomaly-64"],
 )
 def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
-    # 8-bit samples scaled to [0, 1] are not dyadic: a float distance of
-    # intensities rounds, and equal distances came out unequal by a last
-    # bit, ranked by rounding noise instead of by index
+    # 8-bit samples scaled to [0, 1] are not dyadic, so a float distance of
+    # intensities rounds and can split an exact tie by a last bit; the
+    # integer distances cannot
     height, width = samples.shape
     img = Image(width=width, height=height, samples=samples.astype(np.uint8), maxval=255)
     ref = knn_oracle(sample_patches(samples, patch_size), k)
     _, ref_d2, nxt = ref
     assert (ref_d2[:, -1] == nxt).any()  # some k-th distances are tied
-    assert_knn_matches_oracle(pipeline._patch_matrix(img, patch_size), k, ref)
+    patches = pipeline._patch_matrix(img, patch_size)
+    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
 
 
 def test_patch_dtype_is_float32_inside_its_exact_range():
@@ -464,12 +465,9 @@ def test_knn_exact_float32_and_float64_on_both_sides_of_the_bound(patch_size, ma
     img = Image(width=24, height=24, samples=samples, maxval=maxval)
     patches = pipeline._patch_matrix(img, patch_size)
     ref = knn_oracle(sample_patches(samples, patch_size), 16)
-    runs = {
-        dtype: pipeline._knn_exact(patches.astype(dtype), 16) for dtype in (np.float32, np.float64)
-    }
-    assert_knn_matches_oracle(patches, 16, ref)
-    assert_knn_matches_oracle(patches.astype(np.float64), 16, ref)
-    same = all(a.tobytes() == b.tobytes() for a, b in zip(runs[np.float32], runs[np.float64]))
+    as32, as64 = (pipeline._knn_exact(patches.astype(t), 16) for t in (np.float32, np.float64))
+    assert_knn_matches_oracle(as64, ref)
+    same = all(a.tobytes() == b.tobytes() for a, b in zip(as32, as64))
     # inside the bound float32 is exact; past it an odd sum above 2^24
     # rounds, so float32 is wrong there and the patches are float64
     assert same == (patches.dtype == np.float32)
