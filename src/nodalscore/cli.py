@@ -152,7 +152,7 @@ def _cmd_interval(merged, parser):
         ("max_value", float(values.max())),
     ]
     if merged["find-minima"]:
-        minima = find_strict_local_minima(values, "grid-1d")
+        minima = find_strict_local_minima(values)
         items.append(("minima_count", minima.size))
         items.append(("minima_x", ";".join(format(x, ".17g") for x in xs[minima])))
     _summary(items)

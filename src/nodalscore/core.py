@@ -1,4 +1,4 @@
-"""Score fields from eigenpair arrays, degeneracy grouping, local minima.
+"""Score fields from eigenpair arrays, degeneracy grouping, minima on a path.
 
 A basis is two arrays: ascending eigenvalues ``values`` of shape (m,) and
 the sampled eigenvectors as the columns of ``vectors``, shape (n, m).  The
@@ -83,51 +83,15 @@ def group_degenerate(values, rel_tol):
     return [run.tolist() for run in np.split(np.arange(values.size), breaks)]
 
 
-def _grid2d_minima(values, shape):
-    rows, cols = shape
-    v = values.reshape(rows, cols)
-    padded = np.full((rows + 2, cols + 2), np.inf)
-    padded[1:-1, 1:-1] = v
-    ok = (
-        (v < padded[:-2, 1:-1])
-        & (v < padded[2:, 1:-1])
-        & (v < padded[1:-1, :-2])
-        & (v < padded[1:-1, 2:])
-    )
-    return np.flatnonzero(ok.ravel())
+def find_strict_local_minima(values):
+    """Indices of a path whose value is strictly below each path neighbor's.
 
-
-def find_strict_local_minima(values, topology, shape=None, adjacency=None):
-    """Indices whose value is strictly below every neighbor's.
-
-    topology is "grid-1d" (path neighbors), "grid-2d" (4-neighborhood,
-    shape=(rows, cols) required) or "graph-adjacency" (adjacency = list of
-    neighbor index arrays).  Boundary points only compete with neighbors
-    that exist; a point with no neighbors qualifies vacuously.
+    The end points compete only with their one neighbor; a lone point
+    qualifies.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("values must be 1-d")
-    n = values.size
-    if topology == "grid-1d":
-        padded = np.concatenate(([np.inf], values, [np.inf]))
-        ok = (values < padded[:-2]) & (values < padded[2:])
-        return np.flatnonzero(ok)
-    if topology == "grid-2d":
-        if shape is None or len(shape) != 2:
-            raise ValueError("grid-2d needs shape=(rows, cols)")
-        if shape[0] * shape[1] != n:
-            raise ValueError("shape does not match the number of values")
-        return _grid2d_minima(values, shape)
-    if topology == "graph-adjacency":
-        if adjacency is None:
-            raise ValueError("graph-adjacency needs adjacency lists")
-        if len(adjacency) != n:
-            raise ValueError("adjacency length does not match the number of values")
-        out = [
-            i
-            for i in range(n)
-            if all(values[i] < values[j] for j in adjacency[i])
-        ]
-        return np.array(out, dtype=np.int64)
-    raise ValueError(f"unknown topology {topology!r}")
+    padded = np.concatenate(([np.inf], values, [np.inf]))
+    ok = (values < padded[:-2]) & (values < padded[2:])
+    return np.flatnonzero(ok)

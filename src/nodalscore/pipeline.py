@@ -30,7 +30,6 @@ __all__ = [
     "Image",
     "Mesh",
     "PatchGraphConfig",
-    "GraphLaplacian",
     "parse_edge_list",
     "parse_pgm",
     "parse_obj",
@@ -418,39 +417,32 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _knn_block(patches, sq, k, m, lo, idx_out, d2_out):
+def _knn_block(patches, sq, k, lo, idx_out, d2_out):
     """Fill rows lo..lo+_KNN_BLOCK_ROWS-1 of idx_out and d2_out (see _knn_exact)."""
     n = patches.shape[0]
     hi = min(lo + _KNN_BLOCK_ROWS, n)
     # doubling is exact, so 2a.b comes out of the product with no extra pass
     d2 = (2 * patches[lo:hi]) @ patches.T
-    # (|a|^2 + |b|^2) - 2a.b in place, a few rows at a time, so the block
-    # holds one (rows, n) float array, not two; exact, so never negative
+    # (|a|^2 + |b|^2) - 2a.b in place, a few rows at a time, exact, so
+    # never negative; each strip then becomes the exact key d2 * n + j
+    # while it is still in cache
+    key = np.empty(d2.shape, dtype=np.int64)
+    index = np.arange(n)
     for r in range(lo, hi, _KNN_STRIP_ROWS):
         strip = d2[r - lo : r - lo + _KNN_STRIP_ROWS]
         np.subtract(sq[r : r + _KNN_STRIP_ROWS, None] + sq[None, :], strip, out=strip)
+        keys = key[r - lo : r - lo + _KNN_STRIP_ROWS]
+        keys[...] = strip
+        keys *= n
+        keys += index
+    del d2
     rows = np.arange(lo, hi)
-    d2[rows - lo, rows] = np.inf
-    # the m smallest, in (distance, index) order: index sort, then a
-    # stable distance sort
-    cand = np.argpartition(d2, m - 1, axis=1)[:, :m]
-    cand.sort(axis=1)
-    cand_d = np.take_along_axis(d2, cand, axis=1)
-    order = np.argsort(cand_d, axis=1, kind="stable")
-    cand = np.take_along_axis(cand, order, axis=1)
-    cand_d = np.take_along_axis(cand_d, order, axis=1)
-    idx_out[lo:hi] = cand[:, :k]
-    d2_out[lo:hi] = cand_d[:, :k]
-    # a row whose k-th distance equals the next one may have left out a
-    # smaller index at that distance: rank every row within it.  With
-    # k = n - 1 every other row is a candidate, so none is left out.
-    kth = cand_d[:, k - 1]
-    tied_rows = np.flatnonzero(kth == cand_d[:, k]) if m > k else ()
-    for r in tied_rows:
-        tied = np.flatnonzero(d2[r] <= kth[r])
-        tied = tied[np.lexsort((tied, d2[r, tied]))[:k]]
-        idx_out[lo + r] = tied
-        d2_out[lo + r] = d2[r, tied]
+    key[rows - lo, rows] = np.iinfo(np.int64).max
+    key.partition(k - 1, axis=1)
+    sel = key[:, :k]
+    sel.sort(axis=1)
+    idx_out[lo:hi] = sel % n
+    d2_out[lo:hi] = sel // n
 
 
 def _knn_exact(patches, k):
@@ -462,13 +454,14 @@ def _knn_exact(patches, k):
     product, norm and partial sum is an integer the type holds, so each
     distance is exact in any summation order: equal distances are true
     ties, ranked by index, and the bytes do not depend on the BLAS, the
-    block shape or the thread count.
+    block shape or the thread count.  Each row selects by the int64 key
+    d2 * n + j: d2 <= patch^2 maxval^2 and n patch^2 <= MAX_PATCH_WORK
+    keep it below 2^53, so one partition ranks by distance, then index.
     Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
     pool with one worker per CPU but at most
     _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, so the scratch is about
-    _KNN_ROWS_IN_FLIGHT rows of n distances and n 8-byte selection
-    indices whatever n and the CPU count are.  Each block writes only its
-    own output rows.
+    _KNN_ROWS_IN_FLIGHT rows of n distances and n int64 keys whatever n
+    and the CPU count are.  Each block writes only its own output rows.
     Returns (indices (n, k), squared distances (n, k) in float64).
     """
     # imported here, not at module top: the closed-form subcommands build
@@ -479,16 +472,13 @@ def _knn_exact(patches, k):
     sq = (patches * patches).sum(axis=1)
     idx_out = np.empty((n, k), dtype=np.int64)
     d2_out = np.empty((n, k))
-    # one candidate past the k-th shows whether the k-th distance is tied
-    # with a row left out
-    m = min(k + 1, n - 1)
     starts = range(0, n, _KNN_BLOCK_ROWS)
     workers = min(_cpu_count(), _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, len(starts))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the blocks release the GIL in numpy; iterating the results
         # re-raises the first block that failed
         for _ in pool.map(
-            lambda lo: _knn_block(patches, sq, k, m, lo, idx_out, d2_out), starts
+            lambda lo: _knn_block(patches, sq, k, lo, idx_out, d2_out), starts
         ):
             pass
     return idx_out, d2_out
@@ -602,14 +592,6 @@ def mesh_graph(mesh):
     return Graph(n=n, u=key // n, v=key % n, w=np.ones(key.size))
 
 
-@dataclass
-class GraphLaplacian:
-    """Laplacian operator and the kind it was built as."""
-
-    op: SymOperator
-    kind: str
-
-
 LAPLACIAN_KINDS = ("combinatorial", "sym-normalized")
 
 
@@ -637,7 +619,7 @@ def laplacian(graph, kind="combinatorial"):
         )
     rows = np.concatenate([idx, graph.u])
     cols = np.concatenate([idx, graph.v])
-    return GraphLaplacian(op=SymOperator.from_triplets(n, rows, cols, vals), kind=kind)
+    return SymOperator.from_triplets(n, rows, cols, vals)
 
 
 def _score_component(graph, n_terms, kind, seed):
@@ -645,9 +627,9 @@ def _score_component(graph, n_terms, kind, seed):
     want = min(n_terms + 1, graph.n)
     # the iterative solver needs want < n; all n modes take the full dense solve
     if graph.n <= DENSE_FALLBACK_N or want == graph.n:
-        report = dense_sym_eig(lap.op.densified(), m=want)
+        report = dense_sym_eig(lap.densified(), m=want)
     else:
-        report = lanczos_smallest(lap.op, want, tol=1e-10, seed=seed)
+        report = lanczos_smallest(lap, want, tol=1e-10, seed=seed)
     if not report.converged:
         raise RuntimeError(
             f"eigensolver did not converge on a component of size {graph.n}"

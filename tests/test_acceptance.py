@@ -104,7 +104,7 @@ def test_acceptance_04_paley_three_values_and_spectrum(capsys):
         if class_counts.size != 3:
             counts_ok = False
         lap = pipeline.laplacian(paley.paley_graph(p), "combinatorial")
-        numeric_spectrum = np.sort(np.linalg.eigvalsh(lap.op.to_dense()))
+        numeric_spectrum = np.sort(np.linalg.eigvalsh(lap.to_dense()))
         spec = paley.paley_spectrum(p)
         half = (p - 1) // 2
         expected = np.sort(

@@ -43,7 +43,7 @@ def test_every_timed_layer_metric_names_a_wrapped_function():
 def _path_laplacian(n):
     u = np.arange(n - 1)
     graph = pipeline.Graph(n=n, u=u, v=u + 1, w=np.ones(n - 1))
-    return pipeline.laplacian(graph, "combinatorial").op
+    return pipeline.laplacian(graph, "combinatorial")
 
 
 @pytest.mark.parametrize(

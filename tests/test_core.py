@@ -63,7 +63,7 @@ def test_basis_build_drops_trivial_modes():
     graph = pipeline.Graph(n=3, u=[0, 1], v=[1, 2], w=[1.0, 1e-12])
     with pytest.warns(UserWarning, match="supplied only 1 nontrivial modes"):
         field = pipeline.score_graph(graph, 2, kind="combinatorial")
-    report = dense_sym_eig(pipeline.laplacian(graph).op.densified())
+    report = dense_sym_eig(pipeline.laplacian(graph).densified())
     assert report.values[1] < 1e-9 * report.values[2]
     want = compute_score_field(report.values[2:], report.vectors[:, 2:], 1)
     assert np.array_equal(field, want)
@@ -159,7 +159,7 @@ def test_score_bits_match_per_pair_form_on_solved_graphs():
     path = np.arange(n - 1) * n + np.arange(1, n)
     keys = np.unique(np.concatenate([path, chords[a != b]]))
     graph = pipeline.Graph(n=n, u=keys // n, v=keys % n, w=rng.uniform(0.5, 2.0, keys.size))
-    op = pipeline.laplacian(graph, "sym-normalized").op
+    op = pipeline.laplacian(graph, "sym-normalized")
     for report in (dense_sym_eig(op.densified(), m=9), lanczos_smallest(op, 9, seed=0)):
         assert report.converged
         assert_same_bits(report.values[1:], report.vectors[:, 1:], 8)
@@ -253,39 +253,11 @@ def test_group_degenerate_partitions_all_indices():
 
 
 def test_minima_1d_examples():
-    assert list(find_strict_local_minima(np.array([3.0, 1.0, 2.0]), "grid-1d")) == [1]
-    assert list(find_strict_local_minima(np.ones(5), "grid-1d")) == []
+    assert list(find_strict_local_minima(np.array([3.0, 1.0, 2.0]))) == [1]
+    assert list(find_strict_local_minima(np.ones(5))) == []
     # boundary points compete only against their single neighbor
-    assert list(find_strict_local_minima(np.array([0.0, 1.0, 0.5]), "grid-1d")) == [0, 2]
-    assert list(find_strict_local_minima(np.array([0.0, 1.0, 1.5]), "grid-1d")) == [0]
-
-
-def test_minima_2d_interior_cell():
-    field = np.full((4, 5), 3.0)
-    field[2, 3] = 1.0
-    out = find_strict_local_minima(field.ravel(), "grid-2d", shape=(4, 5))
-    assert list(out) == [2 * 5 + 3]
-
-
-def test_minima_2d_constant_field_empty():
-    out = find_strict_local_minima(np.zeros(12), "grid-2d", shape=(3, 4))
-    assert out.size == 0
-
-
-def test_minima_graph_adjacency():
-    values = np.array([0.5, 2.0, 1.0, 3.0])
-    adjacency = [np.array([1]), np.array([0, 2]), np.array([1, 3]), np.array([2])]
-    out = find_strict_local_minima(values, "graph-adjacency", adjacency=adjacency)
-    assert list(out) == [0, 2]
-
-
-def test_minima_argument_validation():
-    with pytest.raises(ValueError):
-        find_strict_local_minima(np.zeros(4), "grid-2d", shape=(3, 3))
-    with pytest.raises(ValueError):
-        find_strict_local_minima(np.zeros(4), "graph-adjacency", adjacency=[[]])
-    with pytest.raises(ValueError):
-        find_strict_local_minima(np.zeros(4), "moebius")
+    assert list(find_strict_local_minima(np.array([0.0, 1.0, 0.5]))) == [0, 2]
+    assert list(find_strict_local_minima(np.array([0.0, 1.0, 1.5]))) == [0]
 
 
 def test_degeneracy_groups_type_roundtrip():

@@ -1,9 +1,12 @@
 """Ingestion, patch graphs, Laplacians, end-to-end scoring, exporters."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,8 +427,9 @@ def _flat_block(size, r0):
         (_clutter(1, 32, 3), 8, 16),  # 3 levels: most k-th distances tied
         (_clutter(1, 32, 8), 5, 16),
         (make_anomaly_image(1)[0].samples.reshape(64, 64), 8, 16),
+        (np.full((24, 24), 128), 3, 16),  # every distance 0: rank by index alone
     ],
-    ids=["flat-block", "flat-corner", "3-levels", "8-levels", "anomaly-64"],
+    ids=["flat-block", "flat-corner", "3-levels", "8-levels", "anomaly-64", "flat-24"],
 )
 def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
     # 8-bit samples scaled to [0, 1] are not dyadic, so a float distance of
@@ -485,6 +489,8 @@ def test_float64_distances_are_exact_at_every_accepted_patch_size():
         accepted.append(patch_size)
     largest = max(accepted)
     assert 2 * largest**2 * 65535**2 < 2**53
+    # the selection key d2 * n + j: d2 <= patch^2 maxval^2 and j < n
+    assert pipeline.MAX_PATCH_WORK * 65535**2 + MAX_PATCH_PIXELS < 2**53
     assert pipeline._patch_dtype(largest, 65535) is np.float64
 
 
@@ -500,6 +506,32 @@ def test_knn_exact_scratch_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"kNN peaked at {peak / 2**20:.1f} MB"
+
+
+_FLAT_128 = """
+import time
+import numpy as np
+from nodalscore.pipeline import Image, PatchGraphConfig, patch_graph
+img = Image(width=128, height=128, samples=np.full(128 * 128, 7), maxval=255)
+start = time.perf_counter()
+patch_graph(img, PatchGraphConfig(patch_size=8, k_neighbors=16, bandwidth=1.0))
+print(time.perf_counter() - start)
+"""
+
+
+def test_patch_graph_on_a_flat_image_is_not_slow():
+    # every distance ties on a flat image; ranking each tied row over all n
+    # distances took 6-12 s, one partition of keys 1.3-1.4 s (2 vCPUs).
+    # One BLAS thread, as the benchmark runs: more BLAS threads compete with
+    # the kNN workers and made the same call take 2.1-2.7 s
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLAT_128], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 3.0
 
 
 def record_pool_sizes(monkeypatch):
@@ -551,10 +583,10 @@ def test_knn_exact_workers_keep_the_rows_in_flight(monkeypatch):
 def test_knn_exact_raises_the_error_of_a_failed_block(monkeypatch):
     block = pipeline._knn_block
 
-    def fail_second(patches, sq, k, m, lo, idx_out, d2_out):
+    def fail_second(patches, sq, k, lo, idx_out, d2_out):
         if lo == _ROWS:
             raise MemoryError("second block")
-        block(patches, sq, k, m, lo, idx_out, d2_out)
+        block(patches, sq, k, lo, idx_out, d2_out)
 
     monkeypatch.setattr(pipeline, "_knn_block", fail_second)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
@@ -732,9 +764,9 @@ def test_mesh_graph_isometry_invariance():
 
 def test_laplacian_k2_matrices():
     g = Graph(n=2, u=[0], v=[1], w=[1.0])
-    comb = laplacian(g, "combinatorial").op.to_dense()
+    comb = laplacian(g, "combinatorial").to_dense()
     assert np.allclose(comb, [[1.0, -1.0], [-1.0, 1.0]])
-    sym = laplacian(g, "sym-normalized").op.to_dense()
+    sym = laplacian(g, "sym-normalized").to_dense()
     vals = np.sort(np.linalg.eigvalsh(sym))
     assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
@@ -753,7 +785,7 @@ def test_laplacian_smallest_eigenvalue_zero():
                 v.append(max(a, b))
         g = Graph(n=n, u=np.array(u), v=np.array(v), w=np.ones(len(u)))
         lap = laplacian(g, kind)
-        vals = np.linalg.eigvalsh(lap.op.to_dense())
+        vals = np.linalg.eigvalsh(lap.to_dense())
         assert abs(vals[0]) <= 1e-9
         assert vals.min() >= -1e-9  # PSD
 
