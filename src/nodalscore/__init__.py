@@ -14,18 +14,11 @@ image/mesh graph pipeline; the command line lives in nodalscore.cli.
 __version__ = "0.1.0"
 
 from .core import compute_score_field, find_strict_local_minima, group_degenerate
-from .eigensolve import (
-    EigenPair,
-    EigenSolveReport,
-    SymOperator,
-    dense_sym_eig,
-    lanczos_smallest,
-)
+from .eigensolve import EigenPair, EigenSolveReport, dense_sym_eig, lanczos_smallest
 
 __all__ = [
     "EigenPair",
     "EigenSolveReport",
-    "SymOperator",
     "compute_score_field",
     "dense_sym_eig",
     "find_strict_local_minima",

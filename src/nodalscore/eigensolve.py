@@ -1,13 +1,14 @@
 """Deterministic symmetric eigensolvers.
 
-``dense_sym_eig`` wraps LAPACK for small dense operators and reports
+``dense_sym_eig`` wraps LAPACK for small dense arrays and reports
 per-pair residuals: the full spectrum by default, or only the m smallest
 pairs from the subset driver (``dsyevr``, Dhillon & Parlett 2004), whose
 residuals then cost n^2 m instead of n^3.
-``lanczos_smallest`` finds the m smallest pairs iteratively, in rounds of
-ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``;
-Lehoucq, Sorensen & Yang 1998) on one spectral transform B of A whose
-largest eigenvalues belong to the smallest ones of A:
+``lanczos_smallest`` finds the m smallest pairs of a scipy sparse matrix
+iteratively, in rounds of ARPACK's implicitly restarted Lanczos
+(``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen & Yang 1998) on one
+spectral transform B of A whose largest eigenvalues belong to the
+smallest ones of A:
 
     B = (A - SHIFT * scale * I)^-1,  SHIFT = -1e-3     ("shift-invert")
     B = sigma * I - A,  sigma = Gershgorin upper bound  ("arpack")
@@ -16,12 +17,12 @@ where scale = ||A||_inf is also the residual normalization.  The scale
 has no floor, so scaling A by c > 0 scales every eigenvalue by c and
 leaves the transform, the residuals and the convergence tests the same;
 the zero operator, which has no scale, is solved exactly by both solvers.
-Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when A is
-sparse, its reverse Cuthill-McKee band is narrow, and the shifted A has a
-banded Cholesky factor; each application of B is then a banded solve, and
-the stiff circle and mesh operators converge in about a hundred of them.
-Every other operator (kNN and random graphs, failed factorizations, dense
-operators) takes the Gershgorin shift.  One Krylov start reaches a single
+Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when the
+reverse Cuthill-McKee band of A is narrow and the shifted A has a banded
+Cholesky factor; each application of B is then a banded solve, and the
+stiff circle and mesh operators converge in about a hundred of them.
+Every other matrix (kNN and random graphs, failed factorizations) takes
+the Gershgorin shift.  One Krylov start reaches a single
 vector per eigenspace, and ARPACK is no exception, so every round after
 the first runs on B deflated against the pairs accepted so far, until a
 round stops lowering the m-th smallest value; that is what resolves
@@ -46,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "SymOperator",
     "EigenPair",
     "EigenSolveReport",
     "dense_sym_eig",
@@ -79,90 +79,16 @@ MAX_RESTARTS = 5
 CHECK_TOL = 1e-4
 
 
-@dataclass
-class SymOperator:
-    """Symmetric operator held either dense or as sparse upper triplets."""
+def _inf_norm(a):
+    """||A||_inf, the largest absolute row sum of a dense or sparse matrix."""
+    return float(np.asarray(abs(a).sum(axis=1)).max(initial=0.0))
 
-    n: int
-    dense: np.ndarray | None = None
-    csr: "scipy.sparse.csr_matrix | None" = None
 
-    def __post_init__(self):
-        if (self.dense is None) == (self.csr is None):
-            raise ValueError("exactly one representation must be set")
-
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has non-finite entries")
-        scale = np.abs(a).max(initial=0.0)
-        if np.abs(a - a.T).max(initial=0.0) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric (1e-12 relative)")
-        return cls(n=a.shape[0], dense=a)
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        """Build from upper-triangle triplets (i <= j); duplicates sum."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("triplet arrays must have equal length")
-        if rows.size and (rows.min() < 0 or cols.max() >= n):
-            raise ValueError("triplet index out of range")
-        if (rows > cols).any():
-            raise ValueError("triplets must satisfy i <= j")
-        if not np.isfinite(vals).all():
-            raise ValueError("triplet values must be finite")
-        # scipy is imported where it is used, not at module top: it costs
-        # every interpreter start about 0.3 s, and the closed-form
-        # subcommands never build an operator
-        import scipy.sparse as sp
-
-        off = rows != cols
-        full = sp.coo_matrix(
-            (
-                np.concatenate([vals, vals[off]]),
-                (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
-            ),
-            shape=(n, n),
-        ).tocsr()
-        full.eliminate_zeros()  # no stored zeros, from explicit zeros or cancelled duplicates
-        return cls(n=n, csr=full)
-
-    @property
-    def is_dense(self):
-        return self.dense is not None
-
-    def matvec(self, x):
-        return self.dense @ x if self.is_dense else self.csr @ x
-
-    def to_dense(self):
-        return self.dense.copy() if self.is_dense else self.csr.toarray()
-
-    def densified(self):
-        return SymOperator(n=self.n, dense=self.to_dense()) if not self.is_dense else self
-
-    def _row_abs_sums(self):
-        if self.is_dense:
-            return np.abs(self.dense).sum(axis=1)
-        absm = self.csr.copy()
-        absm.data = np.abs(absm.data)
-        return np.asarray(absm.sum(axis=1)).ravel()
-
-    @property
-    def inf_norm_estimate(self):
-        return float(self._row_abs_sums().max(initial=0.0))
-
-    @property
-    def gershgorin_bound(self):
-        """max_i (a_ii + sum_{j != i} |a_ij|), an upper bound on the spectrum."""
-        diag = np.diag(self.dense) if self.is_dense else self.csr.diagonal()
-        off = self._row_abs_sums() - np.abs(diag)
-        return float((diag + off).max(initial=0.0))
+def _gershgorin_bound(a):
+    """max_i (a_ii + sum_{j != i} |a_ij|), an upper bound on the spectrum."""
+    diag = a.diagonal()
+    off = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)
+    return float((diag + off).max(initial=0.0))
 
 
 class EigenPair(NamedTuple):
@@ -226,57 +152,68 @@ def _psd_report(values, vectors, residuals, iterations, tol, method):
     )
 
 
-def dense_sym_eig(op, residual_tol=1e-10, m=None):
-    """Smallest m (default: all n) eigenpairs of a dense symmetric operator.
+def dense_sym_eig(a, residual_tol=1e-10, m=None):
+    """Smallest m (default: all n) eigenpairs of a dense symmetric matrix.
 
-    The full spectrum uses the LAPACK symmetric solver (Householder
-    tridiagonalization plus divide and conquer); with m < n the subset
-    driver ``dsyevr`` computes only the m smallest pairs, and only their
-    residuals are formed.  Eigenvalues in [-1e-10 * scale, 0) are clamped
-    to zero and a value below that raises ValueError, so only PSD
-    operators pass; residuals are divided by scale = ||A||_inf.
+    ``a`` is a square, finite 2-D ndarray, symmetric to 1e-12 times its
+    largest entry; anything else raises ValueError.  The full spectrum
+    uses the LAPACK symmetric solver (Householder tridiagonalization plus
+    divide and conquer); with m < n the subset driver ``dsyevr`` computes
+    only the m smallest pairs, and only their residuals are formed.
+    Eigenvalues in [-1e-10 * scale, 0) are clamped to zero and a value
+    below that raises ValueError, so only PSD matrices pass; residuals
+    are divided by scale = ||A||_inf.
     """
-    if not op.is_dense:
-        raise ValueError("dense_sym_eig needs a dense representation")
-    if op.n > DENSE_MAX_N:
+    if not isinstance(a, np.ndarray):
+        raise ValueError("dense_sym_eig needs a dense ndarray")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    n = a.shape[0]
+    if n > DENSE_MAX_N:
         raise ValueError(f"dense solve limited to n <= {DENSE_MAX_N}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * np.abs(a).max(initial=0.0):
+        raise ValueError("matrix is not symmetric (1e-12 relative)")
     if m is not None and m < 1:
         raise ValueError("need m >= 1")
-    scale = op.inf_norm_estimate
+    scale = _inf_norm(a)
     try:
-        if m is None or m >= op.n:
-            values, vectors = np.linalg.eigh(op.dense)
+        if m is None or m >= n:
+            values, vectors = np.linalg.eigh(a)
         else:
             from scipy.linalg import eigh
 
-            values, vectors = eigh(op.dense, subset_by_index=[0, m - 1])
+            values, vectors = eigh(a, subset_by_index=[0, m - 1])
     except np.linalg.LinAlgError:
         return EigenSolveReport(
-            values=np.empty(0), vectors=np.empty((op.n, 0)), residuals=np.empty(0),
+            values=np.empty(0), vectors=np.empty((n, 0)), residuals=np.empty(0),
             iterations=0, converged=False,
         )
     values = _clamp_tiny_negatives(values, scale)
     vectors = _fix_signs(vectors)
-    # LAPACK solves the zero operator exactly (0 and unit vectors), so its
+    # LAPACK solves the zero matrix exactly (0 and unit vectors), so its
     # residuals are 0 and need no scale
-    resid = np.linalg.norm(op.dense @ vectors - vectors * values, axis=0) / (scale or 1.0)
+    resid = np.linalg.norm(a @ vectors - vectors * values, axis=0) / (scale or 1.0)
     return _psd_report(values, vectors, resid, 1, residual_tol, "dense")
 
 
-def lanczos_smallest(op, m, tol=1e-10, seed=0):
-    """The m smallest eigenpairs of a PSD-ish symmetric operator.
+def lanczos_smallest(a, m, tol=1e-10, seed=0):
+    """The m smallest eigenpairs of a PSD-ish symmetric sparse matrix.
 
-    Runs in rounds of ARPACK (``eigsh``, which="LA", tol=0, at most
-    ARPACK_MAXITER restarts) on x -> P B P x, where B is the spectral
-    transform of A named by ``method`` and P = I - F F^T projects out the
-    accepted vectors F:
+    ``a`` is a scipy sparse matrix, read once as CSR; a dense array
+    raises ValueError.  Runs in rounds of ARPACK (``eigsh``, which="LA",
+    tol=0, at most ARPACK_MAXITER restarts) on x -> P B P x, where B is
+    the spectral transform of A named by ``method`` and P = I - F F^T
+    projects out the accepted vectors F:
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
       and scale = ||A||_inf, applied by a banded Cholesky solve.
-      Taken when A is sparse, its reverse Cuthill-McKee bandwidth b has
+      Taken when the reverse Cuthill-McKee bandwidth b of A has
       b + 1 <= max(10m + 50, 300), and the shifted A factors.
     - ``"arpack"``: B = sigma*I - A with the Gershgorin bound sigma, for
-      every other operator, sparse or dense.
+      every other matrix.
 
     Each round asks for max(m_rem, 1) Ritz pairs, m_rem being the count
     still missing, from the start P g with g the next draw of the seeded
@@ -307,11 +244,17 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
         LinearOperator,
         eigsh,
     )
+    from scipy.sparse import issparse
 
-    n = op.n
+    if not issparse(a):
+        raise ValueError("lanczos_smallest needs a scipy sparse matrix")
+    a = a.tocsr()
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError("matrix must be square")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    scale = op.inf_norm_estimate
+    scale = _inf_norm(a)
     if scale == 0.0:  # the zero operator: every vector has eigenvalue 0
         return EigenSolveReport(
             values=np.zeros(m), vectors=np.eye(n, m), residuals=np.zeros(m),
@@ -319,13 +262,13 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
         )
     rng = np.random.default_rng(seed)
     shift = SHIFT * scale
-    solve = _banded_shift_invert(op, shift, max(10 * m + 50, 300))
+    solve = _banded_shift_invert(a, shift, max(10 * m + 50, 300))
     if solve is None:
         method = "arpack"
-        sigma = op.gershgorin_bound
+        sigma = _gershgorin_bound(a)
 
         def apply(x):
-            return sigma * x - op.matvec(x)
+            return sigma * x - a @ x
 
         def to_eigenvalues(theta):
             return sigma - theta
@@ -363,7 +306,7 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
         if not theta[0] > 0:
             return False
         mu, vec = to_eigenvalues(theta[0]), vecs[:, 0]
-        return mu - np.linalg.norm(op.matvec(vec) - mu * vec) > mth
+        return mu - np.linalg.norm(a @ vec - mu * vec) > mth
 
     while len(found_vals) < n:
         start = project(rng.standard_normal(n))
@@ -380,7 +323,7 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
             theta, vecs = np.empty(0), np.empty((n, 0))
         live = theta > 0
         vals, vecs = to_eigenvalues(theta[live]), vecs[:, live]
-        keep = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0) / scale <= tol
+        keep = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale <= tol
         new_vals, new_vecs = vals[keep], vecs[:, keep]
         if found_vecs.shape[1]:
             new_vecs = project(new_vecs)
@@ -404,14 +347,14 @@ def lanczos_smallest(op, m, tol=1e-10, seed=0):
     order = np.argsort(found_vals, kind="stable")[:m]
     vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
     vecs = _fix_signs(found_vecs[:, order])
-    resid = np.linalg.norm(op.matvec(vecs) - vecs * vals, axis=0) / scale
+    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale
     return _psd_report(vals, vecs, resid, applications, tol, method)
 
 
-def _banded_shift_invert(op, shift, max_width):
+def _banded_shift_invert(csr, shift, max_width):
     """x -> (A - shift*I)^-1 x from a banded Cholesky factor, or None.
 
-    None when A is held dense, when its reverse Cuthill-McKee bandwidth b
+    None when the reverse Cuthill-McKee bandwidth b of the CSR matrix A
     has b + 1 > max_width, or when A - shift*I is not positive definite.
     Callers pass max_width = max(10m + 50, 300) for m wanted pairs, which
     splits the operators where the transform pays: circle operators
@@ -421,18 +364,16 @@ def _banded_shift_invert(op, shift, max_width):
     the Gershgorin shift.  A factor holds (b + 1) n floats, and a solve
     costs about 4 (b + 1) n flops.
     """
-    if op.is_dense:
-        return None
     # imported here, not at module top: most runs never reach a sparse
     # solve, and csgraph costs every interpreter start about 25 ms
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    csr = op.csr
+    n = csr.shape[0]
     perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     inv = np.empty_like(perm)
-    inv[perm] = np.arange(op.n, dtype=perm.dtype)
+    inv[perm] = np.arange(n, dtype=perm.dtype)
     # the permuted width straight from the CSR arrays: a wide band (kNN and
     # random graphs) is refused before any COO copy or band is built
     rows = np.repeat(inv, np.diff(csr.indptr))
@@ -441,7 +382,7 @@ def _banded_shift_invert(op, shift, max_width):
     if width + 1 > max_width:
         return None
     upper = cols >= rows
-    band = np.zeros((width + 1, op.n))  # LAPACK upper band storage
+    band = np.zeros((width + 1, n))  # LAPACK upper band storage
     np.add.at(band, (width + rows[upper] - cols[upper], cols[upper]), csr.data[upper])
     band[width] -= shift
     try:

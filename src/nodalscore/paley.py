@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import SymOperator, dense_sym_eig
+from .eigensolve import dense_sym_eig
 from .pipeline import Graph
 
 __all__ = [
@@ -185,7 +185,7 @@ def paley_score_numeric(p):
     ks = np.arange(p)
     lap = np.where(mask[(ks[None, :] - ks[:, None]) % p], -1.0, 0.0)
     lap[ks, ks] = (p - 1) / 2.0
-    report = dense_sym_eig(SymOperator(n=p, dense=lap))
+    report = dense_sym_eig(lap)
     if not report.converged:
         raise RuntimeError(f"eigensolver did not converge on the Paley Laplacian (p={p})")
     values, vectors = report.values, report.vectors

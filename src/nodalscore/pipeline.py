@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import compute_score_field
-from .eigensolve import (
-    DENSE_FALLBACK_N,
-    SymOperator,
-    dense_sym_eig,
-    lanczos_smallest,
-)
+from .eigensolve import DENSE_FALLBACK_N, dense_sym_eig, lanczos_smallest
 
 __all__ = [
     "Graph",
@@ -63,6 +58,13 @@ MAX_PATCH_WORK = 1 << 21
 # and a component solved for all its modes takes the full dense solve;
 # runs at this cap took 5-19 s and at most 346 MB (README)
 MAX_GRAPH_SOLVE_WORK = 1 << 19
+
+# the refusal of bandwidth="auto" when the median k-th neighbor distance
+# is zero; a constant image is refused with it before the kNN runs
+_ZERO_BANDWIDTH = (
+    "zero bandwidth: k-th neighbor distances are all zero "
+    "(constant image?); set an explicit bandwidth"
+)
 
 # rows of one exact kNN block, fixed so that the scratch never depends on
 # the machine, and the rows of the distance matrix held at once by all the
@@ -489,7 +491,8 @@ def patch_graph(img, config=None):
 
     Distances are in intensity units (samples / maxval).  sigma is the
     median distance to the k-th neighbor when bandwidth is "auto"; a zero
-    median (constant image) is an error.  The directed kNN
+    median is an error, raised for a constant image before the kNN
+    runs.  The directed kNN
     lists are symmetrized by union, both directions sharing one weight.
     The construction is deterministic.
     """
@@ -499,16 +502,15 @@ def patch_graph(img, config=None):
         raise ValueError("k_neighbors must be smaller than the pixel count")
     check_patch_work(n, config.patch_size)
     patches = _patch_matrix(img, config.patch_size)
+    if config.bandwidth == "auto" and img.samples.min() == img.samples.max():
+        raise ValueError(_ZERO_BANDWIDTH)
     nbr_idx, nbr_d2 = _knn_exact(patches, config.k_neighbors)
     # exact squared sample distances to intensity units, one rounding each
     nbr_d2 /= img.maxval * img.maxval
     if config.bandwidth == "auto":
         sigma = float(np.median(np.sqrt(nbr_d2[:, -1])))
         if sigma == 0.0:
-            raise ValueError(
-                "zero bandwidth: k-th neighbor distances are all zero "
-                "(constant image?); set an explicit bandwidth"
-            )
+            raise ValueError(_ZERO_BANDWIDTH)
     else:
         sigma = float(config.bandwidth)
     src = np.repeat(np.arange(n, dtype=np.int64), config.k_neighbors)
@@ -596,7 +598,7 @@ LAPLACIAN_KINDS = ("combinatorial", "sym-normalized")
 
 
 def laplacian(graph, kind="combinatorial"):
-    """Graph Laplacian as a sparse symmetric operator.
+    """Graph Laplacian as a canonical scipy CSR matrix with no stored zeros.
 
     combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}, which
     rejects isolated vertices.
@@ -609,17 +611,26 @@ def laplacian(graph, kind="combinatorial"):
     n = graph.n
     idx = np.arange(n)
     if kind == "combinatorial":
-        vals = np.concatenate([deg, -graph.w])
+        diag, off = deg, -graph.w
     else:
         if (deg == 0).any():
             raise ValueError("normalized laplacian undefined for isolated vertices")
         inv_sqrt = 1.0 / np.sqrt(deg)
-        vals = np.concatenate(
-            [np.ones(n), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]]
-        )
-    rows = np.concatenate([idx, graph.u])
-    cols = np.concatenate([idx, graph.v])
-    return SymOperator.from_triplets(n, rows, cols, vals)
+        diag, off = np.ones(n), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]
+    # imported here, not at module top: scipy costs every interpreter start
+    # about 0.3 s, and the closed-form subcommands build no graph
+    import scipy.sparse as sp
+
+    # both triangles at once; Graph's u < v keeps each position single
+    lap = sp.coo_matrix(
+        (
+            np.concatenate([diag, off, off]),
+            (np.concatenate([idx, graph.u, graph.v]), np.concatenate([idx, graph.v, graph.u])),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    lap.eliminate_zeros()  # isolated vertices and underflowed weights store no zero
+    return lap
 
 
 def _score_component(graph, n_terms, kind, seed):
@@ -627,7 +638,7 @@ def _score_component(graph, n_terms, kind, seed):
     want = min(n_terms + 1, graph.n)
     # the iterative solver needs want < n; all n modes take the full dense solve
     if graph.n <= DENSE_FALLBACK_N or want == graph.n:
-        report = dense_sym_eig(lap.densified(), m=want)
+        report = dense_sym_eig(lap.toarray(), m=want)
     else:
         report = lanczos_smallest(lap, want, tol=1e-10, seed=seed)
     if not report.converged:

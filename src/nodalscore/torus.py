@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import compute_score_field
-from .eigensolve import DENSE_FALLBACK_N, SymOperator, dense_sym_eig, lanczos_smallest
+from .eigensolve import DENSE_FALLBACK_N, dense_sym_eig, lanczos_smallest
 
 __all__ = [
     "PotentialSpec",
@@ -113,13 +113,13 @@ class CircleOperator:
 
     n_grid: int
     h: float
-    matrix: SymOperator
+    matrix: "scipy.sparse.csr_matrix"
     potential: np.ndarray
     grid: np.ndarray
 
 
 def build_circle_operator(n_grid, spec):
-    """Periodic second-difference plus diagonal potential, as triplets.
+    """Periodic second-difference plus diagonal potential, as a CSR matrix.
 
     n_grid lies in 64..MAX_N_GRID.  The window must cover at least 4 grid
     spacings; a narrower one is not resolved by the stencil.
@@ -135,12 +135,22 @@ def build_circle_operator(n_grid, spec):
     xs = np.arange(n_grid) * h
     v = potential_on_grid(spec, xs)
     inv_h2 = 1.0 / (h * h)
+    # imported here, not at module top: scipy costs every interpreter start
+    # about 0.3 s, and the closed-form subcommands build no operator
+    import scipy.sparse as sp
+
     idx = np.arange(n_grid)
-    rows = np.concatenate([idx, idx[:-1], [0]])
-    cols = np.concatenate([idx, idx[:-1] + 1, [n_grid - 1]])
-    vals = np.concatenate([2.0 * inv_h2 + v, np.full(n_grid - 1, -inv_h2), [-inv_h2]])
-    op = SymOperator.from_triplets(n_grid, rows, cols, vals)
-    return CircleOperator(n_grid=n_grid, h=h, matrix=op, potential=v, grid=xs)
+    up = np.roll(idx, -1)
+    off = np.full(n_grid, -inv_h2)
+    matrix = sp.coo_matrix(
+        (
+            np.concatenate([2.0 * inv_h2 + v, off, off]),
+            (np.concatenate([idx, idx, up]), np.concatenate([idx, up, idx])),
+        ),
+        shape=(n_grid, n_grid),
+    ).tocsr()
+    matrix.eliminate_zeros()
+    return CircleOperator(n_grid=n_grid, h=h, matrix=matrix, potential=v, grid=xs)
 
 
 def check_solve_work(n_grid, n_pairs):
@@ -150,14 +160,15 @@ def check_solve_work(n_grid, n_pairs):
         raise ValueError(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
 
 
-def _smallest_pairs(op, m, seed):
-    if op.n <= DENSE_FALLBACK_N:
-        report = dense_sym_eig(op.densified(), m=m)
+def _smallest_pairs(matrix, m, seed):
+    n = matrix.shape[0]
+    if n <= DENSE_FALLBACK_N:
+        report = dense_sym_eig(matrix.toarray(), m=m)
     else:
-        report = lanczos_smallest(op, m, tol=1e-10, seed=seed)
+        report = lanczos_smallest(matrix, m, tol=1e-10, seed=seed)
     if not report.converged:
         raise RuntimeError(
-            f"eigensolver did not converge on the circle operator (n={op.n})"
+            f"eigensolver did not converge on the circle operator (n={n})"
         )
     return report.values, report.vectors
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -20,7 +21,7 @@ import tracer  # noqa: E402
 
 import nodalscore.cli  # noqa: E402,F401  (imports every layer module)
 from nodalscore import pipeline  # noqa: E402
-from nodalscore.eigensolve import SymOperator, dense_sym_eig, lanczos_smallest  # noqa: E402
+from nodalscore.eigensolve import dense_sym_eig, lanczos_smallest  # noqa: E402
 
 
 def _nodalscore_modules():
@@ -49,10 +50,10 @@ def _path_laplacian(n):
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: dense_sym_eig(_path_laplacian(40).densified()),
-        lambda: dense_sym_eig(_path_laplacian(40).densified(), m=5),
+        lambda: dense_sym_eig(_path_laplacian(40).toarray()),
+        lambda: dense_sym_eig(_path_laplacian(40).toarray(), m=5),
         lambda: lanczos_smallest(_path_laplacian(600), 5, seed=0),
-        lambda: lanczos_smallest(SymOperator.from_dense(np.zeros((6, 6))), 3),
+        lambda: lanczos_smallest(sp.csr_matrix((6, 6)), 3),
     ],
     ids=["dense-full", "dense-subset", "lanczos", "zero-operator"],
 )

@@ -63,7 +63,7 @@ def test_basis_build_drops_trivial_modes():
     graph = pipeline.Graph(n=3, u=[0, 1], v=[1, 2], w=[1.0, 1e-12])
     with pytest.warns(UserWarning, match="supplied only 1 nontrivial modes"):
         field = pipeline.score_graph(graph, 2, kind="combinatorial")
-    report = dense_sym_eig(pipeline.laplacian(graph).densified())
+    report = dense_sym_eig(pipeline.laplacian(graph).toarray())
     assert report.values[1] < 1e-9 * report.values[2]
     want = compute_score_field(report.values[2:], report.vectors[:, 2:], 1)
     assert np.array_equal(field, want)
@@ -160,7 +160,7 @@ def test_score_bits_match_per_pair_form_on_solved_graphs():
     keys = np.unique(np.concatenate([path, chords[a != b]]))
     graph = pipeline.Graph(n=n, u=keys // n, v=keys % n, w=rng.uniform(0.5, 2.0, keys.size))
     op = pipeline.laplacian(graph, "sym-normalized")
-    for report in (dense_sym_eig(op.densified(), m=9), lanczos_smallest(op, 9, seed=0)):
+    for report in (dense_sym_eig(op.toarray(), m=9), lanczos_smallest(op, 9, seed=0)):
         assert report.converged
         assert_same_bits(report.values[1:], report.vectors[:, 1:], 8)
 

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from nodalscore.eigensolve import (
     CHECK_TOL,
     DENSE_MAX_N,
-    SymOperator,
+    _gershgorin_bound,
+    _inf_norm,
     dense_sym_eig,
     lanczos_smallest,
 )
@@ -33,60 +34,16 @@ def random_sparse_laplacian(rng, n, avg_degree=4):
     np.add.at(deg, u, w)
     np.add.at(deg, v, w)
     idx = np.arange(n)
-    rows = np.concatenate([idx, u])
-    cols = np.concatenate([idx, v])
-    vals = np.concatenate([deg, -w])
-    return SymOperator.from_triplets(n, rows, cols, vals)
-
-
-# ------------------------------------------------------------- SymOperator
-
-
-def test_from_dense_rejects_asymmetry():
-    with pytest.raises(ValueError, match="not symmetric"):
-        SymOperator.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_from_dense_symmetry_check_is_relative_to_the_matrix():
-    # 1e-9 relative asymmetry in a matrix of entries near 1e-6
-    a = 1e-6 * np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        SymOperator.from_dense(a)
-    SymOperator.from_dense(np.zeros((3, 3)))
-
-
-def test_from_triplets_rejects_lower_triangle():
-    with pytest.raises(ValueError):
-        SymOperator.from_triplets(2, [1], [0], [1.0])
-
-
-def test_triplets_duplicates_sum_and_mirror():
-    op = SymOperator.from_triplets(2, [0, 0, 0], [1, 1, 0], [1.0, 2.0, 5.0])
-    dense = op.to_dense()
-    assert np.allclose(dense, [[5.0, 3.0], [3.0, 0.0]])
-
-
-def test_triplets_csr_is_canonical_without_stored_zeros():
-    # explicit zeros and duplicates that cancel leave no stored entry
-    op = SymOperator.from_triplets(
-        3, [0, 0, 1, 1, 0, 2], [0, 2, 2, 2, 1, 2], [0.0, 4.0, 1.5, -1.5, 0.0, 2.0]
+    return sp.csr_matrix(
+        (
+            np.concatenate([deg, -w, -w]),
+            (np.concatenate([idx, u, v]), np.concatenate([idx, v, u])),
+        ),
+        shape=(n, n),
     )
-    csr = op.csr
-    assert csr.has_canonical_format
-    assert np.all(csr.data != 0.0)
-    assert csr.nnz == 3
-    assert np.array_equal(op.to_dense(), [[0.0, 0.0, 4.0], [0.0, 0.0, 0.0], [4.0, 0.0, 2.0]])
-    rng = np.random.default_rng(5)
-    n = 40
-    rows = rng.integers(0, n, 300)
-    cols = rng.integers(0, n, 300)
-    rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
-    vals = rng.standard_normal(300)
-    want = np.zeros((n, n))
-    np.add.at(want, (rows, cols), vals)
-    want = want + np.triu(want, 1).T
-    dense = SymOperator.from_triplets(n, rows, cols, vals).to_dense()
-    assert np.abs(dense - want).max() <= 1e-14
+
+
+# ------------------------------------------------------------ norm helpers
 
 
 def test_gershgorin_bounds_spectrum():
@@ -95,22 +52,50 @@ def test_gershgorin_bounds_spectrum():
         n = int(rng.integers(2, 30))
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2
-        op = SymOperator.from_dense(a)
-        assert op.gershgorin_bound >= np.linalg.eigvalsh(a).max() - 1e-12
+        assert _gershgorin_bound(sp.csr_matrix(a)) >= np.linalg.eigvalsh(a).max() - 1e-12
 
 
-def test_matvec_matches_dense():
-    rng = np.random.default_rng(4)
-    op = random_sparse_laplacian(rng, 40)
-    x = rng.standard_normal(40)
-    assert np.allclose(op.matvec(x), op.to_dense() @ x, atol=1e-12)
+def test_inf_norm_reads_dense_and_sparse_matrices():
+    a = random_sparse_laplacian(np.random.default_rng(4), 40)
+    want = np.abs(a.toarray()).sum(axis=1).max()
+    assert _inf_norm(a) == pytest.approx(want, rel=1e-15)
+    assert _inf_norm(a.toarray()) == pytest.approx(want, rel=1e-15)
+    assert _inf_norm(sp.csr_matrix((5, 5))) == _inf_norm(np.zeros((5, 5))) == 0.0
 
 
 # ------------------------------------------------------------ dense_sym_eig
 
 
+def test_dense_rejects_asymmetry():
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_dense_symmetry_check_is_relative_to_the_matrix():
+    # 1e-9 relative asymmetry in a matrix of entries near 1e-6
+    a = 1e-6 * np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense_sym_eig(a)
+    assert dense_sym_eig(np.zeros((3, 3))).converged
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.ones((2, 3)), "must be square"),
+        (np.ones(4), "must be square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "non-finite"),
+    ],
+    ids=["wide", "1-d", "nan", "inf"],
+)
+def test_dense_rejects_non_square_and_non_finite(a, message):
+    with pytest.raises(ValueError, match=message):
+        dense_sym_eig(a)
+
+
 def test_dense_2x2_example():
-    report = dense_sym_eig(SymOperator.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+    report = dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     values = [p.value for p in report.pairs]
     assert np.allclose(values, [1.0, 3.0], atol=1e-12)
     assert report.converged
@@ -118,7 +103,7 @@ def test_dense_2x2_example():
 
 
 def test_dense_identity_multiplicity():
-    report = dense_sym_eig(SymOperator.from_dense(np.eye(5)))
+    report = dense_sym_eig(np.eye(5))
     assert np.allclose([p.value for p in report.pairs], np.ones(5), atol=1e-14)
 
 
@@ -126,7 +111,7 @@ def test_dense_path_graph_against_charpoly_oracle():
     """P3 Laplacian spectrum {0, 1, 3} from its characteristic polynomial."""
     # det(L - x I) expands to -x^3 + 4x^2 - 3x by hand
     roots = np.sort(np.roots([-1.0, 4.0, -3.0, 0.0]).real)
-    report = dense_sym_eig(SymOperator.from_dense(path_laplacian_3()))
+    report = dense_sym_eig(path_laplacian_3())
     values = np.array([p.value for p in report.pairs])
     assert np.abs(values - roots).max() <= 1e-10
     assert np.abs(values - np.array([0.0, 1.0, 3.0])).max() <= 1e-10
@@ -134,37 +119,38 @@ def test_dense_path_graph_against_charpoly_oracle():
 
 def test_dense_clamps_tiny_negative_psd_values():
     # diagonal input reaches the solver unchanged, so the clamp band is exact
-    op = SymOperator.from_dense(np.diag([-1e-12, 1.0, 2.0]))
-    report = dense_sym_eig(op)
+    report = dense_sym_eig(np.diag([-1e-12, 1.0, 2.0]))
     assert report.pairs[0].value == 0.0
     assert report.pairs[1].value == 1.0
     # clearly negative spectra violate the nonnegative eigenvalue contract
     with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
-        dense_sym_eig(SymOperator.from_dense(np.diag([-1e-3, 1.0])))
+        dense_sym_eig(np.diag([-1e-3, 1.0]))
 
 
 def test_dense_sign_convention():
-    report = dense_sym_eig(SymOperator.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+    report = dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     for pair in report.pairs:
         assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
 
 
 def test_dense_requires_dense_representation():
-    op = SymOperator.from_triplets(2, [0], [1], [1.0])
-    with pytest.raises(ValueError, match="dense"):
-        dense_sym_eig(op)
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for held in (sp.csr_matrix(a), a.tolist()):
+        with pytest.raises(ValueError, match="dense ndarray"):
+            dense_sym_eig(held)
 
 
 def test_dense_size_cap():
-    big = SymOperator(n=DENSE_MAX_N + 1, dense=np.eye(DENSE_MAX_N + 1))
-    with pytest.raises(ValueError):
+    # refused from the shape, before any check reads the entries
+    big = np.broadcast_to(np.float64(0.0), (DENSE_MAX_N + 1, DENSE_MAX_N + 1))
+    with pytest.raises(ValueError, match="limited to n"):
         dense_sym_eig(big)
 
 
 def test_dense_residuals_within_tolerance():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((60, 60))
-    report = dense_sym_eig(SymOperator.from_dense(a @ a.T))
+    report = dense_sym_eig(a @ a.T)
     assert report.converged
     assert report.residuals.max() <= 1e-10
 
@@ -175,25 +161,25 @@ def star_laplacian(leaves):
     a = np.zeros((n, n))
     a[0, 1:] = a[1:, 0] = -1.0
     a[np.arange(n), np.arange(n)] = np.concatenate([[leaves], np.ones(leaves)])
-    return SymOperator.from_dense(a)
+    return a
 
 
 def subset_cases():
     rng = np.random.default_rng(61)
     for n in (40, 150, 300):
-        op = random_sparse_laplacian(rng, n).densified()
+        op = random_sparse_laplacian(rng, n).toarray()
         yield pytest.param(op, (1, 5, 17, n - 1), id=f"random-{n}")
     yield pytest.param(star_laplacian(40), (1, 2, 3, 40), id="star")
     # V = 1: eigenvalues (2 - 2cos(2 pi k/n))/h^2 + 1, each k >= 1 twice;
     # even counts cut a double in half
     circle = build_circle_operator(256, PotentialSpec(y=1.0, eps=0.5, well_scale=0.0))
-    yield pytest.param(circle.matrix.densified(), (1, 2, 3, 8, 11, 255), id="circle")
+    yield pytest.param(circle.matrix.toarray(), (1, 2, 3, 8, 11, 255), id="circle")
 
 
 @pytest.mark.parametrize("op, counts", list(subset_cases()))
 def test_dense_subset_matches_full_solve(op, counts):
     full_vals = np.array([p.value for p in dense_sym_eig(op).pairs])
-    scale = max(1.0, op.inf_norm_estimate)
+    scale = max(1.0, _inf_norm(op))
     for k in counts:
         report = dense_sym_eig(op, m=k)
         assert report.converged and report.method == "dense", k
@@ -208,33 +194,34 @@ def test_dense_subset_matches_full_solve(op, counts):
 def test_dense_subset_circle_doubles_closed_form():
     n = 256
     circle = build_circle_operator(n, PotentialSpec(y=1.0, eps=0.5, well_scale=0.0))
-    report = dense_sym_eig(circle.matrix.densified(), m=11)
+    report = dense_sym_eig(circle.matrix.toarray(), m=11)
     k = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
     want = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / circle.h**2 + 1.0
     got = np.array([p.value for p in report.pairs])
-    assert np.abs(got - want).max() <= 1e-12 * circle.matrix.inf_norm_estimate
+    assert np.abs(got - want).max() <= 1e-12 * _inf_norm(circle.matrix)
 
 
 def test_dense_full_spectrum_unchanged_without_m():
     # m=None (and any m >= n) is the full LAPACK solve, bit for bit
-    op = random_sparse_laplacian(np.random.default_rng(62), 90).densified()
-    scale = max(1.0, op.inf_norm_estimate)
-    values, vectors = np.linalg.eigh(op.dense)
+    op = random_sparse_laplacian(np.random.default_rng(62), 90).toarray()
+    n = op.shape[0]
+    scale = max(1.0, _inf_norm(op))
+    values, vectors = np.linalg.eigh(op)
     values[(values < 0) & (values > -1e-10 * scale)] = 0.0
     idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(op.n)])
+    signs = np.sign(vectors[idx, np.arange(n)])
     signs[signs == 0] = 1.0
     vectors = vectors * signs
-    for m in (None, op.n, op.n + 3):
+    for m in (None, n, n + 3):
         report = dense_sym_eig(op, m=m)
-        assert len(report.pairs) == op.n
+        assert len(report.pairs) == n
         assert np.array_equal([p.value for p in report.pairs], values)
         assert np.array_equal(np.stack([p.vector for p in report.pairs], axis=1), vectors)
 
 
 def test_dense_subset_rejects_nonpositive_count():
     with pytest.raises(ValueError):
-        dense_sym_eig(SymOperator.from_dense(np.eye(3)), m=0)
+        dense_sym_eig(np.eye(3), m=0)
 
 
 # --------------------------------------------------------- lanczos_smallest
@@ -243,7 +230,7 @@ def test_dense_subset_rejects_nonpositive_count():
 def test_lanczos_complete_graph_k4():
     # L = 4I - J on 4 vertices: spectrum {0, 4, 4, 4}
     a = 4.0 * np.eye(4) - np.ones((4, 4))
-    report = lanczos_smallest(SymOperator.from_dense(a), 2)
+    report = lanczos_smallest(sp.csr_matrix(a), 2)
     values = [p.value for p in report.pairs]
     assert np.allclose(values, [0.0, 4.0], atol=1e-8)
     assert report.converged
@@ -258,11 +245,12 @@ def test_lanczos_resolves_high_multiplicity():
     np.add.at(deg, u, 1.0)
     np.add.at(deg, v, 1.0)
     idx = np.arange(n)
-    op = SymOperator.from_triplets(
-        n,
-        np.concatenate([idx, u]),
-        np.concatenate([idx, v]),
-        np.concatenate([deg, -np.ones(4)]),
+    op = sp.csr_matrix(
+        (
+            np.concatenate([deg, -np.ones(8)]),
+            (np.concatenate([idx, u, v]), np.concatenate([idx, v, u])),
+        ),
+        shape=(n, n),
     )
     report = lanczos_smallest(op, 4)
     values = np.array([p.value for p in report.pairs])
@@ -273,7 +261,7 @@ def test_lanczos_matches_dense_oracle_n200():
     rng = np.random.default_rng(123)
     op = random_sparse_laplacian(rng, 200)
     report = lanczos_smallest(op, 10, seed=7)
-    dense = dense_sym_eig(op.densified())
+    dense = dense_sym_eig(op.toarray())
     got = np.array([p.value for p in report.pairs])
     want = np.array([p.value for p in dense.pairs[:10]])
     assert np.abs(got - want).max() <= 1e-8
@@ -303,8 +291,8 @@ def test_lanczos_residual_contract():
     op = random_sparse_laplacian(rng, 180)
     tol = 1e-10
     report = lanczos_smallest(op, 8, tol=tol)
-    scale = max(1.0, op.inf_norm_estimate)
-    dense = op.to_dense()
+    scale = max(1.0, _inf_norm(op))
+    dense = op.toarray()
     for pair in report.pairs:
         resid = np.linalg.norm(dense @ pair.vector - pair.value * pair.vector)
         assert resid / scale <= 10 * tol
@@ -319,11 +307,12 @@ def test_lanczos_zero_mode_constant_on_connected_graph():
     v = np.concatenate([v, [n - 1]])
     deg = np.full(n, 2.0)
     idx = np.arange(n)
-    op = SymOperator.from_triplets(
-        n,
-        np.concatenate([idx, u]),
-        np.concatenate([idx, v]),
-        np.concatenate([deg, -np.ones(n)]),
+    op = sp.csr_matrix(
+        (
+            np.concatenate([deg, -np.ones(2 * n)]),
+            (np.concatenate([idx, u, v]), np.concatenate([idx, v, u])),
+        ),
+        shape=(n, n),
     )
     report = lanczos_smallest(op, 3)
     assert report.pairs[0].value <= 1e-9
@@ -334,45 +323,46 @@ def test_lanczos_zero_mode_constant_on_connected_graph():
 
 @pytest.mark.parametrize("held", ["dense", "sparse"])
 def test_zero_operator_is_solved_exactly(held):
+    # each solver on the form it takes; the sparse zero stores one 0.0
     n, m = 600, 5
-    op = (
-        SymOperator.from_dense(np.zeros((n, n))) if held == "dense"
-        else SymOperator.from_triplets(n, [0], [0], [0.0])
-    )
-    for report in (lanczos_smallest(op, m), dense_sym_eig(op.densified(), m=m)):
-        assert report.converged
-        assert [p.value for p in report.pairs] == [0.0] * m
-        assert not report.residuals.any()
-        vecs = np.column_stack([p.vector for p in report.pairs])
-        assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-14)
+    if held == "dense":
+        report = dense_sym_eig(np.zeros((n, n)), m=m)
+    else:
+        report = lanczos_smallest(sp.csr_matrix(([0.0], ([0], [0])), shape=(n, n)), m)
+    assert report.converged
+    assert [p.value for p in report.pairs] == [0.0] * m
+    assert not report.residuals.any()
+    vecs = np.column_stack([p.vector for p in report.pairs])
+    assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-14)
 
 
 def test_lanczos_rejects_m_not_below_n():
-    op = SymOperator.from_dense(np.eye(4))
     with pytest.raises(ValueError):
-        lanczos_smallest(op, 4)
+        lanczos_smallest(sp.identity(4, format="csr"), 4)
 
 
-@pytest.mark.parametrize(
-    "held, method", [("sparse", "shift-invert"), ("dense", "arpack")]
-)
-def test_lanczos_oracle_sweep_small(held, method):
+def test_lanczos_requires_sparse_representation():
+    with pytest.raises(ValueError, match="sparse"):
+        lanczos_smallest(np.eye(4), 2)
+    with pytest.raises(ValueError, match="square"):
+        lanczos_smallest(sp.csr_matrix((4, 5)), 2)
+
+
+def test_lanczos_oracle_sweep_small():
     """Randomized dense-oracle equivalence on operators up to n = 300.
 
     Sparse operators this small always have a band narrow enough for the
-    shift-invert transform; the same matrices held dense take the
-    Gershgorin-shifted one.
+    shift-invert transform.
     """
     rng = np.random.default_rng(2024)
     for _ in range(8):
         n = int(rng.integers(20, 301))
         op = random_sparse_laplacian(rng, n)
         m = min(10, n - 1)
-        solve_op = op if held == "sparse" else SymOperator.from_dense(op.to_dense())
-        report = lanczos_smallest(solve_op, m, seed=1)
-        assert report.method == method
+        report = lanczos_smallest(op, m, seed=1)
+        assert report.method == "shift-invert"
         got = np.array([p.value for p in report.pairs])
-        want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:m]])
+        want = np.array([p.value for p in dense_sym_eig(op.toarray()).pairs[:m]])
         assert np.abs(got - want).max() <= 1e-8
 
 
@@ -384,7 +374,7 @@ def test_lanczos_wide_band_sparse_takes_arpack_path():
     assert report.method == "arpack"
     assert report.converged
     got = np.array([p.value for p in report.pairs])
-    want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:10]])
+    want = np.array([p.value for p in dense_sym_eig(op.toarray()).pairs[:10]])
     assert np.abs(got - want).max() <= 1e-8
 
 
@@ -403,13 +393,12 @@ def block_copies(copies, isolated=0):
     Every eigenvalue repeats, and zero has copies + isolated copies.
     """
     base = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
-    blocks = [base.csr] * copies + ([sp.csr_matrix((isolated, isolated))] if isolated else [])
-    csr = sp.block_diag(blocks, format="csr")
-    return SymOperator(n=csr.shape[0], csr=csr)
+    blocks = [base] * copies + ([sp.csr_matrix((isolated, isolated))] if isolated else [])
+    return sp.block_diag(blocks, format="csr")
 
 
 def oracle_values(op, m):
-    return np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:m]])
+    return np.array([p.value for p in dense_sym_eig(op.toarray()).pairs[:m]])
 
 
 @pytest.mark.parametrize("copies, isolated, m", [(2, 0, 10), (3, 0, 12), (1, 3, 10), (2, 2, 12)])
@@ -470,9 +459,9 @@ def test_arpack_rounds_reach_m_equal_n_minus_one():
     # an indefinite sparse operator is off the band path; m = n - 1 asks
     # ARPACK for n - 1 of n pairs and still meets the PSD contract
     lap = random_sparse_laplacian(np.random.default_rng(9), 40)
-    op = SymOperator(n=lap.n, csr=(lap.csr - sp.identity(lap.n)).tocsr())
+    op = (lap - sp.identity(40)).tocsr()
     with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
-        lanczos_smallest(op, lap.n - 1, seed=3)
+        lanczos_smallest(op, 39, seed=3)
 
 
 def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path():
@@ -480,7 +469,7 @@ def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path():
     # path's shift; the solve falls back and meets the same PSD contract
     # as the dense solver, instead of surfacing a LinAlgError
     lap = random_sparse_laplacian(np.random.default_rng(9), 120)
-    op = SymOperator(n=lap.n, csr=(lap.csr - sp.identity(lap.n)).tocsr())
+    op = (lap - sp.identity(120)).tocsr()
     with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
         lanczos_smallest(op, 6, seed=3)
 
@@ -490,13 +479,13 @@ def test_lanczos_shift_invert_is_scale_invariant():
     # to the dense oracle's relative accuracy
     lap = random_sparse_laplacian(np.random.default_rng(0), 120)
     for weight in (1e4, 1e8, 1e13):
-        op = SymOperator(n=lap.n, csr=lap.csr * weight)
+        op = lap * weight
         report = lanczos_smallest(op, 4)
         assert report.method == "shift-invert"
         assert report.converged
         got = np.array([p.value for p in report.pairs])
-        want = np.array([p.value for p in dense_sym_eig(op.densified()).pairs[:4]])
-        assert np.abs(got - want).max() <= 1e-8 * op.inf_norm_estimate
+        want = np.array([p.value for p in dense_sym_eig(op.toarray()).pairs[:4]])
+        assert np.abs(got - want).max() <= 1e-8 * _inf_norm(op)
 
 
 def test_lanczos_shift_invert_recovers_exact_circle_doubles():
@@ -554,8 +543,7 @@ def recording_eigsh(monkeypatch, loose=None):
 
 def circle_copies():
     circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix
-    csr = sp.block_diag([circle.csr, circle.csr], format="csr")
-    return SymOperator(n=csr.shape[0], csr=csr)
+    return sp.block_diag([circle, circle], format="csr")
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,7 @@ def test_spectrum_p5_matches_cycle_closed_form():
 def test_spectrum_matches_dense_laplacian():
     for p in PRIMES:
         got = np.sort(
-            [pair.value for pair in dense_sym_eig(laplacian(paley_graph(p), "combinatorial").densified()).pairs]
+            [pair.value for pair in dense_sym_eig(laplacian(paley_graph(p), "combinatorial").toarray()).pairs]
         )
         want = np.sort(paley_spectrum(p).char_values)
         assert np.abs(got - want).max() <= 1e-9 * p
@@ -237,9 +237,9 @@ def test_numeric_rejects_a_basis_off_the_character_eigenspaces(monkeypatch, p):
     # turn one lambda_minus eigenvector 1e-6 rad towards one lambda_plus
     # eigenvector: the eigenvalues and their clusters stay, but some residue
     # character now leaves a residual near 1e-6 |<e_k, v>| / |e_k|
-    def rotated_solve(op):
-        report = dense_sym_eig(op)
-        lo, hi = 1, int(np.argmax(report.values >= op.n / 2.0))
+    def rotated_solve(a):
+        report = dense_sym_eig(a)
+        lo, hi = 1, int(np.argmax(report.values >= a.shape[0] / 2.0))
         u, v = report.vectors[:, lo].copy(), report.vectors[:, hi].copy()
         c, s = math.cos(1e-6), math.sin(1e-6)
         report.vectors[:, lo] = c * u + s * v
@@ -254,9 +254,9 @@ def test_numeric_rejects_a_basis_off_the_character_eigenspaces(monkeypatch, p):
 
 def test_numeric_stops_on_non_converged_solve(monkeypatch):
     # the failed dense solve returns no pairs; the check precedes any use
-    def failed(op):
+    def failed(a):
         return EigenSolveReport(
-            values=np.empty(0), vectors=np.empty((op.n, 0)), residuals=np.empty(0),
+            values=np.empty(0), vectors=np.empty((a.shape[0], 0)), residuals=np.empty(0),
             iterations=0, converged=False,
         )
 

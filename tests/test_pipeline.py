@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -290,10 +291,25 @@ def test_pgm_pixel_cap_checked_from_header():
 # ---------------------------------------------------------------- patch_graph
 
 
-def test_patch_graph_constant_image_zero_bandwidth():
+def test_patch_graph_constant_image_zero_bandwidth(monkeypatch):
+    def no_knn(patches, k):
+        raise AssertionError("kNN ran")
+
+    # a constant image with auto bandwidth is refused before the kNN runs
+    monkeypatch.setattr(pipeline, "_knn_exact", no_knn)
     img = Image(width=10, height=10, samples=np.full(100, 1), maxval=2)
     with pytest.raises(ValueError, match="zero bandwidth"):
         patch_graph(img, PatchGraphConfig(k_neighbors=3))
+    # the patch matrix and the work caps report their errors first
+    with pytest.raises(ValueError, match="too small"):
+        patch_graph(Image(width=3, height=3, samples=np.zeros(9, dtype=int), maxval=1),
+                    PatchGraphConfig(patch_size=8, k_neighbors=2))
+    flat = Image(width=200, height=200, samples=np.zeros(40000, dtype=np.uint8), maxval=255)
+    with pytest.raises(WorkCapError):
+        patch_graph(flat, PatchGraphConfig())
+    # an explicit bandwidth still takes the image to the kNN
+    with pytest.raises(AssertionError, match="kNN ran"):
+        patch_graph(img, PatchGraphConfig(k_neighbors=3, bandwidth=1.0))
 
 
 def test_patch_graph_two_tone_pairs():
@@ -764,9 +780,9 @@ def test_mesh_graph_isometry_invariance():
 
 def test_laplacian_k2_matrices():
     g = Graph(n=2, u=[0], v=[1], w=[1.0])
-    comb = laplacian(g, "combinatorial").to_dense()
+    comb = laplacian(g, "combinatorial").toarray()
     assert np.allclose(comb, [[1.0, -1.0], [-1.0, 1.0]])
-    sym = laplacian(g, "sym-normalized").to_dense()
+    sym = laplacian(g, "sym-normalized").toarray()
     vals = np.sort(np.linalg.eigvalsh(sym))
     assert np.allclose(vals, [0.0, 2.0], atol=1e-12)
 
@@ -785,7 +801,7 @@ def test_laplacian_smallest_eigenvalue_zero():
                 v.append(max(a, b))
         g = Graph(n=n, u=np.array(u), v=np.array(v), w=np.ones(len(u)))
         lap = laplacian(g, kind)
-        vals = np.linalg.eigvalsh(lap.to_dense())
+        vals = np.linalg.eigvalsh(lap.toarray())
         assert abs(vals[0]) <= 1e-9
         assert vals.min() >= -1e-9  # PSD
 
@@ -799,6 +815,36 @@ def test_laplacian_guards():
         laplacian(isolated, "sym-normalized")
     with pytest.raises(ValueError, match="no edges"):
         laplacian(Graph(n=2, u=[], v=[], w=[]), "combinatorial")
+
+
+@pytest.mark.parametrize("kind", ["combinatorial", "sym-normalized"])
+def test_laplacian_is_canonical_csr_equal_to_dense_reference(kind):
+    # a path plus random chords; the combinatorial graph also has an
+    # isolated last vertex, whose zero diagonal must not be stored
+    rng = np.random.default_rng(44)
+    n = 60
+    a, b = rng.integers(0, n, (2, 200))
+    chords = np.minimum(a, b) * n + np.maximum(a, b)
+    keys = np.unique(np.concatenate([np.arange(n - 1) * n + np.arange(1, n), chords[a != b]]))
+    u, v = keys // n, keys % n
+    w = rng.uniform(0.1, 3.0, keys.size)
+    size = n + 1 if kind == "combinatorial" else n
+    lap = laplacian(Graph(n=size, u=u, v=v, w=w), kind)
+    deg = np.zeros(size)
+    np.add.at(deg, u, w)
+    np.add.at(deg, v, w)
+    if kind == "combinatorial":
+        diag, off = deg, -w
+    else:
+        diag, off = np.ones(size), -w / np.sqrt(deg[u] * deg[v])
+    want = np.diag(diag)
+    np.add.at(want, (u, v), off)
+    np.add.at(want, (v, u), off)
+    assert isinstance(lap, sp.csr_matrix)
+    assert lap.has_canonical_format
+    assert (lap.data != 0.0).all()
+    assert lap.nnz == np.count_nonzero(want)
+    assert np.abs(lap.toarray() - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # ----------------------------------------------------------------- score_graph

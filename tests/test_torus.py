@@ -22,7 +22,7 @@ PINNED = PotentialSpec(y=0.35 * TWO_PI, eps=0.10 * TWO_PI, bump="constant-well")
 
 def spectrum(n_grid, spec):
     op = build_circle_operator(n_grid, spec)
-    return np.array([p.value for p in dense_sym_eig(op.matrix.densified()).pairs])
+    return np.array([p.value for p in dense_sym_eig(op.matrix.toarray()).pairs])
 
 
 # ------------------------------------------------------------- PotentialSpec
@@ -69,6 +69,18 @@ def test_operator_guards():
         build_circle_operator(512, narrow)
 
 
+def test_operator_matrix_is_periodic_stencil_plus_potential():
+    n = 64
+    op = build_circle_operator(n, PotentialSpec(y=6.0, eps=0.6))
+    inv_h2 = 1.0 / op.h**2
+    idx = np.arange(n)
+    want = np.diag(2.0 * inv_h2 + op.potential)
+    want[idx, (idx + 1) % n] = want[(idx + 1) % n, idx] = -inv_h2
+    assert op.matrix.has_canonical_format
+    assert op.matrix.nnz == 3 * n
+    assert np.array_equal(op.matrix.toarray(), want)
+
+
 def test_unperturbed_spectrum_matches_circulant_closed_form():
     """well_scale = 0 gives V = 1; eigenvalues are (2 - 2cos(2 pi k/n))/h^2 + 1."""
     n = 128
@@ -84,7 +96,7 @@ def test_unperturbed_ground_mode_is_constant_one():
     n = 256
     spec = PotentialSpec(y=2.0, eps=0.3, well_scale=0.0)
     op = build_circle_operator(n, spec)
-    report = dense_sym_eig(op.matrix.densified())
+    report = dense_sym_eig(op.matrix.toarray())
     h = TWO_PI / n
     assert abs(report.pairs[0].value - 1.0) <= h * h
     vec = report.pairs[0].vector / np.linalg.norm(report.pairs[0].vector)
