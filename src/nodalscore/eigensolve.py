@@ -91,6 +91,13 @@ def _gershgorin_bound(a):
     return float((diag + off).max(initial=0.0))
 
 
+def _check_symmetric(a):
+    """ValueError unless max|a - a^T| <= 1e-12 max|a| (dense or sparse a)."""
+    diff = abs(a - a.T)
+    if diff.size and diff.max() > 1e-12 * abs(a).max():
+        raise ValueError("matrix is not symmetric (1e-12 relative)")
+
+
 class EigenPair(NamedTuple):
     """One eigenvalue and its eigenvector."""
 
@@ -174,8 +181,7 @@ def dense_sym_eig(a, residual_tol=1e-10, m=None):
         raise ValueError(f"dense solve limited to n <= {DENSE_MAX_N}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * np.abs(a).max(initial=0.0):
-        raise ValueError("matrix is not symmetric (1e-12 relative)")
+    _check_symmetric(a)
     if m is not None and m < 1:
         raise ValueError("need m >= 1")
     scale = _inf_norm(a)
@@ -202,7 +208,8 @@ def dense_sym_eig(a, residual_tol=1e-10, m=None):
 def lanczos_smallest(a, m, tol=1e-10, seed=0):
     """The m smallest eigenpairs of a PSD-ish symmetric sparse matrix.
 
-    ``a`` is a scipy sparse matrix, read once as CSR; a dense array
+    ``a`` is a scipy sparse matrix, read once as CSR and symmetric to
+    1e-12 times its largest entry; a dense array or an asymmetric matrix
     raises ValueError.  Runs in rounds of ARPACK (``eigsh``, which="LA",
     tol=0, at most ARPACK_MAXITER restarts) on x -> P B P x, where B is
     the spectral transform of A named by ``method`` and P = I - F F^T
@@ -252,6 +259,7 @@ def lanczos_smallest(a, m, tol=1e-10, seed=0):
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
+    _check_symmetric(a)
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     scale = _inf_norm(a)

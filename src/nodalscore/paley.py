@@ -13,6 +13,11 @@ class: vertex 0, residues, non-residues.  The quadratic Gauss sum
 sum_k e(k^2/p) = sqrt(p) gives the residue class sum in closed form,
 sum_{k in R} e(jk/p) = (chi(j) sqrt(p) - 1) / 2 for j != 0, so the three
 values cost O(1) and only the per-vertex field is of size p.
+
+``paley_score_numeric`` checks this without the Gauss sum, for p up to
+NUMERIC_MAX_PRIME: LAPACK gives the spectrum of the dense Laplacian, and
+the FFT of the circulant's first row assigns each character its eigenvalue;
+an inverse FFT of the measured weights gives the character sums.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "PaleyField",
     "PaleySpectrum",
     "PaleyScore",
-    "is_quadratic_residue",
     "paley_graph",
     "paley_spectrum",
     "paley_score_closed_form",
@@ -53,17 +57,6 @@ def _is_prime(n):
             return False
         f += 2
     return True
-
-
-def is_quadratic_residue(a, p):
-    """Euler's criterion a^((p-1)/2) = 1 mod p; a must not be 0 mod p."""
-    p = int(p)
-    if p >= MAX_PRIME or p == 2 or not _is_prime(p):
-        raise ValueError("p must be an odd prime below 2**31")
-    a = int(a) % p
-    if a == 0:
-        raise ValueError("a must be nonzero mod p")
-    return pow(a, (p - 1) // 2, p) == 1
 
 
 @dataclass(frozen=True)
@@ -165,30 +158,35 @@ def paley_score_closed_form(p):
 
 
 def paley_score_numeric(p):
-    """Same score from a dense Laplacian solve, validated by projections.
+    """Same score from a dense Laplacian solve and the circulant's FFT.
 
-    The numeric spectrum must cluster as {0, lambda_minus, lambda_plus}
-    with the right multiplicities, and every character must project onto
-    its cluster's eigenspace with residual at most 1e-8; otherwise
-    "eigenspace mismatch" is raised.  The score at each vertex is then
-    the explicit character sum with the measured cluster weights, so it
-    checks the Gauss-sum values of the closed form independently.  A
-    solve that does not converge raises RuntimeError.
+    LAPACK gives the spectrum: it must cluster as {0, lambda_minus,
+    lambda_plus} with multiplicity 1, (p-1)/2, (p-1)/2, and the cluster
+    means are the measured lambda_minus, lambda_plus.  The FFT assigns the
+    characters: the Laplacian is the circulant with first row c, so
+    fft(c) holds the eigenvalue of every character e_k(j) = exp(2 pi i
+    jk/p).  Those must be real, 0 at k = 0, and within 1e-9 p of
+    lambda_minus on the residues and of lambda_plus on the non-residues;
+    otherwise "eigenspace mismatch" is raised.  The score at each vertex
+    is then the character sum with the measured cluster weights, p times
+    an inverse FFT, so it checks the Gauss-sum values of the closed form
+    independently.  A solve that does not converge raises RuntimeError.
     """
     p = int(p)
     if p > NUMERIC_MAX_PRIME:
         raise ValueError(f"numeric route limited to p <= {NUMERIC_MAX_PRIME}")
     field = PaleyField.create(p)
     mask = field.residue_mask()
-    # the circulant Laplacian (p-1)/2 I - mask[(j - i) mod p], exact in
-    # float64; no sparse build, so --verify never loads scipy
-    ks = np.arange(p)
-    lap = np.where(mask[(ks[None, :] - ks[:, None]) % p], -1.0, 0.0)
-    lap[ks, ks] = (p - 1) / 2.0
+    # c, the first row of the circulant Laplacian (p-1)/2 I - A, exact in
+    # float64; lap[i, j] = c[(j - i) mod p], row i is c shifted right by i.
+    # No sparse build, so --verify never loads scipy
+    c = np.where(mask, -1.0, 0.0)
+    c[0] = (p - 1) / 2.0
+    lap = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c]), p)[p:0:-1].copy()
     report = dense_sym_eig(lap)
     if not report.converged:
         raise RuntimeError(f"eigensolver did not converge on the Paley Laplacian (p={p})")
-    values, vectors = report.values, report.vectors
+    values = report.values
 
     if values[0] > 1e-9 * p:
         raise ValueError("eigenspace mismatch: smallest eigenvalue is not 0")
@@ -200,36 +198,20 @@ def paley_score_numeric(p):
     lam_minus = float(values[lower].mean())
     lam_plus = float(values[upper].mean())
 
-    # validate the character basis against the numeric eigenspaces
-    # column k = e_k, entry j = exp(2 pi i (jk mod p) / p): the p exponentials
-    # are taken once and gathered (same values, bit for bit); the exponent
-    # table is reduced in place and freed before the projections, which set
-    # the peak memory
-    exps = np.outer(ks, ks)
-    exps %= p
-    chars = np.exp(2j * np.pi * ks / p)[exps]
-    del exps
-    for cluster_mask, class_mask in ((lower, mask), (upper, ~mask)):
-        basis = vectors[:, cluster_mask]
-        # k = 1..(p-1)/2 only: -1 is a residue, so e_{p-k} = conj(e_k) is in
-        # the same class, and against a real basis its residual is e_k's
-        cls = class_mask.copy()
-        cls[0] = False
-        cls[half + 1 :] = False
-        # the basis is real: project the real and imaginary parts side by
-        # side in real arithmetic, a dgemm instead of a complex zgemm, with
-        # no complex copy of the block and the residual formed in place
-        parts = np.hstack([chars.real[:, cls], chars.imag[:, cls]])
-        norms = np.linalg.norm(parts, axis=0)
-        parts -= basis @ (basis.T @ parts)
-        resid = np.linalg.norm(parts, axis=0)
-        rel = np.hypot(*np.split(resid, 2)) / np.hypot(*np.split(norms, 2))
-        if rel.max(initial=0.0) > 1e-8:
-            raise ValueError("eigenspace mismatch: character projection residual")
+    # c is even (c[d] = c[-d], as -1 is a residue), so fft(c) is real and
+    # its k-th entry is the eigenvalue of e_k
+    char_values = np.fft.fft(c)
+    if np.abs(char_values.imag).max() > 1e-9 * p:
+        raise ValueError("eigenspace mismatch: character eigenvalues are not real")
+    want = np.where(mask, lam_minus, lam_plus)
+    want[0] = 0.0
+    if np.abs(char_values.real - want).max() > 1e-9 * p:
+        raise ValueError("eigenspace mismatch: a character eigenvalue is off its cluster")
 
+    # per_vertex[j] = sum_k weights[k] exp(2 pi i jk/p)
     weights = np.where(mask, lam_minus**-0.5, lam_plus**-0.5)
     weights[0] = 0.0
-    per_vertex = chars @ weights
+    per_vertex = p * np.fft.ifft(weights)
     if np.abs(per_vertex.imag).max() > 1e-10:
         raise ValueError("per-vertex score has imaginary part above 1e-10")
     j_non = int(np.argmin(mask[1:])) + 1  # smallest non-residue

@@ -348,6 +348,22 @@ def test_lanczos_requires_sparse_representation():
         lanczos_smallest(sp.csr_matrix((4, 5)), 2)
 
 
+def test_lanczos_rejects_asymmetry():
+    # one stray off-diagonal entry on a 40-vertex path Laplacian; without
+    # the check the solve ran until "lanczos failed to converge"
+    deg = np.full(40, 2.0)
+    deg[[0, -1]] = 1.0
+    a = sp.diags([-np.ones(39), deg, -np.ones(39)], [-1, 0, 1], format="lil")
+    a[0, 5] = -0.7
+    with pytest.raises(ValueError, match=r"not symmetric \(1e-12 relative\)"):
+        lanczos_smallest(a.tocsr(), 3)
+    # the mirrored entry and its degrees make it a Laplacian, which solves
+    a[5, 0] = -0.7
+    a[0, 0] += 0.7
+    a[5, 5] += 0.7
+    assert lanczos_smallest(a.tocsr(), 3).converged
+
+
 def test_lanczos_oracle_sweep_small():
     """Randomized dense-oracle equivalence on operators up to n = 300.
 

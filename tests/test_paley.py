@@ -12,7 +12,6 @@ from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.paley import (
     PER_VERTEX_MAX_PRIME,
     PaleyField,
-    is_quadratic_residue,
     paley_graph,
     paley_score_closed_form,
     paley_score_numeric,
@@ -29,21 +28,13 @@ P13_S_RESIDUE = -0.19806836488818014
 P13_S_NONRESIDUE = -0.6103805456457556
 
 
-def test_is_quadratic_residue_examples():
-    assert is_quadratic_residue(1, 13) is True
-    assert is_quadratic_residue(2, 13) is False
-    assert is_quadratic_residue(12, 13) is True
-    with pytest.raises(ValueError):
-        is_quadratic_residue(0, 13)
-
-
 def test_residues_match_euler_criterion_enumeration():
     for p in PRIMES:
         mask = PaleyField.create(p).residue_mask()
         brute = {x * x % p for x in range(1, p)}
         assert set(np.flatnonzero(mask).tolist()) == brute
         assert mask.sum() == (p - 1) // 2
-        assert [bool(m) for m in mask[1:]] == [is_quadratic_residue(k, p) for k in range(1, p)]
+        assert [bool(m) for m in mask[1:]] == [pow(k, (p - 1) // 2, p) == 1 for k in range(1, p)]
 
 
 def test_field_rejects_bad_primes():
@@ -233,23 +224,47 @@ def test_per_vertex_cap():
 
 
 @pytest.mark.parametrize("p", [13, 101])
-def test_numeric_rejects_a_basis_off_the_character_eigenspaces(monkeypatch, p):
-    # turn one lambda_minus eigenvector 1e-6 rad towards one lambda_plus
-    # eigenvector: the eigenvalues and their clusters stay, but some residue
-    # character now leaves a residual near 1e-6 |<e_k, v>| / |e_k|
-    def rotated_solve(a):
+def test_numeric_rejects_a_spectrum_off_the_character_eigenvalues(monkeypatch, p):
+    # shift the lambda_minus cluster by 1e-6 p: its multiplicity still
+    # passes, but the residue characters' FFT eigenvalues now lie off the
+    # measured cluster mean by far more than 1e-9 p
+    def shifted_solve(a):
         report = dense_sym_eig(a)
-        lo, hi = 1, int(np.argmax(report.values >= a.shape[0] / 2.0))
-        u, v = report.vectors[:, lo].copy(), report.vectors[:, hi].copy()
-        c, s = math.cos(1e-6), math.sin(1e-6)
-        report.vectors[:, lo] = c * u + s * v
-        report.vectors[:, hi] = c * v - s * u
+        report.values[1 : (p + 1) // 2] += 1e-6 * p
         return report
 
     paley_score_numeric(p)
-    monkeypatch.setattr("nodalscore.paley.dense_sym_eig", rotated_solve)
-    with pytest.raises(ValueError, match="eigenspace mismatch: character projection residual"):
+    monkeypatch.setattr(paley, "dense_sym_eig", shifted_solve)
+    with pytest.raises(ValueError, match="eigenspace mismatch: a character eigenvalue is off"):
         paley_score_numeric(p)
+
+
+def test_numeric_field_is_the_explicit_character_sum():
+    # per_vertex[j] = sum_k w_k exp(2 pi i (jk mod p) / p), w from the
+    # measured cluster means of the dense solve
+    for p in PRIMES:
+        values = dense_sym_eig(laplacian(paley_graph(p), "combinatorial").toarray()).values
+        half = (p - 1) // 2
+        mask = PaleyField.create(p).residue_mask()
+        weights = np.where(mask, values[1 : half + 1].mean() ** -0.5, values[half + 1 :].mean() ** -0.5)
+        weights[0] = 0.0
+        ks = np.arange(p)
+        brute = np.exp(2j * np.pi * (np.outer(ks, ks) % p) / p) @ weights
+        assert np.abs(paley_score_numeric(p).per_vertex - brute).max() <= 1e-12
+
+
+def test_numeric_peak_memory_below_five_dense_matrices():
+    # the dense solve holds the Laplacian, its eigenvectors and the
+    # residual products; no p x p character or exponent table is built
+    p = 601
+    paley_score_numeric(p)
+    tracemalloc.start()
+    try:
+        paley_score_numeric(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * p * p
 
 
 def test_numeric_stops_on_non_converged_solve(monkeypatch):
