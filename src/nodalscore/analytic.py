@@ -8,8 +8,7 @@ same construction over the Dirichlet lattice m^2 + n^2 <= lambda:
 Both have strict local minima at rational points once enough terms are
 included.  The module also carries the supporting identities: period-mean
 of |sin(k pi y)| and its 2/pi limit, the summation-by-parts bound for
-zero-mean periodic weights, the signed-cosine cancellation at rationals,
-and nodal-set distances.
+zero-mean periodic weights, and the summed distance to the sine nodal sets.
 """
 
 from __future__ import annotations
@@ -40,22 +39,17 @@ __all__ = [
     "PeriodicSequence",
     "PeriodicBoundResult",
     "interval_score",
-    "interval_score_grid",
     "interval_score_uniform",
     "check_interval_work",
     "check_square_work",
-    "square_score",
     "square_score_grid",
     "square_lattice",
     "RationalProbe",
     "probe_rational_minimum",
-    "check_rational_minimum",
     "check_rational_minimum_2d",
     "mean_abs_sin",
     "rational_mean_abs_sin",
     "periodic_sum_bound",
-    "sign_cos_period_sum",
-    "nodal_distance_interval",
     "nodal_distance_sum",
     "interval_sine_basis",
 ]
@@ -92,14 +86,6 @@ def interval_score(x, n_terms):
     return float(_kernels.interval_series(np.array([x]), n_terms)[0])
 
 
-def interval_score_grid(xs, n_terms):
-    """Vectorized interval score over an array of points in [0, 1]."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
-        raise ValueError("grid points must lie in [0, 1]")
-    return _kernels.interval_series(xs, n_terms)
-
-
 def check_interval_work(grid, n_terms):
     """ValueError when (grid + 1) * min(grid, n_terms) exceeds MAX_INTERVAL_WORK."""
     work = (grid + 1) * min(grid, n_terms)
@@ -118,14 +104,19 @@ def interval_score_uniform(grid, n_terms):
     return _kernels.rational_series(np.arange(grid + 1), grid, n_terms)
 
 
-def square_lattice(lambda_cut):
-    """Positive lattice points with m^2 + n^2 <= lambda_cut and their weights."""
+def _lattice_cut(lambda_cut):
+    """floor(lambda_cut), or ValueError unless 2 <= lambda_cut < MAX_LAMBDA_CUT."""
     lambda_cut = float(lambda_cut)
     if not lambda_cut >= 2.0:
         raise ValueError("lambda_cut must be >= 2 (no lattice point otherwise)")
     if not lambda_cut < MAX_LAMBDA_CUT:
         raise ValueError(f"lambda_cut must be below {MAX_LAMBDA_CUT}")
-    cut = math.floor(lambda_cut)
+    return math.floor(lambda_cut)
+
+
+def square_lattice(lambda_cut):
+    """Positive lattice points with m^2 + n^2 <= lambda_cut and their weights."""
+    cut = _lattice_cut(lambda_cut)
     # column m holds n = 1..isqrt(cut - m^2), counted in integers
     counts = np.array([math.isqrt(cut - m * m) for m in range(1, math.isqrt(cut) + 1)],
                       dtype=np.int32)
@@ -145,12 +136,10 @@ def check_square_work(mx, my, lambda_cut):
     ordered x fastest, so a chunk holds at most mx distinct x and my
     distinct y.  The work counts a product as 1, a sine as 8 and a gemm
     multiply-add as 1/128, about their relative times.  A cutoff that
-    square_lattice refuses is left for it to report.
+    square_lattice refuses raises its ValueError here too.
     """
     lambda_cut = float(lambda_cut)
-    if not 2.0 <= lambda_cut < MAX_LAMBDA_CUT:
-        return
-    k = math.isqrt(math.floor(lambda_cut)) + 1
+    k = math.isqrt(_lattice_cut(lambda_cut)) + 1
     points = mx * my
     chunks = -(-points // max(1, _kernels._CHUNK_BUDGET // k))
     rows_x, rows_y = min(points, mx * chunks), min(points, my * chunks)
@@ -160,16 +149,6 @@ def check_square_work(mx, my, lambda_cut):
             f"square work {work} on a {mx}x{my} grid at lambda_cut {lambda_cut!r} "
             f"exceeds {MAX_SQUARE_WORK}"
         )
-
-
-def square_score(x, y, lambda_cut):
-    """Square score at one point for the lattice cutoff lambda_cut."""
-    x = _check_unit(x, "x")
-    y = _check_unit(y, "y")
-    ms, ns, ws = square_lattice(lambda_cut)
-    return float(
-        _kernels.square_series(np.array([x]), np.array([y]), ms, ns, ws)[0]
-    )
 
 
 def square_score_grid(xs, ys, lambda_cut):
@@ -212,15 +191,6 @@ def probe_rational_minimum(point, n_terms, h):
         [center, center - offset, center + offset], den, n_terms
     )
     return RationalProbe(bool(values[0] < values[1:].min()), float(values[0]), 1.0 / d)
-
-
-def check_rational_minimum(point, n_terms, h):
-    """True when p/q scores strictly below both neighbors p/q +- h.
-
-    h is snapped to 1/round(1/h) and must be at most 1/(8 q^2); see
-    probe_rational_minimum.
-    """
-    return probe_rational_minimum(point, n_terms, h).strict
 
 
 def check_rational_minimum_2d(point_x, point_y, lambda_cut, h):
@@ -306,32 +276,6 @@ def periodic_sum_bound(seq, b, n_terms):
     lhs = float(abs((a_ext * b).sum()))
     rhs = float(1.5 * b[-1] * np.abs(seq.values).sum())
     return PeriodicBoundResult(lhs, rhs, bool(lhs <= rhs + 1e-12))
-
-
-def sign_cos_period_sum(point):
-    """sum_{k=1..q} sgn(sin(k pi p/q)) cos(k pi p/q); zero for reduced p/q.
-
-    The sign is classified exactly from (k p) mod 2q, so the zero terms at
-    multiples of q are exact.
-    """
-    p, q = point.p, point.q
-    total = 0.0
-    for k in range(1, q + 1):
-        r = (k * p) % (2 * q)
-        if r % q == 0:
-            continue
-        sign = 1.0 if r < q else -1.0
-        total += sign * math.cos(math.pi * r / q)
-    return total
-
-
-def nodal_distance_interval(k, x):
-    """Distance from x to the nodal set {j/k : 0 <= j <= k} of sin(k pi x)."""
-    if int(k) < 1:
-        raise ValueError("k must be >= 1")
-    x = _check_unit(x, "x")
-    t = k * x
-    return abs(t - round(t)) / k
 
 
 def nodal_distance_sum(x, n_terms):

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import analytic, paley, pipeline, torus
-from ._kernels import MAX_GRID_POINTS
+from ._kernels import MAX_GRID_POINTS, MAX_TERMS
 from .core import find_strict_local_minima
 
 __all__ = ["main", "entry"]
@@ -130,6 +130,8 @@ def _parse_grid_2d(parser, text):
 
 def _cmd_interval(merged, parser):
     n_terms, grid = merged["n-terms"], merged["grid"]
+    if not 1 <= n_terms <= MAX_TERMS:
+        parser.error(f"--n-terms {n_terms} must lie in 1..{MAX_TERMS}")
     if grid < 1:
         parser.error("--grid must be >= 1")
     if grid + 1 > MAX_GRID_POINTS:
@@ -191,10 +193,10 @@ def _cmd_square(merged, parser):
 
 
 def _cmd_rational_check(merged, parser):
-    point = analytic.RationalPoint(merged["p"], merged["q"])
-    n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
-    step = float(merged["step"]) if merged["step"] is not None else 1.0 / (8 * point.q**2)
     try:
+        point = analytic.RationalPoint(merged["p"], merged["q"])
+        n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
+        step = float(merged["step"]) if merged["step"] is not None else 1.0 / (8 * point.q**2)
         probe = analytic.probe_rational_minimum(point, n_terms, step)
     except ValueError as exc:
         parser.error(str(exc))
@@ -255,10 +257,19 @@ def _cmd_paley(merged, parser):
 def _cmd_torus(merged, parser):
     if (merged["n-terms"] is None) == (merged["find-n-eps"] is None):
         parser.error("set exactly one of --n-terms and --find-n-eps")
+    if merged["n-terms"] is not None and merged["n-terms"] < 1:
+        parser.error(f"--n-terms {merged['n-terms']} must be >= 1")
+    if merged["find-n-eps"] is not None and merged["find-n-eps"] < 0:
+        parser.error(f"--find-n-eps {merged['find-n-eps']} must be >= 0")
+    if merged["seed"] < 0:
+        parser.error(f"--seed {merged['seed']} must be >= 0")
     bump = {"constant": "constant-well", "cosine": "cosine-well"}.get(merged["bump"])
     if bump is None:
         parser.error("--bump must be constant or cosine")
-    spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
+    try:
+        spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
+    except ValueError as exc:
+        parser.error(str(exc))
     n_grid = merged["n-grid"]
     if n_grid > torus.MAX_N_GRID:
         parser.error(f"--n-grid {n_grid} exceeds {torus.MAX_N_GRID}")
@@ -299,6 +310,10 @@ def _cmd_graph(merged, parser):
         parser.error("--laplacian must be sym or comb")
     if merged["pgm"] and fmt != "pgm":
         parser.error("--pgm output needs --format pgm input")
+    if merged["n-terms"] < 1:
+        parser.error(f"--n-terms {merged['n-terms']} must be >= 1")
+    if merged["seed"] < 0:
+        parser.error(f"--seed {merged['seed']} must be >= 0")
     image = None
     if fmt == "edges":
         with open(merged["input"], encoding="utf-8") as fh:

@@ -36,7 +36,11 @@ discretizations).
 Both solvers return the pairs as two arrays, ascending ``values`` and
 the eigenvectors as the columns of ``vectors``, fix each eigenvector's
 sign by making its entry of largest magnitude positive, report which
-method ran, and are bitwise deterministic for a fixed seed.
+method ran, and are bitwise deterministic for a fixed seed at a fixed
+BLAS thread count (LAPACK's results change with the thread count: the
+dense solve's bits differ between one and two OpenBLAS threads).  A pair
+counts as converged when its residual ||A v - lambda v|| / ||A||_inf is
+at most RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ __all__ = [
 ]
 
 DENSE_MAX_N = 4096
+# largest normalized residual ||A v - lambda v|| / ||A||_inf of a converged pair
+RESIDUAL_TOL = 1e-10
 # callers solve below this size densely; iterating would gain nothing
 DENSE_FALLBACK_N = 512
 # shift of the banded path in units of scale = ||A||_inf, so that
@@ -144,7 +150,7 @@ def _clamp_tiny_negatives(values, scale):
     return out
 
 
-def _psd_report(values, vectors, residuals, iterations, tol, method):
+def _psd_report(values, vectors, residuals, iterations, method):
     """The report of a solve, or ValueError when a value is negative or NaN."""
     bad = ~(values >= 0.0)
     if bad.any():
@@ -154,12 +160,12 @@ def _psd_report(values, vectors, residuals, iterations, tol, method):
         vectors=vectors,
         residuals=residuals,
         iterations=iterations,
-        converged=bool((residuals <= tol).all()),
+        converged=bool((residuals <= RESIDUAL_TOL).all()),
         method=method,
     )
 
 
-def dense_sym_eig(a, residual_tol=1e-10, m=None):
+def dense_sym_eig(a, m=None):
     """Smallest m (default: all n) eigenpairs of a dense symmetric matrix.
 
     ``a`` is a square, finite 2-D ndarray, symmetric to 1e-12 times its
@@ -169,7 +175,8 @@ def dense_sym_eig(a, residual_tol=1e-10, m=None):
     only the m smallest pairs, and only their residuals are formed.
     Eigenvalues in [-1e-10 * scale, 0) are clamped to zero and a value
     below that raises ValueError, so only PSD matrices pass; residuals
-    are divided by scale = ||A||_inf.
+    are divided by scale = ||A||_inf, and the report is converged when
+    every one is at most RESIDUAL_TOL.
     """
     if not isinstance(a, np.ndarray):
         raise ValueError("dense_sym_eig needs a dense ndarray")
@@ -202,10 +209,10 @@ def dense_sym_eig(a, residual_tol=1e-10, m=None):
     # LAPACK solves the zero matrix exactly (0 and unit vectors), so its
     # residuals are 0 and need no scale
     resid = np.linalg.norm(a @ vectors - vectors * values, axis=0) / (scale or 1.0)
-    return _psd_report(values, vectors, resid, 1, residual_tol, "dense")
+    return _psd_report(values, vectors, resid, 1, "dense")
 
 
-def lanczos_smallest(a, m, tol=1e-10, seed=0):
+def lanczos_smallest(a, m, seed=0):
     """The m smallest eigenpairs of a PSD-ish symmetric sparse matrix.
 
     ``a`` is a scipy sparse matrix, read once as CSR and symmetric to
@@ -226,7 +233,7 @@ def lanczos_smallest(a, m, tol=1e-10, seed=0):
     still missing, from the start P g with g the next draw of the seeded
     generator.  Ritz values theta <= 0 belong to the deflated directions
     and are dropped.  A pair is accepted when its true normalized residual
-    ||A v - lambda v|| / scale is at most tol.  One Krylov start sees one
+    ||A v - lambda v|| / scale is at most RESIDUAL_TOL.  One Krylov start sees one
     vector per eigenspace, so the rounds go on until one finds nothing
     below the current m-th smallest value; that is what surfaces the
     copies of a repeated eigenvalue.  Each such check round, once m pairs
@@ -331,7 +338,7 @@ def lanczos_smallest(a, m, tol=1e-10, seed=0):
             theta, vecs = np.empty(0), np.empty((n, 0))
         live = theta > 0
         vals, vecs = to_eigenvalues(theta[live]), vecs[:, live]
-        keep = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale <= tol
+        keep = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale <= RESIDUAL_TOL
         new_vals, new_vecs = vals[keep], vecs[:, keep]
         if found_vecs.shape[1]:
             new_vecs = project(new_vecs)
@@ -343,20 +350,20 @@ def lanczos_smallest(a, m, tol=1e-10, seed=0):
             failed_rounds += 1
             if failed_rounds > MAX_RESTARTS:
                 raise RuntimeError(
-                    f"lanczos failed to converge {m} pairs to tol={tol}"
+                    f"lanczos failed to converge {m} pairs to tol={RESIDUAL_TOL}"
                 )
             continue
         prev_mth = sorted(found_vals)[m - 1] if len(found_vals) >= m else None
         found_vals.extend(new_vals.tolist())
         found_vecs = np.hstack([found_vecs, new_vecs])
-        if prev_mth is not None and new_vals.min() >= prev_mth - 10 * tol * scale:
+        if prev_mth is not None and new_vals.min() >= prev_mth - 10 * RESIDUAL_TOL * scale:
             break
 
     order = np.argsort(found_vals, kind="stable")[:m]
     vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
     vecs = _fix_signs(found_vecs[:, order])
     resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale
-    return _psd_report(vals, vecs, resid, applications, tol, method)
+    return _psd_report(vals, vecs, resid, applications, method)
 
 
 def _banded_shift_invert(csr, shift, max_width):

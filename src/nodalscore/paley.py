@@ -88,7 +88,14 @@ class PaleyField:
 
 
 def paley_graph(p):
-    """Paley graph on p vertices; (p-1)/2-regular with p(p-1)/4 edges."""
+    """Paley graph on p vertices; (p-1)/2-regular with p(p-1)/4 edges.
+
+    The edges come from a p x p table of differences (16 p^2 bytes at its
+    peak), so p is limited to NUMERIC_MAX_PRIME like the dense solve.
+    """
+    p = int(p)
+    if p > NUMERIC_MAX_PRIME:
+        raise ValueError(f"paley_graph limited to p <= {NUMERIC_MAX_PRIME}")
     mask = PaleyField.create(p).residue_mask()
     a, b = np.nonzero(np.triu(mask[(np.arange(p)[None, :] - np.arange(p)[:, None]) % p], 1))
     return Graph(n=p, u=a.astype(np.int64), v=b.astype(np.int64), w=np.ones(a.size))

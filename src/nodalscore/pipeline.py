@@ -640,7 +640,7 @@ def _score_component(graph, n_terms, kind, seed):
     if graph.n <= DENSE_FALLBACK_N or want == graph.n:
         report = dense_sym_eig(lap.toarray(), m=want)
     else:
-        report = lanczos_smallest(lap, want, tol=1e-10, seed=seed)
+        report = lanczos_smallest(lap, want, seed=seed)
     if not report.converged:
         raise RuntimeError(
             f"eigensolver did not converge on a component of size {graph.n}"

@@ -28,7 +28,6 @@ __all__ = [
     "PotentialSpec",
     "CircleOperator",
     "BUMP_PROFILES",
-    "potential_on_grid",
     "build_circle_operator",
     "torus_score",
     "find_N_eps",
@@ -97,16 +96,6 @@ def window_mask(xs, spec, slack=1e-12):
     return offset <= spec.eps + slack
 
 
-def potential_on_grid(spec, xs):
-    """Sample V on the points xs; exactly 1 outside the window."""
-    xs = np.asarray(xs, dtype=np.float64)
-    v = np.ones_like(xs)
-    mask = window_mask(xs, spec)
-    t = np.mod(xs[mask] - spec.y, TWO_PI) / spec.eps
-    v[mask] = 1.0 + spec.well_scale * spec.eps * BUMP_PROFILES[spec.bump](t)
-    return v
-
-
 @dataclass
 class CircleOperator:
     """Discretized -d^2/dx^2 + V on n_grid periodic points."""
@@ -133,7 +122,11 @@ def build_circle_operator(n_grid, spec):
     if spec.eps < 4.0 * h:
         raise ValueError("unresolved perturbation: eps < 4 grid spacings")
     xs = np.arange(n_grid) * h
-    v = potential_on_grid(spec, xs)
+    # V sampled on the grid, exactly 1 outside the window
+    v = np.ones(n_grid)
+    mask = window_mask(xs, spec)
+    t = np.mod(xs[mask] - spec.y, TWO_PI) / spec.eps
+    v[mask] = 1.0 + spec.well_scale * spec.eps * BUMP_PROFILES[spec.bump](t)
     inv_h2 = 1.0 / (h * h)
     # imported here, not at module top: scipy costs every interpreter start
     # about 0.3 s, and the closed-form subcommands build no operator
@@ -165,7 +158,7 @@ def _smallest_pairs(matrix, m, seed):
     if n <= DENSE_FALLBACK_N:
         report = dense_sym_eig(matrix.toarray(), m=m)
     else:
-        report = lanczos_smallest(matrix, m, tol=1e-10, seed=seed)
+        report = lanczos_smallest(matrix, m, seed=seed)
     if not report.converged:
         raise RuntimeError(
             f"eigensolver did not converge on the circle operator (n={n})"

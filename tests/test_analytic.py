@@ -8,24 +8,20 @@ import pytest
 from nodalscore.analytic import (
     PeriodicSequence,
     RationalPoint,
-    check_rational_minimum,
     check_rational_minimum_2d,
     interval_score,
-    interval_score_grid,
     interval_score_uniform,
     interval_sine_basis,
     mean_abs_sin,
-    nodal_distance_interval,
     nodal_distance_sum,
     periodic_sum_bound,
     probe_rational_minimum,
     rational_mean_abs_sin,
-    sign_cos_period_sum,
     square_lattice,
-    square_score,
     square_score_grid,
 )
 from nodalscore import analytic
+from nodalscore._kernels import interval_series
 from nodalscore.core import compute_score_field
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -56,7 +52,7 @@ def test_interval_score_examples():
 
 def test_interval_score_grid_matches_pointwise():
     xs = np.linspace(0.0, 1.0, 41)
-    grid = interval_score_grid(xs, 37)
+    grid = interval_series(xs, 37)
     point = np.array([interval_score(float(x), 37) for x in xs])
     assert np.abs(grid - point).max() <= 1e-13
 
@@ -64,8 +60,6 @@ def test_interval_score_grid_matches_pointwise():
 def test_interval_score_domain_check():
     with pytest.raises(ValueError):
         interval_score(1.5, 3)
-    with pytest.raises(ValueError):
-        interval_score_grid(np.array([-0.1, 0.5]), 3)
 
 
 def test_interval_score_agrees_with_sine_basis_field():
@@ -73,7 +67,7 @@ def test_interval_score_agrees_with_sine_basis_field():
     values, vectors = interval_sine_basis(240, 4)
     xs = np.arange(241) / 240
     field = compute_score_field(values, vectors, 4)
-    closed = interval_score_grid(xs, 4)
+    closed = interval_series(xs, 4)
     # grid of 240 intervals keeps every sup norm exactly 1 for k <= 4
     assert np.abs(field - closed).max() <= 1e-10
 
@@ -84,7 +78,7 @@ def test_interval_score_uniform_matches_float_grid():
         exact = interval_score_uniform(grid, n_terms)
         assert exact.shape == (grid + 1,)
         assert exact[0] == 0.0 and exact[-1] == 0.0
-        assert np.abs(exact - interval_score_grid(xs, n_terms)).max() <= 1e-12
+        assert np.abs(exact - interval_series(xs, n_terms)).max() <= 1e-12
         # x and 1 - x are the same sum term by term
         assert (exact == exact[::-1]).all()
     with pytest.raises(ValueError):
@@ -102,7 +96,12 @@ def test_interval_work_cap_checked_before_the_series(monkeypatch):
         interval_score_uniform(32768, 16384)
 
 
-# -------------------------------------------------------------- square_score
+# --------------------------------------------------------- square_score_grid
+
+
+def square_score(x, y, lambda_cut):
+    """The square score at one point, as a one-point grid."""
+    return float(square_score_grid(np.array([x]), np.array([y]), lambda_cut)[0])
 
 
 def test_square_score_single_term_examples():
@@ -152,10 +151,9 @@ def test_square_lattice_equals_loop_form(lam):
 
 
 @pytest.mark.parametrize("grid_fn", [
-    lambda xs: interval_score_grid(xs, 50),
     lambda xs: square_score_grid(xs, np.full(xs.shape, 0.5), 4000.0),
     lambda xs: square_score_grid(np.full(xs.shape, 0.5), xs, 4000.0),
-], ids=["interval", "square-xs", "square-ys"])
+], ids=["square-xs", "square-ys"])
 def test_grid_scores_refuse_nan_and_points_outside(grid_fn):
     for bad in ([math.nan, 0.5], [0.5, math.nan], [math.nan], [-0.25, 0.5], [0.5, 1.5]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -178,9 +176,10 @@ def test_check_square_work_counts_the_kernels_work():
     # the benchmark's 48x48 grid at 4000 (work 198144) stays far below
     analytic.check_square_work(48, 48, 4000.0)
     assert 198144 * 1000 < analytic.MAX_SQUARE_WORK
-    # a cutoff square_lattice refuses is left for it to report
+    # a cutoff square_lattice refuses is refused here with its message
     for bad in (1.5, math.nan, math.inf, float(analytic.MAX_LAMBDA_CUT)):
-        analytic.check_square_work(4096, 4096, bad)
+        with pytest.raises(ValueError, match="lambda_cut must be"):
+            analytic.check_square_work(4096, 4096, bad)
 
 
 def test_square_score_grid_matches_pointwise():
@@ -192,20 +191,20 @@ def test_square_score_grid_matches_pointwise():
     assert np.abs(grid - point).max() <= 1e-12
 
 
-# ---------------------------------------------------- check_rational_minimum
+# ---------------------------------------------------- probe_rational_minimum
 
 
 def test_check_rational_minimum_examples():
-    assert check_rational_minimum(RationalPoint(1, 2), 4, 1e-3) is True
+    assert probe_rational_minimum(RationalPoint(1, 2), 4, 1e-3).strict is True
     # N = 1 is far below the q^2/pi threshold at q = 3
-    assert check_rational_minimum(RationalPoint(1, 3), 1, 1e-3) is False
+    assert probe_rational_minimum(RationalPoint(1, 3), 1, 1e-3).strict is False
 
 
 def test_check_rational_minimum_step_guard():
     with pytest.raises(ValueError):
-        check_rational_minimum(RationalPoint(1, 5), 25, 1.0 / 100.0)  # h > 1/(8 q^2)
+        probe_rational_minimum(RationalPoint(1, 5), 25, 1.0 / 100.0)  # h > 1/(8 q^2)
     with pytest.raises(ValueError):
-        check_rational_minimum(RationalPoint(1, 2), 4, -1e-3)
+        probe_rational_minimum(RationalPoint(1, 2), 4, -1e-3)
 
 
 def test_probe_snaps_step_to_unit_fraction():
@@ -230,7 +229,7 @@ def test_probe_neighbours_match_float_kernel():
     n_terms = 4096
     h = 1.0 / (8 * 13**2)
     probe = probe_rational_minimum(point, n_terms, h)
-    values = interval_score_grid(np.array([5 / 13, 5 / 13 - h, 5 / 13 + h]), n_terms)
+    values = interval_series(np.array([5 / 13, 5 / 13 - h, 5 / 13 + h]), n_terms)
     assert abs(probe.center_value - values[0]) <= 1e-12
     assert probe.strict == bool(values[0] < values[1:].min())
 
@@ -317,31 +316,7 @@ def test_periodic_sum_bound_input_guards():
         periodic_sum_bound(zero_mean, np.array([1.0]), 3)  # too short
 
 
-# --------------------------------------------------------- sign-cosine sums
-
-
-def test_sign_cos_period_sum_examples():
-    assert abs(sign_cos_period_sum(RationalPoint(1, 2))) <= 1e-15
-    assert abs(sign_cos_period_sum(RationalPoint(1, 3))) <= 1e-15
-    assert abs(sign_cos_period_sum(RationalPoint(3, 7))) <= 1e-15
-
-
-def test_sign_cos_period_sum_all_coprime_up_to_50():
-    worst = 0.0
-    for q in range(2, 51):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                worst = max(worst, abs(sign_cos_period_sum(RationalPoint(p, q))))
-    assert worst <= 1e-12
-
-
 # ------------------------------------------------------------ nodal distances
-
-
-def test_nodal_distance_interval_examples():
-    assert nodal_distance_interval(1, 0.5) == pytest.approx(0.5)
-    assert nodal_distance_interval(2, 0.3) == pytest.approx(0.2)
-    assert nodal_distance_interval(5, 0.4) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nodal_distance_sum_examples():

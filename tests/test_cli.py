@@ -905,6 +905,53 @@ def test_square_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
             analytic.check_square_work(mx, my + 1, lam)
 
 
+@pytest.fixture
+def refuse_work(monkeypatch, tmp_path):
+    """Inputs for the graph formats, and every scoring or parsing step refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("started work on a bad flag value")
+
+    for module, name in (
+        (analytic, "interval_score_uniform"), (analytic, "square_score_grid"),
+        (analytic, "square_lattice"), (torus, "build_circle_operator"),
+        (pipeline, "parse_edge_list"), (pipeline, "parse_pgm"), (pipeline, "patch_graph"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    write_edge_file(tmp_path / "g.csv")
+    (tmp_path / "img.pgm").write_bytes(make_pgm_bytes(3, 16))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+_TORUS = ["torus", "--y", "1", "--eps", "0.6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--grid", "8", "--n-terms", "0"],
+    ["interval", "--grid", "8", "--n-terms", "1048577"],
+    ["square", "--grid", "4x4", "--lambda-cut", "1"],
+    ["square", "--grid", "4x4", "--lambda-cut", "5000000"],
+    ["rational-check", "--p", "2", "--q", "4"],
+    ["rational-check", "--p", "0", "--q", "3"],
+    ["torus", "--y", "7", "--eps", "0.6", "--n-terms", "2"],
+    ["torus", "--y", "1", "--eps", "7", "--n-terms", "2"],
+    _TORUS + ["--n-terms", "0"],
+    _TORUS + ["--find-n-eps", "-1"],
+    _TORUS + ["--n-terms", "2", "--seed", "-1"],
+    _TORUS + ["--n-terms", "2", "--seed", "-1", "--n-grid", "576"],
+    ["graph", "--input", "g.csv", "--format", "edges", "--n-terms", "0"],
+    ["graph", "--input", "img.pgm", "--format", "pgm", "--n-terms", "0"],
+    ["graph", "--input", "g.csv", "--format", "edges", "--n-terms", "2", "--seed", "-1"],
+    ["graph", "--input", "img.pgm", "--format", "pgm", "--n-terms", "2", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_values_exit_two_before_work(capsys, refuse_work, argv):
+    code, stdout, err = run(capsys, argv + ["--out", "o.csv"])
+    assert code == 2
+    assert stdout == ""
+    assert "error:" in err
+    assert sorted(path.name for path in refuse_work.iterdir()) == ["g.csv", "img.pgm"]
+
+
 # ---------------------------------------------------------- start-up imports
 
 _SRC = str(Path(nodalscore.__file__).resolve().parents[1])

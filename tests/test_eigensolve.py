@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from nodalscore.eigensolve import (
     CHECK_TOL,
     DENSE_MAX_N,
+    RESIDUAL_TOL,
     _gershgorin_bound,
     _inf_norm,
     dense_sym_eig,
@@ -289,8 +290,8 @@ def test_lanczos_orthonormal_vectors():
 def test_lanczos_residual_contract():
     rng = np.random.default_rng(15)
     op = random_sparse_laplacian(rng, 180)
-    tol = 1e-10
-    report = lanczos_smallest(op, 8, tol=tol)
+    tol = RESIDUAL_TOL
+    report = lanczos_smallest(op, 8)
     scale = max(1.0, _inf_norm(op))
     dense = op.toarray()
     for pair in report.pairs:

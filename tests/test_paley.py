@@ -57,6 +57,18 @@ def test_paley_graph_regularity():
         assert np.allclose(g.degrees(), degree)
 
 
+def test_paley_graph_cap_refuses_before_allocating():
+    # p = 2017 is prime and 1 mod 4; its difference table would peak at 62 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"p <= {paley.NUMERIC_MAX_PRIME}"):
+            paley_graph(2017)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2017  # not even one int64 array of p entries
+
+
 def test_spectrum_closed_form_values():
     spec = paley_spectrum(13)
     assert spec.lambda_minus == pytest.approx((13 - math.sqrt(13)) / 2)

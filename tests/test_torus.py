@@ -11,7 +11,6 @@ from nodalscore.torus import (
     PotentialSpec,
     build_circle_operator,
     find_N_eps,
-    potential_on_grid,
     torus_score,
     window_mask,
 )
@@ -40,9 +39,9 @@ def test_potential_spec_validation():
 
 
 def test_potential_is_one_outside_window():
-    xs = np.arange(512) * (TWO_PI / 512)
-    v = potential_on_grid(PINNED, xs)
-    inside = window_mask(xs, PINNED)
+    op = build_circle_operator(512, PINNED)
+    v = op.potential
+    inside = window_mask(op.grid, PINNED)
     assert np.all(v[~inside] == 1.0)
     assert np.all(v[inside] < 1.0)
 
