@@ -266,16 +266,11 @@ def _cmd_torus(merged, parser):
     bump = {"constant": "constant-well", "cosine": "cosine-well"}.get(merged["bump"])
     if bump is None:
         parser.error("--bump must be constant or cosine")
-    try:
-        spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
-    except ValueError as exc:
-        parser.error(str(exc))
     n_grid = merged["n-grid"]
-    if n_grid > torus.MAX_N_GRID:
-        parser.error(f"--n-grid {n_grid} exceeds {torus.MAX_N_GRID}")
     pairs = merged["n-terms"] if merged["n-terms"] is not None else merged["find-n-eps"]
     try:
-        torus.check_solve_work(n_grid, pairs)
+        spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
+        torus.check_solve(n_grid, spec, pairs)
     except ValueError as exc:
         parser.error(str(exc))
     items = [("y", spec.y), ("eps", spec.eps), ("bump", merged["bump"]), ("n_grid", n_grid)]

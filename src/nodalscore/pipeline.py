@@ -600,8 +600,9 @@ LAPLACIAN_KINDS = ("combinatorial", "sym-normalized")
 def laplacian(graph, kind="combinatorial"):
     """Graph Laplacian as a canonical scipy CSR matrix with no stored zeros.
 
-    combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}, which
-    rejects isolated vertices.
+    combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}, with a
+    zero row for an isolated vertex (the normed convention of
+    scipy.sparse.csgraph.laplacian).
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown laplacian kind {kind!r}")
@@ -613,10 +614,9 @@ def laplacian(graph, kind="combinatorial"):
     if kind == "combinatorial":
         diag, off = deg, -graph.w
     else:
-        if (deg == 0).any():
-            raise ValueError("normalized laplacian undefined for isolated vertices")
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        diag, off = np.ones(n), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]
+        linked = deg > 0
+        inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=linked)
+        diag, off = linked.astype(np.float64), -graph.w * inv_sqrt[graph.u] * inv_sqrt[graph.v]
     # imported here, not at module top: scipy costs every interpreter start
     # about 0.3 s, and the closed-form subcommands build no graph
     import scipy.sparse as sp
@@ -633,17 +633,18 @@ def laplacian(graph, kind="combinatorial"):
     return lap
 
 
-def _score_component(graph, n_terms, kind, seed):
-    lap = laplacian(graph, kind)
-    want = min(n_terms + 1, graph.n)
+def _score_component(lap, n_terms, seed):
+    """Score field of one connected component from its Laplacian block."""
+    n = lap.shape[0]
+    want = min(n_terms + 1, n)
     # the iterative solver needs want < n; all n modes take the full dense solve
-    if graph.n <= DENSE_FALLBACK_N or want == graph.n:
+    if n <= DENSE_FALLBACK_N or want == n:
         report = dense_sym_eig(lap.toarray(), m=want)
     else:
         report = lanczos_smallest(lap, want, seed=seed)
     if not report.converged:
         raise RuntimeError(
-            f"eigensolver did not converge on a component of size {graph.n}"
+            f"eigensolver did not converge on a component of size {n}"
         )
     # numerically zero modes (a Laplacian's constants) score nothing: the
     # ascending values below 1e-9 times the largest one are dropped
@@ -652,12 +653,12 @@ def _score_component(graph, n_terms, kind, seed):
     use = min(n_terms, values.size - first)
     if use < n_terms:
         warnings.warn(
-            f"component of size {graph.n} supplied only {use} nontrivial modes "
+            f"component of size {n} supplied only {use} nontrivial modes "
             f"(wanted {n_terms})",
             stacklevel=3,
         )
     if use == 0:
-        return np.zeros(graph.n)
+        return np.zeros(n)
     return compute_score_field(values[first:], vectors[:, first:], use)
 
 
@@ -665,10 +666,11 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     """Score every vertex from the smallest nontrivial Laplacian eigenpairs.
 
     Returns one float per vertex.  Disconnected graphs are scored per
-    component (warning emitted), each component contributing its own
-    nontrivial modes.  Components too small to carry any nontrivial mode
-    score zero.  WorkCapError, before any
-    solve, when the largest component's wanted pairs x size exceeds
+    component (warning emitted): one Laplacian of the whole graph,
+    permuted into component order, is solved block by block, each
+    component contributing its own nontrivial modes.  Components too
+    small to carry any nontrivial mode score zero.  WorkCapError, before
+    any solve, when the largest component's wanted pairs x size exceeds
     MAX_GRAPH_SOLVE_WORK.
     """
     if n_terms < 1:
@@ -689,31 +691,19 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
             stacklevel=2,
         )
     # one stable sort groups the vertices by component, ascending within each;
-    # a vertex's rank in its group is its label in the component's subgraph
+    # the Laplacian permuted by it is block diagonal, one block per component,
+    # and each block is the component's own Laplacian entry for entry
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
-    local = np.empty(graph.n, dtype=np.int64)
-    local[order] = np.arange(graph.n) - np.repeat(ends - sizes, sizes)
-    # edges grouped the same way keep their (u, v)-sorted order in each group
-    edge_comp = labels[graph.u]
-    edge_order = np.argsort(edge_comp, kind="stable")
-    edge_bounds = np.cumsum(np.bincount(edge_comp, minlength=n_comp))[:-1]
-    for vertices, edges in zip(
-        np.split(order, ends[:-1]), np.split(edge_order, edge_bounds)
-    ):
-        if vertices.size < 2:
+    lap = laplacian(graph, kind)[order][:, order] if graph.n_edges else None
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        if hi - lo < 2:
             warnings.warn(
-                f"component of size {vertices.size} has no nontrivial modes; scored 0",
+                f"component of size {hi - lo} has no nontrivial modes; scored 0",
                 stacklevel=2,
             )
             continue
-        sub = Graph(
-            n=vertices.size,
-            u=local[graph.u[edges]],
-            v=local[graph.v[edges]],
-            w=graph.w[edges],
-        )
-        values[vertices] = _score_component(sub, n_terms, kind, seed)
+        values[order[lo:hi]] = _score_component(lap[lo:hi, lo:hi], n_terms, seed)
     return values
 
 
@@ -726,9 +716,12 @@ def write_score_csv(values, path):
     values = np.asarray(values, dtype=np.float64)
     with open(path, "wb") as fh:
         for lo in range(0, len(values), _CSV_BLOCK_ROWS):
-            # values first, then rows: faster than one f-string per row
-            texts = [f"{val:.17g}" for val in values[lo : lo + _CSV_BLOCK_ROWS].tolist()]
-            fh.write("".join(f"{i},{text}\n" for i, text in enumerate(texts, lo)).encode())
+            block = values[lo : lo + _CSV_BLOCK_ROWS].tolist()
+            # one % over the interleaved indices and values of the block
+            cells = [None] * (2 * len(block))
+            cells[0::2] = range(lo, lo + len(block))
+            cells[1::2] = block
+            fh.write((("%d,%.17g\n" * len(block)) % tuple(cells)).encode())
 
 
 def write_class_csv(path, values, classes):

@@ -34,7 +34,7 @@ __all__ = [
     "window_mask",
     "MAX_N_GRID",
     "MAX_SOLVE_WORK",
-    "check_solve_work",
+    "check_solve",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -46,6 +46,8 @@ MAX_N_GRID = 1 << 14
 # 20 * pairs + 60 vectors of n_grid floats; runs near this cap took up to
 # about 20 s (README)
 MAX_SOLVE_WORK = 1 << 19
+# grid points this close past the window's far end count as inside it
+_WINDOW_SLACK = 1e-12
 
 
 def _constant_well(t):
@@ -90,10 +92,10 @@ class PotentialSpec:
             raise ValueError("bump profile must be strictly negative on [0, 1]")
 
 
-def window_mask(xs, spec, slack=1e-12):
+def window_mask(xs, spec):
     """Boolean mask of grid points inside [y, y + eps], wrapping mod 2 pi."""
     offset = np.mod(np.asarray(xs, dtype=np.float64) - spec.y, TWO_PI)
-    return offset <= spec.eps + slack
+    return offset <= spec.eps + _WINDOW_SLACK
 
 
 @dataclass
@@ -107,20 +109,35 @@ class CircleOperator:
     grid: np.ndarray
 
 
-def build_circle_operator(n_grid, spec):
-    """Periodic second-difference plus diagonal potential, as a CSR matrix.
+def check_solve(n_grid, spec, n_pairs=0):
+    """ValueError unless n_pairs split pairs on this grid and window may be solved.
 
-    n_grid lies in 64..MAX_N_GRID.  The window must cover at least 4 grid
-    spacings; a narrower one is not resolved by the stencil.
+    n_grid lies in 64..MAX_N_GRID; the window covers at least 4 grid
+    spacings, since the stencil does not resolve a narrower one;
+    n_pairs <= n_grid / 8, so the top retained mode is resolved; and
+    n_pairs * n_grid <= MAX_SOLVE_WORK.
     """
-    n_grid = int(n_grid)
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     if n_grid > MAX_N_GRID:
         raise ValueError(f"n_grid {n_grid} exceeds {MAX_N_GRID}")
-    h = TWO_PI / n_grid
-    if spec.eps < 4.0 * h:
+    if spec.eps < 4.0 * (TWO_PI / n_grid):
         raise ValueError("unresolved perturbation: eps < 4 grid spacings")
+    if n_pairs > n_grid // 8:
+        raise ValueError("pairs must be at most n_grid / 8")
+    work = n_pairs * n_grid
+    if work > MAX_SOLVE_WORK:
+        raise ValueError(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
+
+
+def build_circle_operator(n_grid, spec):
+    """Periodic second-difference plus diagonal potential, as a CSR matrix.
+
+    n_grid and spec.eps must pass check_solve.
+    """
+    n_grid = int(n_grid)
+    check_solve(n_grid, spec)
+    h = TWO_PI / n_grid
     xs = np.arange(n_grid) * h
     # V sampled on the grid, exactly 1 outside the window
     v = np.ones(n_grid)
@@ -146,13 +163,6 @@ def build_circle_operator(n_grid, spec):
     return CircleOperator(n_grid=n_grid, h=h, matrix=matrix, potential=v, grid=xs)
 
 
-def check_solve_work(n_grid, n_pairs):
-    """ValueError when n_pairs * n_grid exceeds MAX_SOLVE_WORK."""
-    work = n_pairs * n_grid
-    if work > MAX_SOLVE_WORK:
-        raise ValueError(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
-
-
 def _smallest_pairs(matrix, m, seed):
     n = matrix.shape[0]
     if n <= DENSE_FALLBACK_N:
@@ -171,15 +181,13 @@ def torus_score(n_grid, spec, n_pairs, seed=0):
 
     Solves the 2*n_pairs + 1 smallest eigenpairs and sums the 2*n_pairs
     non-ground ones; the localized ground state carries no window signal
-    and would pull the minimum to the far side of the circle.  Requires
-    n_pairs <= n_grid / 8 so the top retained mode is resolved.
+    and would pull the minimum to the far side of the circle.  n_pairs >= 1,
+    and the arguments must pass check_solve.
     """
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if n_pairs > n_grid // 8:
-        raise ValueError("n_pairs must be at most n_grid / 8")
-    check_solve_work(n_grid, n_pairs)
+    check_solve(n_grid, spec, n_pairs)
     circle = build_circle_operator(n_grid, spec)
     values, vectors = _smallest_pairs(circle.matrix, 2 * n_pairs + 1, seed)
     return compute_score_field(values[1:], vectors[:, 1:], 2 * n_pairs)
@@ -194,16 +202,15 @@ def find_N_eps(spec, n_grid, n_max, seed=0):
     minima of nearly the same depth, and which side wins the global tie
     flips with eps, while the windowed local minimum is the stable signal.
     Solves once for 2*n_max + 1 pairs and scores prefixes; returns 0 when
-    already N = 1 has no windowed minimum.
+    n_max is 0 or already N = 1 has no windowed minimum.  The arguments
+    must pass check_solve with n_max pairs.
     """
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    check_solve(n_grid, spec, n_max)
     if n_max == 0:
         return 0
-    if n_max > n_grid // 8:
-        raise ValueError("n_max must be at most n_grid / 8")
-    check_solve_work(n_grid, n_max)
     circle = build_circle_operator(n_grid, spec)
     values, vectors = _smallest_pairs(circle.matrix, 2 * n_max + 1, seed)
     inside = window_mask(circle.grid, spec)

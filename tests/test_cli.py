@@ -298,8 +298,30 @@ def test_torus_solve_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
             assert code == 2, argv
             assert "exceeds" in err
     assert not out.exists()
-    torus.check_solve_work(4096, 128)  # the cap met exactly
-    torus.check_solve_work(torus.MAX_N_GRID, 32)
+    spec = torus.PotentialSpec(y=1.0, eps=0.5)
+    torus.check_solve(4096, spec, 128)  # the cap met exactly
+    torus.check_solve(torus.MAX_N_GRID, spec, 32)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "0.6", "--n-grid", "32", "--n-terms", "2"], "at least 64"),
+        (["--eps", "0.6", "--n-grid", "64", "--n-terms", "9"], "n_grid / 8"),
+        (["--eps", "0.6", "--n-grid", "64", "--find-n-eps", "9"], "n_grid / 8"),
+        (["--eps", "0.2", "--n-grid", "64", "--n-terms", "2"], "unresolved"),
+    ],
+)
+def test_torus_grid_rules_exit_before_work(capsys, tmp_path, monkeypatch, flags, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a circle operator the rules refuse")
+
+    monkeypatch.setattr(torus, "build_circle_operator", refuse)
+    out = tmp_path / "t.csv"
+    code, _, err = run(capsys, ["torus", "--y", "1"] + flags + ["--out", str(out)])
+    assert code == 2
+    assert message in err
+    assert not out.exists()
 
 
 def test_torus_mode_flags_are_exclusive(capsys):

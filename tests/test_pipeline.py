@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nodalscore import pipeline
@@ -810,11 +810,17 @@ def test_laplacian_guards():
     g = Graph(n=2, u=[0], v=[1], w=[1.0])
     with pytest.raises(ValueError):
         laplacian(g, "fancy")
-    isolated = Graph(n=3, u=[0], v=[1], w=[1.0])
-    with pytest.raises(ValueError, match="isolated"):
-        laplacian(isolated, "sym-normalized")
     with pytest.raises(ValueError, match="no edges"):
         laplacian(Graph(n=2, u=[], v=[], w=[]), "combinatorial")
+
+
+def test_laplacian_isolated_vertex_is_a_zero_row():
+    # scipy.sparse.csgraph.laplacian's normed convention, no stored zero
+    isolated = Graph(n=3, u=[0], v=[1], w=[4.0])
+    for kind, edge in (("combinatorial", 4.0), ("sym-normalized", 1.0)):
+        lap = laplacian(isolated, kind)
+        assert lap.nnz == 4
+        assert lap.toarray().tolist() == [[edge, -edge, 0], [-edge, edge, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("kind", ["combinatorial", "sym-normalized"])
@@ -940,15 +946,83 @@ def test_score_many_components_each_as_if_alone():
                 v=[rank[int(k[1])] for k in own],
                 w=[edges[k] for k in own],
             )
-            vals = pipeline._score_component(alone, 3, "sym-normalized", 0)
-            assert np.array_equal(field[verts], vals)
+            assert np.array_equal(field[verts], score_graph(alone, 3))
+
+
+def test_score_graph_builds_one_laplacian(monkeypatch):
+    # three interleaved components, one above the dense cutoff: a triangle
+    # on 0, 2, 4, a weighted path on 1, 3, 5, 6, ..., 600 and an edge 601-602
+    rng = np.random.default_rng(5)
+    path = np.r_[1, 3, 5:601]
+    steps = np.arange(path.size - 1)
+    comps = [  # vertices, then local u, v and the weights
+        (np.array([0, 2, 4]), [0, 0, 1], [1, 2, 2], [1.0, 2.0, 3.0]),
+        (path, steps, steps + 1, rng.uniform(0.5, 2.0, steps.size)),
+        (np.array([601, 602]), [0], [1], [0.7]),
+    ]
+    u = np.concatenate([verts[cu] for verts, cu, _, _ in comps])
+    v = np.concatenate([verts[cv] for verts, _, cv, _ in comps])
+    w = np.concatenate([cw for *_, cw in comps])
+    key = np.argsort(u * 603 + v)
+    graph = Graph(n=603, u=u[key], v=v[key], w=w[key])
+    assert path.size > pipeline.DENSE_FALLBACK_N
+    built, solved = [], []
+    real = {
+        name: getattr(pipeline, name) for name in ("laplacian", "dense_sym_eig", "lanczos_smallest")
+    }
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real["laplacian"](*args, **kwargs)
+
+    def spy(name):
+        def solve(a, *args, **kwargs):
+            solved.append(a)
+            return real[name](a, *args, **kwargs)
+
+        return solve
+
+    monkeypatch.setattr(pipeline, "laplacian", counted)
+    monkeypatch.setattr(pipeline, "dense_sym_eig", spy("dense_sym_eig"))
+    monkeypatch.setattr(pipeline, "lanczos_smallest", spy("lanczos_smallest"))
+    with pytest.warns(UserWarning, match="3 components"):
+        score_graph(graph, 1)
+    assert len(built) == 1
+    # each solve sees its component's own Laplacian, entry for entry and
+    # in the same CSR order
+    assert len(solved) == 3
+    for a, (verts, cu, cv, cw) in zip(solved, comps):
+        own = real["laplacian"](Graph(n=verts.size, u=cu, v=cv, w=cw), "sym-normalized")
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, own.toarray())
+        else:
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, attr), getattr(own, attr)), attr
 
 
 def test_score_isolated_vertex_scores_zero():
     g = Graph(n=3, u=[0], v=[1], w=[1.0])
-    with pytest.warns(UserWarning):
-        field = score_graph(g, 1, kind="combinatorial")
-    assert field[2] == 0.0
+    for kind in ("combinatorial", "sym-normalized"):
+        with pytest.warns(UserWarning):
+            field = score_graph(g, 1, kind=kind)
+        assert field[2] == 0.0
+        edge = score_graph(Graph(n=2, u=[0], v=[1], w=[1.0]), 1, kind=kind)
+        assert np.array_equal(field[:2], edge)
+
+
+def test_score_graph_without_edges_scores_zero(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Laplacian of a graph with no edges")
+
+    monkeypatch.setattr(pipeline, "laplacian", refuse)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        field = score_graph(Graph(n=3, u=[], v=[], w=[]), 2)
+    assert field.tolist() == [0.0, 0.0, 0.0]
+    messages = [str(w.message) for w in caught]
+    assert messages == ["graph is disconnected (3 components); scoring per component"] + [
+        "component of size 1 has no nontrivial modes; scored 0"
+    ] * 3
 
 
 @pytest.mark.parametrize("n", [300, 2048], ids=["dense", "iterative"])
@@ -1060,6 +1134,20 @@ def test_csv_bytes_match_per_row_format(tmp_path, monkeypatch, block_rows):
     assert path.read_bytes() == want
     write_score_csv(np.array([]), path)
     assert path.read_bytes() == b""
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(st.floats(), max_size=40), st.integers(1, 8))
+@example([math.nan, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308], 3)
+def test_csv_bytes_match_per_row_format_on_any_floats(tmp_path, monkeypatch, values, block_rows):
+    # st.floats() draws nan, +-inf, -0.0 and subnormals; the lengths cross
+    # the small blocks
+    monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
+    path = tmp_path / "scores.csv"
+    write_score_csv(np.array(values, dtype=np.float64), path)
+    assert path.read_bytes() == "".join(f"{i},{v:.17g}\n" for i, v in enumerate(values)).encode()
 
 
 def _per_row_class_csv(path, values, classes):
