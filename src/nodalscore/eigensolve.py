@@ -85,23 +85,27 @@ MAX_RESTARTS = 5
 CHECK_TOL = 1e-4
 
 
-def _inf_norm(a):
-    """||A||_inf, the largest absolute row sum of a dense or sparse matrix."""
-    return float(np.asarray(abs(a).sum(axis=1)).max(initial=0.0))
+def _symmetric_row_sums(a):
+    """Row sums of |A| (dense or sparse a), after its symmetry check.
 
-
-def _gershgorin_bound(a):
-    """max_i (a_ii + sum_{j != i} |a_ij|), an upper bound on the spectrum."""
-    diag = a.diagonal()
-    off = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)
-    return float((diag + off).max(initial=0.0))
-
-
-def _check_symmetric(a):
-    """ValueError unless max|a - a^T| <= 1e-12 max|a| (dense or sparse a)."""
+    ValueError unless max|a - a^T| <= 1e-12 max|a|.  |A| is formed once,
+    for the check and the sums, and is freed on return.
+    """
     diff = abs(a - a.T)
-    if diff.size and diff.max() > 1e-12 * abs(a).max():
+    mag = abs(a)
+    if diff.size and diff.max() > 1e-12 * mag.max():
         raise ValueError("matrix is not symmetric (1e-12 relative)")
+    return np.asarray(mag.sum(axis=1)).ravel()
+
+
+def _gershgorin_bound(a, row_sums):
+    """max_i (a_ii + sum_{j != i} |a_ij|), an upper bound on the spectrum.
+
+    row_sums are the row sums of |A| (see _symmetric_row_sums).
+    """
+    diag = a.diagonal()
+    off = row_sums - np.abs(diag)
+    return float((diag + off).max(initial=0.0))
 
 
 class EigenPair(NamedTuple):
@@ -188,10 +192,11 @@ def dense_sym_eig(a, m=None):
         raise ValueError(f"dense solve limited to n <= {DENSE_MAX_N}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    _check_symmetric(a)
+    row_sums = _symmetric_row_sums(a)
     if m is not None and m < 1:
         raise ValueError("need m >= 1")
-    scale = _inf_norm(a)
+    # ||A||_inf, the largest absolute row sum
+    scale = float(row_sums.max(initial=0.0))
     try:
         if m is None or m >= n:
             values, vectors = np.linalg.eigh(a)
@@ -266,10 +271,11 @@ def lanczos_smallest(a, m, seed=0):
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
-    _check_symmetric(a)
+    # one |A| serves the symmetry check, the scale and the Gershgorin bound
+    row_sums = _symmetric_row_sums(a)
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    scale = _inf_norm(a)
+    scale = float(row_sums.max(initial=0.0))
     if scale == 0.0:  # the zero operator: every vector has eigenvalue 0
         return EigenSolveReport(
             values=np.zeros(m), vectors=np.eye(n, m), residuals=np.zeros(m),
@@ -280,7 +286,7 @@ def lanczos_smallest(a, m, seed=0):
     solve = _banded_shift_invert(a, shift, max(10 * m + 50, 300))
     if solve is None:
         method = "arpack"
-        sigma = _gershgorin_bound(a)
+        sigma = _gershgorin_bound(a, row_sums)
 
         def apply(x):
             return sigma * x - a @ x

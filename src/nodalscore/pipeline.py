@@ -67,12 +67,10 @@ _ZERO_BANDWIDTH = (
 )
 
 # rows of one exact kNN block, fixed so that the scratch never depends on
-# the machine, and the rows of the distance matrix held at once by all the
+# the machine, and the rows of the key matrix held at once by all the
 # blocks in flight
 _KNN_BLOCK_ROWS = 64
 _KNN_ROWS_IN_FLIGHT = 256
-# rows of the kNN sum-of-squares temporary, a small fraction of a block
-_KNN_STRIP_ROWS = 8
 
 
 class WorkCapError(ValueError):
@@ -366,15 +364,15 @@ def parse_pgm(data):
 
 
 def _patch_dtype(patch_size, maxval):
-    """float32 when its 24-bit significand holds every patch distance term.
+    """float32 when its 24-bit significand holds every patch product.
 
-    A patch of integer samples 0..maxval has |a|^2 and 2a.b at most
-    patch^2 maxval^2, so every partial sum of the kNN distance formula is
-    an integer below 2 patch^2 maxval^2: exact in float32 below 2^24
-    (patch <= 11 at 8 bits), and otherwise in float64, whose 2^53 the
-    work caps keep out of reach.
+    A patch of integer samples 0..maxval has |a|^2 and a.b at most
+    P = patch^2 maxval^2, so every partial sum of the kNN product is an
+    integer of at most P: exact in float32 below 2^24 (patch <= 16 at 8
+    bits, maxval <= 4095 at patch 1), and otherwise in float64, whose
+    2^53 the work caps keep out of reach.
     """
-    return np.float32 if 2 * patch_size**2 * maxval**2 < 1 << 24 else np.float64
+    return np.float32 if patch_size**2 * maxval**2 < 1 << 24 else np.float64
 
 
 def _patch_matrix(img, patch_size):
@@ -419,69 +417,83 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _knn_block(patches, sq, k, lo, idx_out, d2_out):
-    """Fill rows lo..lo+_KNN_BLOCK_ROWS-1 of idx_out and d2_out (see _knn_exact)."""
+def _knn_block(patches, col_key, sq, k, lo, prod, key, idx_out, d2_out):
+    """Fill rows lo..lo+_KNN_BLOCK_ROWS-1 of idx_out and d2_out (see _knn_exact).
+
+    prod and key are _KNN_BLOCK_ROWS x n scratch, in the patch type and in
+    int64; only their leading rows are used in the last block.
+    """
     n = patches.shape[0]
     hi = min(lo + _KNN_BLOCK_ROWS, n)
-    # doubling is exact, so 2a.b comes out of the product with no extra pass
-    d2 = (2 * patches[lo:hi]) @ patches.T
-    # (|a|^2 + |b|^2) - 2a.b in place, a few rows at a time, exact, so
-    # never negative; each strip then becomes the exact key d2 * n + j
-    # while it is still in cache
-    key = np.empty(d2.shape, dtype=np.int64)
-    index = np.arange(n)
-    for r in range(lo, hi, _KNN_STRIP_ROWS):
-        strip = d2[r - lo : r - lo + _KNN_STRIP_ROWS]
-        np.subtract(sq[r : r + _KNN_STRIP_ROWS, None] + sq[None, :], strip, out=strip)
-        keys = key[r - lo : r - lo + _KNN_STRIP_ROWS]
-        keys[...] = strip
-        keys *= n
-        keys += index
-    del d2
+    prod, key = prod[: hi - lo], key[: hi - lo]
+    np.matmul(patches[lo:hi], patches.T, out=prod)
+    # c_j - 2n a.b in int64; the integer-valued product converts exactly
+    np.multiply(prod, -2 * n, out=key, dtype=np.int64, casting="unsafe")
+    key += col_key
     rows = np.arange(lo, hi)
     key[rows - lo, rows] = np.iinfo(np.int64).max
     key.partition(k - 1, axis=1)
     sel = key[:, :k]
     sel.sort(axis=1)
     idx_out[lo:hi] = sel % n
-    d2_out[lo:hi] = sel // n
+    d2_out[lo:hi] = sel // n + sq[lo:hi, None]
 
 
 def _knn_exact(patches, k):
     """k nearest rows per row (self excluded), ties broken by smaller index.
 
-    patches holds integers, in float32 or float64 (see _patch_dtype), and
-    every squared distance (|a|^2 + |b|^2) - 2 a.b is formed in that type.
-    While 2 max|a|^2 is below 2^24 (float32) or 2^53 (float64), every
-    product, norm and partial sum is an integer the type holds, so each
-    distance is exact in any summation order: equal distances are true
-    ties, ranked by index, and the bytes do not depend on the BLAS, the
-    block shape or the thread count.  Each row selects by the int64 key
-    d2 * n + j: d2 <= patch^2 maxval^2 and n patch^2 <= MAX_PATCH_WORK
-    keep it below 2^53, so one partition ranks by distance, then index.
+    patches holds integers, in float32 or float64 (see _patch_dtype).  Row
+    i ranks every other row j by the int64 key c_j - 2n (a_i . b_j), with
+    c_j = n |b_j|^2 + j formed once per call and a_i . b_j read straight
+    from the product.  The key is n d2 + j less the row constant
+    n |a_i|^2, so it ranks by squared distance d2, then by index, and no
+    two keys of a row are equal.  Every step is exact: a.b and |b|^2 are
+    integers of at most P = patch^2 maxval^2, so each partial sum of the
+    product is exact in the patch type (see _patch_dtype) and converts to
+    int64 exactly; 2n (a.b) is below 2^54 and every key has
+    |key| < 2^53, because n patch^2 <= MAX_PATCH_WORK, far inside int64.
+    So equal distances are true ties and the bytes do not depend on the
+    BLAS, the block shape or the thread count.  The k selected keys split
+    exactly into j = key mod n and d2 = key // n + |a_i|^2.
     Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
     pool with one worker per CPU but at most
-    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, so the scratch is about
-    _KNN_ROWS_IN_FLIGHT rows of n distances and n int64 keys whatever n
-    and the CPU count are.  Each block writes only its own output rows.
-    Returns (indices (n, k), squared distances (n, k) in float64).
+    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS.  The calling thread allocates
+    one product and one key buffer of _KNN_BLOCK_ROWS x n per worker
+    before the pool starts, and each block borrows a pair from a free list
+    and returns it when done, so the scratch is workers x 64 x n x 12
+    bytes with float32 patches (16 with float64) whatever the number of
+    blocks, and no block allocates a rows x n array.  Each block writes
+    only its own output rows.  Returns (indices (n, k), squared distances
+    (n, k) in float64).
     """
     # imported here, not at module top: the closed-form subcommands build
     # no graph and would pay its import on every start
+    import queue
     from concurrent.futures import ThreadPoolExecutor
 
     n = patches.shape[0]
-    sq = (patches * patches).sum(axis=1)
+    sq = (patches * patches).sum(axis=1, dtype=np.float64).astype(np.int64)
+    col_key = sq * n + np.arange(n)
     idx_out = np.empty((n, k), dtype=np.int64)
     d2_out = np.empty((n, k))
     starts = range(0, n, _KNN_BLOCK_ROWS)
     workers = min(_cpu_count(), _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, len(starts))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        shape = (_KNN_BLOCK_ROWS, n)
+        free.put((np.empty(shape, dtype=patches.dtype), np.empty(shape, dtype=np.int64)))
+
+    def block(lo):
+        scratch = free.get()
+        try:
+            _knn_block(patches, col_key, sq, k, lo, *scratch, idx_out, d2_out)
+        finally:
+            free.put(scratch)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the blocks release the GIL in numpy; iterating the results
         # re-raises the first block that failed
-        for _ in pool.map(
-            lambda lo: _knn_block(patches, sq, k, lo, idx_out, d2_out), starts
-        ):
+        for _ in pool.map(block, starts):
             pass
     return idx_out, d2_out
 
@@ -633,15 +645,31 @@ def laplacian(graph, kind="combinatorial"):
     return lap
 
 
-def _score_component(lap, n_terms, seed):
-    """Score field of one connected component from its Laplacian block."""
-    n = lap.shape[0]
+def _dense_block(lap, lo, hi):
+    """lap[lo:hi, lo:hi] as a dense array, read straight from the CSR arrays.
+
+    lap stores no duplicate and no zero (laplacian's canonical CSR, and any
+    row and column permutation of it), so each stored entry is one cell.
+    """
+    ptr = lap.indptr[lo : hi + 1]
+    start, stop = ptr[0], ptr[-1]
+    rows = np.repeat(np.arange(hi - lo), ptr[1:] - ptr[:-1])
+    dense = np.zeros((hi - lo, hi - lo))
+    dense[rows, lap.indices[start:stop] - lo] = lap.data[start:stop]
+    return dense
+
+
+def _score_component(block, n_terms, seed):
+    """Score field of one connected component from its Laplacian block.
+
+    A dense array takes the dense solve, and a CSR block the iterative one.
+    """
+    n = block.shape[0]
     want = min(n_terms + 1, n)
-    # the iterative solver needs want < n; all n modes take the full dense solve
-    if n <= DENSE_FALLBACK_N or want == n:
-        report = dense_sym_eig(lap.toarray(), m=want)
+    if isinstance(block, np.ndarray):
+        report = dense_sym_eig(block, m=want)
     else:
-        report = lanczos_smallest(lap, want, seed=seed)
+        report = lanczos_smallest(block, want, seed=seed)
     if not report.converged:
         raise RuntimeError(
             f"eigensolver did not converge on a component of size {n}"
@@ -668,10 +696,12 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     Returns one float per vertex.  Disconnected graphs are scored per
     component (warning emitted): one Laplacian of the whole graph,
     permuted into component order, is solved block by block, each
-    component contributing its own nontrivial modes.  Components too
-    small to carry any nontrivial mode score zero.  WorkCapError, before
-    any solve, when the largest component's wanted pairs x size exceeds
-    MAX_GRAPH_SOLVE_WORK.
+    component contributing its own nontrivial modes.  A block of at most
+    DENSE_FALLBACK_N vertices, or one solved for all its modes, is read
+    into a dense array straight from the permuted CSR arrays and solved
+    densely.  Components too small to carry any nontrivial mode score
+    zero.  WorkCapError, before any solve, when the largest component's
+    wanted pairs x size exceeds MAX_GRAPH_SOLVE_WORK.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -703,7 +733,12 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
                 stacklevel=2,
             )
             continue
-        values[order[lo:hi]] = _score_component(lap[lo:hi, lo:hi], n_terms, seed)
+        # the iterative solver needs want < n; all n modes take the full dense solve
+        if hi - lo <= max(DENSE_FALLBACK_N, n_terms + 1):
+            block = _dense_block(lap, lo, hi)
+        else:
+            block = lap[lo:hi, lo:hi]
+        values[order[lo:hi]] = _score_component(block, n_terms, seed)
     return values
 
 

@@ -10,7 +10,7 @@ from nodalscore.eigensolve import (
     DENSE_MAX_N,
     RESIDUAL_TOL,
     _gershgorin_bound,
-    _inf_norm,
+    _symmetric_row_sums,
     dense_sym_eig,
     lanczos_smallest,
 )
@@ -47,13 +47,20 @@ def random_sparse_laplacian(rng, n, avg_degree=4):
 # ------------------------------------------------------------ norm helpers
 
 
+def _inf_norm(a):
+    """||A||_inf as both solvers take it: the largest row sum of |A|."""
+    return float(_symmetric_row_sums(a).max(initial=0.0))
+
+
 def test_gershgorin_bounds_spectrum():
     rng = np.random.default_rng(2)
     for _ in range(10):
         n = int(rng.integers(2, 30))
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2
-        assert _gershgorin_bound(sp.csr_matrix(a)) >= np.linalg.eigvalsh(a).max() - 1e-12
+        csr = sp.csr_matrix(a)
+        bound = _gershgorin_bound(csr, _symmetric_row_sums(csr))
+        assert bound >= np.linalg.eigvalsh(a).max() - 1e-12
 
 
 def test_inf_norm_reads_dense_and_sparse_matrices():
@@ -62,6 +69,25 @@ def test_inf_norm_reads_dense_and_sparse_matrices():
     assert _inf_norm(a) == pytest.approx(want, rel=1e-15)
     assert _inf_norm(a.toarray()) == pytest.approx(want, rel=1e-15)
     assert _inf_norm(sp.csr_matrix((5, 5))) == _inf_norm(np.zeros((5, 5))) == 0.0
+
+
+def test_each_solve_forms_the_absolute_matrix_once(monkeypatch):
+    # the symmetry check, the scale and the Gershgorin bound share one |A|
+    from nodalscore import eigensolve
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _symmetric_row_sums(a)
+
+    monkeypatch.setattr(eigensolve, "_symmetric_row_sums", counted)
+    wide = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)
+    assert lanczos_smallest(wide, 10, seed=1).method == "arpack"
+    narrow = random_sparse_laplacian(np.random.default_rng(0), 120)
+    assert lanczos_smallest(narrow, 4).method == "shift-invert"
+    dense_sym_eig(path_laplacian_3(), m=2)
+    assert calls == [(704, 704), (120, 120), (3, 3)]
 
 
 # ------------------------------------------------------------ dense_sym_eig

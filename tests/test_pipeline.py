@@ -461,36 +461,65 @@ def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
 
 
 def test_patch_dtype_is_float32_inside_its_exact_range():
-    # float32 holds every integer below 2^24, and 2 patch^2 maxval^2 bounds
-    # every partial sum of a distance
-    assert pipeline._patch_dtype(11, 255) is np.float32
-    assert pipeline._patch_dtype(12, 255) is np.float64
-    assert pipeline._patch_dtype(1, 2896) is np.float32  # 2 * 2896^2 < 2^24
-    assert pipeline._patch_dtype(1, 2897) is np.float64
+    # float32 holds every integer below 2^24, and P = patch^2 maxval^2
+    # bounds every partial sum of the product a.b
+    assert pipeline._patch_dtype(16, 255) is np.float32  # 256 * 255^2 < 2^24
+    assert pipeline._patch_dtype(17, 255) is np.float64
+    assert pipeline._patch_dtype(1, 4095) is np.float32  # 4095^2 < 2^24
+    assert pipeline._patch_dtype(1, 4096) is np.float64
     assert pipeline._patch_dtype(1, 65535) is np.float64
-    img, _ = make_anomaly_image(0, size=16, block=4)
-    assert pipeline._patch_matrix(img, 8).dtype == np.float32
+    img, _ = make_anomaly_image(0, size=24, block=4)
+    assert pipeline._patch_matrix(img, 16).dtype == np.float32
 
 
 @pytest.mark.parametrize(
-    "patch_size, maxval",
-    [(11, 255), (12, 255), (3, 65535)],
-    ids=["patch-11-8bit", "patch-12-8bit", "patch-3-16bit"],
+    "patch_size, maxval, exact32",
+    [(11, 255, True), (12, 255, True), (16, 255, True), (17, 255, False), (1, 4095, True),
+     (1, 4096, True), (1, 4097, False), (3, 65535, False)],
+    ids=["patch-11-8bit", "patch-12-8bit", "patch-16-8bit", "patch-17-8bit", "maxval-4095",
+         "maxval-4096", "maxval-4097", "patch-3-16bit"],
 )
-def test_knn_exact_float32_and_float64_on_both_sides_of_the_bound(patch_size, maxval):
-    # samples maxval - 1 and maxval put every norm at the top of its range,
-    # and an odd count of maxval samples in a pair makes |a|^2 + |b|^2 odd
+def test_knn_exact_float32_and_float64_on_both_sides_of_the_bound(patch_size, maxval, exact32):
+    # samples maxval - 1 and maxval put every product at the top of its
+    # range, and an odd count of maxval^2 terms in a pair makes a.b odd
     rng = np.random.default_rng(patch_size)
     samples = maxval - rng.integers(0, 2, (24, 24))
     img = Image(width=24, height=24, samples=samples, maxval=maxval)
     patches = pipeline._patch_matrix(img, patch_size)
+    assert (patches.dtype == np.float32) == (patch_size**2 * maxval**2 < 2**24)
     ref = knn_oracle(sample_patches(samples, patch_size), 16)
     as32, as64 = (pipeline._knn_exact(patches.astype(t), 16) for t in (np.float32, np.float64))
     assert_knn_matches_oracle(as64, ref)
     same = all(a.tobytes() == b.tobytes() for a, b in zip(as32, as64))
     # inside the bound float32 is exact; past it an odd sum above 2^24
-    # rounds, so float32 is wrong there and the patches are float64
-    assert same == (patches.dtype == np.float32)
+    # rounds, so float32 is wrong there.  At patch 1 the bound is one value
+    # tight: 4096^2 = 2^24 is itself a float32 integer, 4097^2 is not
+    assert same == exact32
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from([(16, 255), (17, 255), (1, 4095), (1, 4097), (3, 65535), (2, 1)]),
+    st.integers(9, 12),
+    st.data(),
+)
+def test_knn_exact_matches_the_oracle_on_tie_heavy_images(monkeypatch, bound, height, data):
+    # two sample values make most distances tie; 2 workers over 3 blocks
+    # leave one worker a second block while the other is idle
+    patch_size, maxval = bound
+    width = data.draw(st.integers(-(-2 * _ROWS // height) + 1, 3 * _ROWS // height))
+    n = height * width
+    assert 2 * _ROWS < n <= 3 * _ROWS
+    top = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    samples = maxval - 1 + np.array(top, dtype=np.int64).reshape(height, width)
+    k = data.draw(st.sampled_from([1, 16, n - 1]))
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    img = Image(width=width, height=height, samples=samples, maxval=maxval)
+    patches = pipeline._patch_matrix(img, patch_size)
+    ref = knn_oracle(sample_patches(samples, patch_size), k)
+    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
 
 
 def test_float64_distances_are_exact_at_every_accepted_patch_size():
@@ -599,10 +628,10 @@ def test_knn_exact_workers_keep_the_rows_in_flight(monkeypatch):
 def test_knn_exact_raises_the_error_of_a_failed_block(monkeypatch):
     block = pipeline._knn_block
 
-    def fail_second(patches, sq, k, lo, idx_out, d2_out):
+    def fail_second(patches, col_key, sq, k, lo, prod, key, idx_out, d2_out):
         if lo == _ROWS:
             raise MemoryError("second block")
-        block(patches, sq, k, lo, idx_out, d2_out)
+        block(patches, col_key, sq, k, lo, prod, key, idx_out, d2_out)
 
     monkeypatch.setattr(pipeline, "_knn_block", fail_second)
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
@@ -985,19 +1014,23 @@ def test_score_graph_builds_one_laplacian(monkeypatch):
     monkeypatch.setattr(pipeline, "laplacian", counted)
     monkeypatch.setattr(pipeline, "dense_sym_eig", spy("dense_sym_eig"))
     monkeypatch.setattr(pipeline, "lanczos_smallest", spy("lanczos_smallest"))
-    with pytest.warns(UserWarning, match="3 components"):
-        score_graph(graph, 1)
-    assert len(built) == 1
-    # each solve sees its component's own Laplacian, entry for entry and
-    # in the same CSR order
-    assert len(solved) == 3
-    for a, (verts, cu, cv, cw) in zip(solved, comps):
-        own = real["laplacian"](Graph(n=verts.size, u=cu, v=cv, w=cw), "sym-normalized")
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, own.toarray())
-        else:
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(a, attr), getattr(own, attr)), attr
+    # one term solves the path iteratively; all its modes take the dense solve
+    for n_terms, iterative in ((1, 1), (path.size - 1, 0)):
+        solved.clear()
+        with pytest.warns(UserWarning, match="3 components|supplied only"):
+            score_graph(graph, n_terms)
+        # each solve sees its component's own Laplacian, entry for entry and
+        # in the same CSR order
+        assert len(solved) == 3
+        assert sum(not isinstance(a, np.ndarray) for a in solved) == iterative
+        for a, (verts, cu, cv, cw) in zip(solved, comps):
+            own = real["laplacian"](Graph(n=verts.size, u=cu, v=cv, w=cw), "sym-normalized")
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, own.toarray())
+            else:
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(a, attr), getattr(own, attr)), attr
+    assert len(built) == 2
 
 
 def test_score_isolated_vertex_scores_zero():
