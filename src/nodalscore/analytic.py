@@ -185,6 +185,8 @@ def probe_rational_minimum(point, n_terms, h):
     if d < 8 * point.q**2:
         raise ValueError("h must be at most 1/(8 q^2)")
     den = math.lcm(point.q, d)
+    if den > _kernels._INT64_MAX:
+        raise ValueError(f"h = {h!r} is too small: lcm(q, 1/h) overflows int64")
     center, offset = point.p * (den // point.q), den // d
     # the neighbours stay inside (0, 1): 1/d <= 1/(8 q^2) < p/q, (q - p)/q
     values = _kernels.rational_series(

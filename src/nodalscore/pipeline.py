@@ -10,8 +10,10 @@ smallest nontrivial eigenpairs, score field.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +67,9 @@ _ZERO_BANDWIDTH = (
     "zero bandwidth: k-th neighbor distances are all zero "
     "(constant image?); set an explicit bandwidth"
 )
+
+# a PGM token, or a '#' comment running to the end of its line
+_PGM_TOKEN = re.compile(rb"#[^\n\r]*|[^\s#]+")
 
 # rows of one exact kNN block, fixed so that the scratch never depends on
 # the machine, and the rows of the key matrix held at once by all the
@@ -155,11 +160,6 @@ class Image:
             raise ValueError("maxval must be in 1..65535")
         if self.samples.min() < 0 or self.samples.max() > self.maxval:
             raise ValueError("samples must lie in 0..maxval")
-
-    @property
-    def pixels(self):
-        """Intensities in [0, 1]: samples / maxval."""
-        return self.samples / self.maxval
 
     def as_2d(self):
         return self.samples.reshape(self.height, self.width)
@@ -290,22 +290,8 @@ def parse_edge_list(text):
 
 def _pgm_tokens(data, start, limit):
     """Up to limit tokens of data[start:], '#' comments stripped, each with the offset after it."""
-    tokens = []
-    i = start
-    while i < len(data) and len(tokens) < limit:
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append((data[i:j], j))
-            i = j
-    return tokens
+    words = (m for m in _PGM_TOKEN.finditer(data, start) if m[0][:1] != b"#")
+    return [(m[0], m.end()) for m in itertools.islice(words, limit)]
 
 
 def parse_pgm(data):
@@ -457,18 +443,17 @@ def _knn_exact(patches, k):
     exactly into j = key mod n and d2 = key // n + |a_i|^2.
     Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
     pool with one worker per CPU but at most
-    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS.  The calling thread allocates
-    one product and one key buffer of _KNN_BLOCK_ROWS x n per worker
-    before the pool starts, and each block borrows a pair from a free list
-    and returns it when done, so the scratch is workers x 64 x n x 12
-    bytes with float32 patches (16 with float64) whatever the number of
-    blocks, and no block allocates a rows x n array.  Each block writes
-    only its own output rows.  Returns (indices (n, k), squared distances
-    (n, k) in float64).
+    _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS.  Worker w takes every
+    workers-th block from block w on, into its own product and key buffer
+    of _KNN_BLOCK_ROWS x n, allocated by the calling thread before the
+    pool starts; so the scratch is workers x 64 x n x 12 bytes with
+    float32 patches (16 with float64) whatever the number of blocks, and
+    no block allocates a rows x n array.  Each block writes only its own
+    output rows.  Returns (indices (n, k), squared distances (n, k) in
+    float64).
     """
     # imported here, not at module top: the closed-form subcommands build
     # no graph and would pay its import on every start
-    import queue
     from concurrent.futures import ThreadPoolExecutor
 
     n = patches.shape[0]
@@ -478,22 +463,20 @@ def _knn_exact(patches, k):
     d2_out = np.empty((n, k))
     starts = range(0, n, _KNN_BLOCK_ROWS)
     workers = min(_cpu_count(), _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, len(starts))
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        shape = (_KNN_BLOCK_ROWS, n)
-        free.put((np.empty(shape, dtype=patches.dtype), np.empty(shape, dtype=np.int64)))
+    shape = (_KNN_BLOCK_ROWS, n)
+    scratch = [
+        (np.empty(shape, dtype=patches.dtype), np.empty(shape, dtype=np.int64))
+        for _ in range(workers)
+    ]
 
-    def block(lo):
-        scratch = free.get()
-        try:
-            _knn_block(patches, col_key, sq, k, lo, *scratch, idx_out, d2_out)
-        finally:
-            free.put(scratch)
+    def stripe(w):
+        for lo in starts[w::workers]:
+            _knn_block(patches, col_key, sq, k, lo, *scratch[w], idx_out, d2_out)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # the blocks release the GIL in numpy; iterating the results
-        # re-raises the first block that failed
-        for _ in pool.map(block, starts):
+        # re-raises the first worker that failed
+        for _ in pool.map(stripe, range(workers)):
             pass
     return idx_out, d2_out
 
@@ -503,10 +486,9 @@ def patch_graph(img, config=None):
 
     Distances are in intensity units (samples / maxval).  sigma is the
     median distance to the k-th neighbor when bandwidth is "auto"; a zero
-    median is an error, raised for a constant image before the kNN
-    runs.  The directed kNN
-    lists are symmetrized by union, both directions sharing one weight.
-    The construction is deterministic.
+    median is an error, raised for a constant image before the kNN runs.
+    The directed kNN lists are symmetrized by union, both directions
+    sharing one weight.  The construction is deterministic.
     """
     config = config or PatchGraphConfig()
     n = img.width * img.height
@@ -527,16 +509,11 @@ def patch_graph(img, config=None):
         sigma = float(config.bandwidth)
     src = np.repeat(np.arange(n, dtype=np.int64), config.k_neighbors)
     dst = nbr_idx.ravel()
-    d2 = nbr_d2.ravel()
-    uu = np.minimum(src, dst)
-    vv = np.maximum(src, dst)
-    key = uu * n + vv
-    order = np.argsort(key, kind="stable")
-    key, uu, vv, d2 = key[order], uu[order], vv[order], d2[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    weights = np.exp(-d2[first] / (sigma * sigma))
-    return Graph(n=n, u=uu[first], v=vv[first], w=weights)
+    # both directions of a pair carry the same exact distance, so the
+    # first of each pair gives its weight
+    key, first = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst), return_index=True)
+    weights = np.exp(-nbr_d2.ravel()[first] / (sigma * sigma))
+    return Graph(n=n, u=key // n, v=key % n, w=weights)
 
 
 def parse_obj(text):

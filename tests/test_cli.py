@@ -866,6 +866,14 @@ def test_rational_check_step_out_of_range_is_usage_error(capsys):
     )[2]
 
 
+def test_rational_check_refuses_a_tiny_step_in_a_short_message(capsys):
+    # 1/h has 300 digits: the refusal names the step, not the denominator
+    code, stdout, err = run(capsys, ["rational-check", "--p", "1", "--q", "3", "--step", "1e-300"])
+    assert code == 2 and stdout == ""
+    message = err.strip().splitlines()[-1]
+    assert "1e-300" in message and len(message) < 200, message
+
+
 def test_grid_caps_exit_before_work(capsys, tmp_path, monkeypatch):
     from nodalscore import analytic
 

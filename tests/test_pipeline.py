@@ -218,33 +218,76 @@ _HUGE_SAMPLE_PGM = b"P2\n2 2\n255\n1 2 3 1180591620717411303424\n"
 _HUGE_INDEX_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1180591620717411303424\n"
 
 
+def _reference_pgm_tokens(data, start, limit):
+    """The per-byte tokenizer _pgm_tokens replaced: the oracle for its
+    tokens and the offset after each."""
+    tokens = []
+    i = start
+    while i < len(data) and len(tokens) < limit:
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            tokens.append((data[i:j], j))
+            i = j
+    return tokens
+
+
+# every byte bytes.isspace accepts, the comment and line-end bytes, and
+# token bytes; a comment glued to a token ends it
+_PGM_BYTES = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c", b"0", b"12", b"P2", b"x", b"\x00",
+     b"\x1c", b"\x85", b"\xa0", b"\xff"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_PGM_BYTES, max_size=16).map(b"".join), st.binary(max_size=24)))
+@example(b"P2#c\r12#d\n3\x0b4\x0c5")
+@example(b"12#\r\n#\n7")
+def test_pgm_tokens_match_the_per_byte_loop(data):
+    for start in range(len(data) + 1):
+        for limit in range(len(data) + 2):
+            assert pipeline._pgm_tokens(data, start, limit) == _reference_pgm_tokens(
+                data, start, limit
+            ), (start, limit)
+    assert pipeline._pgm_tokens(bytearray(data), 0, len(data)) == _reference_pgm_tokens(
+        data, 0, len(data)
+    )
+
+
 def test_pgm_ascii_example():
     img = parse_pgm(b"P2\n2 2\n255\n0 255\n255 0\n")
     assert (img.width, img.height) == (2, 2)
-    assert np.allclose(img.pixels, [0.0, 1.0, 1.0, 0.0])
+    assert img.samples.tolist() == [0, 255, 255, 0]
 
 
 def test_pgm_binary_matches_ascii():
     ascii_img = parse_pgm(b"P2\n2 2\n255\n0 255 255 0\n")
     binary_img = parse_pgm(b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0]))
-    assert np.array_equal(ascii_img.pixels, binary_img.pixels)
+    assert np.array_equal(ascii_img.samples, binary_img.samples)
 
 
 def test_pgm_header_comments():
     img = parse_pgm(b"P2 # magic\n# a comment line\n2 1 # dims\n4\n0 4\n")
-    assert np.allclose(img.pixels, [0.0, 1.0])
+    assert img.samples.tolist() == [0, 4] and img.maxval == 4
 
 
 def test_pgm_sixteen_bit_big_endian():
     img = parse_pgm(b"P5\n1 2\n65535\n" + (0).to_bytes(2, "big") + (65535).to_bytes(2, "big"))
-    assert np.allclose(img.pixels, [0.0, 1.0])
+    assert img.samples.tolist() == [0, 65535]
 
 
 def test_pgm_keeps_integer_samples():
     img = parse_pgm(b"P2\n3 1\n1000\n0 7 1000\n")
     assert img.maxval == 1000 and img.samples.dtype == np.uint16
     assert img.samples.tolist() == [0, 7, 1000]
-    assert img.pixels.tolist() == [0.0, 7 / 1000, 1.0]
     binary = parse_pgm(b"P5\n2 1\n255\n" + bytes([3, 250]))
     assert binary.samples.dtype == np.uint8 and binary.samples.tolist() == [3, 250]
 
@@ -285,7 +328,7 @@ def test_pgm_pixel_cap_checked_from_header():
         with pytest.raises(pipeline.WorkCapError, match="exceeds"):
             parse_pgm(magic + f" {MAX_PATCH_PIXELS + 1} 1 255 ".encode())
     img = parse_pgm(f"P5 {MAX_PATCH_PIXELS} 1 255 ".encode() + bytes(MAX_PATCH_PIXELS))
-    assert img.pixels.size == MAX_PATCH_PIXELS
+    assert img.samples.size == MAX_PATCH_PIXELS
 
 
 # ---------------------------------------------------------------- patch_graph
@@ -321,6 +364,28 @@ def test_patch_graph_two_tone_pairs():
     edges = set(zip(g.u.tolist(), g.v.tolist()))
     assert edges == {(0, 2), (1, 3)}
     assert np.allclose(g.w, 1.0)  # identical patches, distance 0
+
+
+@pytest.mark.parametrize("bandwidth", ["auto", 0.7])
+def test_patch_graph_lists_each_knn_pair_once_with_its_exact_weight(bandwidth):
+    # 3 levels make most distances tie, so many pairs are in both lists
+    samples = np.random.default_rng(7).integers(0, 3, (11, 13))
+    img = Image(width=13, height=11, samples=samples, maxval=2)
+    config = PatchGraphConfig(patch_size=3, k_neighbors=6, bandwidth=bandwidth)
+    g = patch_graph(img, config)
+    idx, d2, _ = knn_oracle(sample_patches(samples, 3), 6)
+    pairs = {}
+    for i in range(img.width * img.height):
+        for j, d in zip(idx[i].tolist(), d2[i].tolist()):
+            assert pairs.setdefault(frozenset((i, j)), d) == d  # distances are symmetric
+    assert 0 < g.n_edges < idx.size  # some pairs were listed from both ends
+    edges = list(zip(g.u.tolist(), g.v.tolist()))
+    assert all(u < v for u, v in edges) and len(set(edges)) == len(edges)
+    assert {frozenset(e) for e in edges} == set(pairs)
+    scaled = np.sqrt(d2[:, -1] / img.maxval**2)
+    sigma = float(np.median(scaled)) if bandwidth == "auto" else bandwidth
+    exact = np.array([pairs[frozenset(e)] for e in edges]) / img.maxval**2
+    assert g.w.tobytes() == np.exp(-exact / (sigma * sigma)).tobytes()
 
 
 def test_patch_graph_determinism():
