@@ -8,7 +8,9 @@ would blur.  _frac_multiples is the only place that does the split.
 
 At a rational x = num/den the reduction is done in integers instead:
 (k*num) mod den is exact, and the term repeats with period den in k, so
-rational_series groups the weights 1/k by residue class.
+rational_series groups the weights 1/k by residue class.  Each class is a
+shifted harmonic sum, taken in O(den) from the digamma function
+(_residue_weights), whatever the number of terms.
 
 Caps, each refused before anything of that size is allocated:
 
@@ -75,19 +77,81 @@ def _sin_pi_over(r, den):
     return np.sin(np.pi * (np.minimum(r, den - r) / den))
 
 
+# psi(y) = ln y - 1/(2y) - sum_n B_2n / (2n y^2n) (DLMF 5.11.2): the
+# coefficients B_2n / 2n through B_14; the first omitted term,
+# B_16 / (16 y^16), is below 1e-16 for y >= _DIRECT_TERMS
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+# terms of each residue class summed directly, before the series holds
+_DIRECT_TERMS = 10
+
+
+def _log_minus_psi(k, den, u2, out):
+    """ln y - psi(y) at y = k / den >= _DIRECT_TERMS, by the asymptotic series.
+
+    The result is written to out; k is overwritten and u2 is scratch.
+    """
+    u = np.divide(den, k, out=k)
+    np.multiply(u, u, out=u2)
+    out.fill(_PSI_SERIES[-1])
+    for c in _PSI_SERIES[-2::-1]:
+        out *= u2
+        out += c
+    out *= u2
+    u *= 0.5
+    out += u
+    return out
+
+
+def _residue_weights(den, n_terms):
+    """weights[c] = sum of 1/k over k = 1..n_terms with k = c (mod den), den <= n_terms.
+
+    Class r = 1..den (residue r mod den) holds k = r + j*den for
+    j = 0..J_r, J_r = (n_terms - r) // den, so with x = r/den its sum is
+    (psi(x + J_r + 1) - psi(x)) / den (DLMF 5.5.2).  The first
+    S = _DIRECT_TERMS terms are added as 1/k; when J_r >= S the rest is
+    psi(a) - psi(b) = ln(a/b) + (ln b - psi(b)) - (ln a - psi(a)) over den,
+    with a = x + J_r + 1 and b = x + S.  The cost is O(den) for any
+    n_terms, and each weight is within 4 ulp of math.fsum over its class.
+    The buffers are few and reused: a den-sized temporary costs more in
+    page faults, on a fresh allocation, than a pass of arithmetic over it.
+    """
+    q, rem = divmod(n_terms, den)  # J_r = q for r <= rem, q - 1 above
+    # w[r] for class r = 1..den; w[0] takes class den (residue 0) at the end
+    w = np.zeros(den + 1)
+    r = np.arange(1.0, den + 1)
+    k = np.empty(den)  # den * (x + j), exact integers below 2^22
+    tail = den if q > _DIRECT_TERMS else rem if q == _DIRECT_TERMS else 0
+    if tail:  # the classes r <= tail have J_r >= S
+        part, scratch = w[1:tail + 1], np.empty((2, tail))
+        kb = np.add(r[:tail], _DIRECT_TERMS * den, out=k[:tail])
+        # ln(a/b) = log1p((a - b)/b), den * (a - b) = (J_r + 1 - S) * den
+        np.divide((q - _DIRECT_TERMS) * den, kb, out=part)
+        np.divide((q + 1 - _DIRECT_TERMS) * den, kb[:rem], out=part[:rem])
+        np.log1p(part, out=part)
+        part += _log_minus_psi(kb, den, *scratch)
+        ka = np.add(r[:tail], q * den, out=k[:tail])
+        ka[:rem] += den
+        part -= _log_minus_psi(ka, den, *scratch)
+        part /= den
+    for j in range(min(_DIRECT_TERMS, q + 1) - 1, -1, -1):  # largest k first
+        n = den if j < q else rem
+        term = np.add(r[:n], j * den, out=k[:n])
+        np.reciprocal(term, out=term)
+        w[1:n + 1] += term
+    w[0] = w[den]
+    return w[:den]
+
+
 def rational_series(nums, den, n_terms):
     """sum_{k<=n_terms} sin(pi * ((k*num) mod den) / den) / k for each integer num.
 
     This is the interval series at x = num/den, reduced exactly.  With
-    n_terms >= den the weights 1/k are summed per residue k mod den once,
-    and each point costs den terms; otherwise every k is reduced directly.
-
-    The residue weights come from one strided reduction: k = M, M-1, ..., 1
-    (M = n_terms rounded up to a multiple of den) is laid out as a
-    (M/den, den) array of 1/k with the entries above n_terms set to 0, and
-    summed down its columns.  Column c holds the k = -c (mod den), and
-    each column adds its terms largest k first from an exact 0.0, the same
-    additions in the same order as a bincount of 1/k over k = n_terms..1.
+    n_terms >= den the weights 1/k are summed per residue k mod den once
+    (_residue_weights, O(den)), and each point costs den terms; otherwise
+    every k is reduced directly.  k*num and k*(den - num) have residues r
+    and den - r, whose sines are equal, so each such pair is evaluated once:
+    the values are symmetric under x <-> 1 - x bit for bit, and repeating
+    or reordering the points leaves their bits unchanged.
     """
     n_terms = _check_terms(n_terms)
     den = int(den)
@@ -97,17 +161,11 @@ def rational_series(nums, den, n_terms):
     if den > _INT64_MAX // terms:
         raise ValueError(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
     nums = np.mod(np.asarray(nums, dtype=np.int64), den)
-    out = np.zeros(nums.shape[0])
+    nums, inverse = np.unique(np.minimum(nums, den - nums), return_inverse=True)
+    out = np.empty(nums.shape[0])
     grouped = n_terms >= den
     if grouped:
-        rows = -(-n_terms // den)
-        recip = np.arange(rows * den, 0, -1, dtype=np.float64)
-        np.reciprocal(recip, out=recip)
-        recip[:rows * den - n_terms] = 0.0  # the k above n_terms
-        # den == 1 sums its one column pairwise, but that column is
-        # residue 0, whose sine is 0, so its weight never reaches the output
-        weights = np.empty(den)
-        weights[-np.arange(den) % den] = recip.reshape(rows, den).sum(axis=0)
+        weights = _residue_weights(den, n_terms)
         k = np.arange(den, dtype=np.int64)  # one k per residue class
         table = _sin_pi_over(k, den)
     else:
@@ -136,7 +194,7 @@ def rational_series(nums, den, n_terms):
             else:
                 sines[s:s + strip] = _sin_pi_over(r, den)
         out[lo:lo + chunk] = sines @ weights
-    return out
+    return out[inverse]
 
 
 def square_series(xs, ys, ms, ns, ws):

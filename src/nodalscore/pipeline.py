@@ -677,7 +677,7 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     DENSE_FALLBACK_N vertices, or one solved for all its modes, is read
     into a dense array straight from the permuted CSR arrays and solved
     densely.  Components too small to carry any nontrivial mode score
-    zero.  WorkCapError, before any solve, when the largest component's
+    zero, all counted in one warning.  WorkCapError, before any solve, when the largest component's
     wanted pairs x size exceeds MAX_GRAPH_SOLVE_WORK.
     """
     if n_terms < 1:
@@ -697,6 +697,12 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
             f"graph is disconnected ({n_comp} components); scoring per component",
             stacklevel=2,
         )
+    # one warning for all of them: an edge list with a huge vertex id has
+    # one isolated vertex per unused id below it
+    isolated = int(np.count_nonzero(sizes < 2))
+    if isolated:
+        counted = "1 component has" if isolated == 1 else f"{isolated} components have"
+        warnings.warn(f"{counted} size 1 and no nontrivial modes; scored 0", stacklevel=2)
     # one stable sort groups the vertices by component, ascending within each;
     # the Laplacian permuted by it is block diagonal, one block per component,
     # and each block is the component's own Laplacian entry for entry
@@ -705,10 +711,6 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     lap = laplacian(graph, kind)[order][:, order] if graph.n_edges else None
     for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
         if hi - lo < 2:
-            warnings.warn(
-                f"component of size {hi - lo} has no nontrivial modes; scored 0",
-                stacklevel=2,
-            )
             continue
         # the iterative solver needs want < n; all n modes take the full dense solve
         if hi - lo <= max(DENSE_FALLBACK_N, n_terms + 1):

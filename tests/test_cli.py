@@ -375,6 +375,23 @@ def test_graph_warnings_are_one_fixed_stderr_line_on_every_call(capsys, tmp_path
     assert ".py:" not in err
 
 
+def test_graph_isolated_vertices_warn_once_in_total(capsys, tmp_path):
+    # one edge between vertices 0 and 65535 leaves 65534 isolated vertices
+    edges = tmp_path / "one.csv"
+    edges.write_text("0,65535,1.0\n")
+    out = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges",
+         "--n-terms", "2", "--out", str(out)],
+    )
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) <= 3, lines[:5]
+    assert "warning: 65534 components have size 1 and no nontrivial modes; scored 0" in lines
+    assert len(out.read_text().splitlines()) == 65536
+
+
 @pytest.mark.parametrize("n", [500, 600])
 def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
     # a cycle asked for all n - 1 nontrivial modes wants all n pairs; 500

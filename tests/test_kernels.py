@@ -118,13 +118,17 @@ def test_rational_series_property(num, den, n_terms):
 
 
 def bincount_rational_series(nums, den, n_terms):
-    """Reference formulation: int64 residues, weights by one bincount over k = N..1."""
+    """Reference formulation: int64 residues by %, one sines @ weights per chunk.
+
+    The weights and the num <-> den - num mirror are the kernel's own; the
+    residues, the sine table and the product are formed here.
+    """
     nums = np.mod(np.asarray(nums, dtype=np.int64), den)
+    nums, inverse = np.unique(np.minimum(nums, den - nums), return_inverse=True)
     out = np.zeros(nums.shape[0])
     grouped = n_terms >= den
     if grouped:
-        k = np.arange(n_terms, 0, -1, dtype=np.int64)
-        weights = np.bincount(k % den, weights=1.0 / k, minlength=den)
+        weights = _kernels._residue_weights(den, n_terms)
         k = np.arange(den, dtype=np.int64)
         table = np.sin(np.pi * (np.minimum(k, den - k) / den))
     else:
@@ -135,7 +139,7 @@ def bincount_rational_series(nums, den, n_terms):
         r = (nums[lo:lo + chunk, None] * k) % den
         sines = table[r] if grouped else np.sin(np.pi * (np.minimum(r, den - r) / den))
         out[lo:lo + chunk] = sines @ weights
-    return out
+    return out[inverse]
 
 
 def _bitwise_cases():
@@ -154,8 +158,9 @@ def _bitwise_cases():
 
 @pytest.mark.parametrize("den, n_terms", _bitwise_cases())
 def test_rational_series_bitwise_equals_bincount_form(den, n_terms):
-    # the strided weight reduction must add the same terms in the same
-    # order as the bincount (largest k first)
+    # residues formed in strips by a scalar division, the table lookup and
+    # the product must give the bits of the plain % and gather, down to
+    # residue products just below 2^63
     nums = [0, 1, -1, den - 1, den // 2 + 1, -(2**62) - 3, 2**63 - 1, -(2**63)]
     got = _kernels.rational_series(nums, den, n_terms)
     want = bincount_rational_series(nums, den, n_terms)
@@ -179,6 +184,64 @@ def test_rational_series_bitwise_in_strips_and_chunks(monkeypatch, den, n_terms,
     got = _kernels.rational_series(nums, den, n_terms)
     want = bincount_rational_series(nums, den, n_terms)
     assert got.tobytes() == want.tobytes()
+
+
+def fsum_residue_weights(den, n_terms):
+    """math.fsum of the rounded 1/k over each class k = c (mod den), k <= n_terms."""
+    recip = (1.0 / np.arange(1, n_terms + 1)).tolist()
+    # class c starts at k = c (k = den for c = 0), at index k - 1
+    return np.array([math.fsum(recip[(c - 1) % den::den]) for c in range(den)])
+
+
+def _weight_cases():
+    s, top = _kernels._DIRECT_TERMS, _kernels.MAX_TERMS
+    return [
+        (den, n_terms)
+        for den in (1, 2, 3, 72, 1024, 46341)
+        for n_terms in dict.fromkeys(
+            (den, den + 1, s * den - 1, s * den, s * den + 1, top - 1, top)
+        )
+    ]
+
+
+@pytest.mark.parametrize("den, n_terms", _weight_cases())
+def test_residue_weights_within_4_ulp_of_fsum(den, n_terms):
+    # n_terms around S * den puts the classes on both sides of the switch
+    # from direct terms to the digamma tail
+    got = _kernels._residue_weights(den, n_terms)
+    want = fsum_residue_weights(den, n_terms)
+    ulps = np.abs(got - want) / np.spacing(want)
+    assert ulps.max() <= 4, (ulps.max(), int(ulps.argmax()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    den=st.integers(1, 5000),
+    n_terms=st.integers(1, _kernels.MAX_TERMS),
+    nums=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_rational_series_bitwise_invariant_under_mirror_repeats_and_order(den, n_terms, nums, data):
+    got = _kernels.rational_series(nums, den, n_terms)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(nums), max_size=len(nums)))
+    mirrored = [den - num if flip else num for num, flip in zip(nums, flips)]
+    assert _kernels.rational_series(mirrored, den, n_terms).tobytes() == got.tobytes()
+    picks = data.draw(st.permutations(range(len(nums)))) + data.draw(
+        st.lists(st.integers(0, len(nums) - 1), max_size=40)
+    )
+    moved = _kernels.rational_series([nums[i] for i in picks], den, n_terms)
+    assert moved.tobytes() == got[picks].tobytes()
+
+
+def test_rational_series_memory_does_not_grow_with_n_terms():
+    # the weights cost O(den): 2^20 terms allocate no 8 MB array of 1/k
+    tracemalloc.start()
+    try:
+        _kernels.rational_series([1, 2, 3], 97, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_rational_series_agrees_with_float_kernel():
