@@ -18,9 +18,10 @@ has no floor, so scaling A by c > 0 scales every eigenvalue by c and
 leaves the transform, the residuals and the convergence tests the same;
 the zero operator, which has no scale, is solved exactly by both solvers.
 Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when the
-reverse Cuthill-McKee band of A is narrow and the shifted A has a banded
-Cholesky factor; each application of B is then a banded solve, and the
-stiff circle and mesh operators converge in about a hundred of them.
+band of A, in its own vertex order or the reverse Cuthill-McKee order, is
+narrow and the shifted A has a banded Cholesky factor; each application
+of B is then a banded solve, and the stiff circle and mesh operators
+converge in about a hundred of them.
 Every other matrix (kNN and random graphs, failed factorizations) takes
 the Gershgorin shift.  One Krylov start reaches a single
 vector per eigenspace, and ARPACK is no exception, so every round after
@@ -229,8 +230,9 @@ def lanczos_smallest(a, m, seed=0):
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
       and scale = ||A||_inf, applied by a banded Cholesky solve.
-      Taken when the reverse Cuthill-McKee bandwidth b of A has
-      b + 1 <= max(10m + 50, 300), and the shifted A factors.
+      Taken when the bandwidth b of A, the narrower of its natural and
+      reverse Cuthill-McKee orders, has b + 1 <= max(10m + 50, 300), and
+      the shifted A factors.
     - ``"arpack"``: B = sigma*I - A with the Gershgorin bound sigma, for
       every other matrix.
 
@@ -375,11 +377,15 @@ def lanczos_smallest(a, m, seed=0):
 def _banded_shift_invert(csr, shift, max_width):
     """x -> (A - shift*I)^-1 x from a banded Cholesky factor, or None.
 
-    None when the reverse Cuthill-McKee bandwidth b of the CSR matrix A
-    has b + 1 > max_width, or when A - shift*I is not positive definite.
+    The band is taken in the natural vertex order when that is strictly
+    narrower than the reverse Cuthill-McKee order, and in RCM otherwise:
+    a 40x40 grid mesh numbered row by row has b = 41 as given and 74
+    under RCM, a periodic circle operator n - 1 as given and 2 under RCM.
+    None when that bandwidth b of the CSR matrix A has
+    b + 1 > max_width, or when A - shift*I is not positive definite.
     Callers pass max_width = max(10m + 50, 300) for m wanted pairs, which
     splits the operators where the transform pays: circle operators
-    (b = 2) and meshes (b = 74 on a 40x40 grid) factor and converge in
+    (b = 2) and meshes (b = 41 on a 40x40 grid) factor and converge in
     about a hundred solves instead of close to a thousand matvecs, while
     kNN and random graphs (bands of several hundred to thousands) take
     the Gershgorin shift.  A factor holds (b + 1) n floats, and a solve
@@ -395,11 +401,17 @@ def _banded_shift_invert(csr, shift, max_width):
     perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n, dtype=perm.dtype)
-    # the permuted width straight from the CSR arrays: a wide band (kNN and
-    # random graphs) is refused before any COO copy or band is built
-    rows = np.repeat(inv, np.diff(csr.indptr))
-    cols = inv[csr.indices]
+    # both widths straight from the CSR arrays: a wide band (kNN and random
+    # graphs) is refused before any COO copy or band is built
+    rows = np.repeat(np.arange(n, dtype=perm.dtype), np.diff(csr.indptr))
+    cols = csr.indices
     width = int(np.abs(cols - rows).max(initial=0))
+    rcm_rows, rcm_cols = inv[rows], inv[cols]
+    rcm_width = int(np.abs(rcm_cols - rcm_rows).max(initial=0))
+    if rcm_width <= width:
+        rows, cols, width = rcm_rows, rcm_cols, rcm_width
+    else:  # a grid numbered row by row: RCM's band is the wider one
+        perm = inv = None
     if width + 1 > max_width:
         return None
     upper = cols >= rows
@@ -414,6 +426,8 @@ def _banded_shift_invert(csr, shift, max_width):
     def solve(x):
         # LAPACK directly: cho_solve_banded makes the same call behind
         # about 18 us of argument checks per application
+        if perm is None:
+            return dpbtrs(factor, x, lower=0)[0]
         return dpbtrs(factor, x[perm], lower=0)[0][inv]
 
     return solve

@@ -72,10 +72,12 @@ _ZERO_BANDWIDTH = (
 _PGM_TOKEN = re.compile(rb"#[^\n\r]*|[^\s#]+")
 
 # rows of one exact kNN block, fixed so that the scratch never depends on
-# the machine, and the rows of the key matrix held at once by all the
-# blocks in flight
+# the machine, the rows of the key matrix held at once by all the blocks in
+# flight, and the columns of one strip a block is ranked over, fixed so
+# that the scratch never depends on the image size
 _KNN_BLOCK_ROWS = 64
 _KNN_ROWS_IN_FLIGHT = 256
+_KNN_STRIP_COLS = 2048
 
 
 class WorkCapError(ValueError):
@@ -406,20 +408,39 @@ def _cpu_count():
 def _knn_block(patches, col_key, sq, k, lo, prod, key, idx_out, d2_out):
     """Fill rows lo..lo+_KNN_BLOCK_ROWS-1 of idx_out and d2_out (see _knn_exact).
 
-    prod and key are _KNN_BLOCK_ROWS x n scratch, in the patch type and in
-    int64; only their leading rows are used in the last block.
+    The block's columns are ranked one strip of _KNN_STRIP_COLS at a time.
+    prod and key are flat scratch of _KNN_BLOCK_ROWS x min(n,
+    _KNN_STRIP_COLS) entries, in the patch type and in int64, whose
+    leading entries each strip views as contiguous rows x width arrays
+    (into a strided view of wider rows the conversion below took about
+    30% longer and the add about twice as long).  Each strip's k smallest
+    keys join the k smallest of the strips before it, and a partition of
+    the 2k keeps k; a strip narrower than k joins whole.
     """
     n = patches.shape[0]
     hi = min(lo + _KNN_BLOCK_ROWS, n)
-    prod, key = prod[: hi - lo], key[: hi - lo]
-    np.matmul(patches[lo:hi], patches.T, out=prod)
-    # c_j - 2n a.b in int64; the integer-valued product converts exactly
-    np.multiply(prod, -2 * n, out=key, dtype=np.int64, casting="unsafe")
-    key += col_key
-    rows = np.arange(lo, hi)
-    key[rows - lo, rows] = np.iinfo(np.int64).max
-    key.partition(k - 1, axis=1)
-    sel = key[:, :k]
+    best = np.empty((hi - lo, 2 * k), dtype=np.int64)
+    kept = 0  # leading columns of best holding the k smallest keys so far
+    for c0 in range(0, n, _KNN_STRIP_COLS):
+        c1 = min(c0 + _KNN_STRIP_COLS, n)
+        size = (hi - lo) * (c1 - c0)
+        strip_prod = prod[:size].reshape(hi - lo, c1 - c0)
+        strip_key = key[:size].reshape(hi - lo, c1 - c0)
+        np.matmul(patches[lo:hi], patches[c0:c1].T, out=strip_prod)
+        # c_j - 2n a.b in int64; the integer-valued product converts exactly
+        np.multiply(strip_prod, -2 * n, out=strip_key, dtype=np.int64, casting="unsafe")
+        strip_key += col_key[c0:c1]
+        own = np.arange(max(lo, c0), min(hi, c1))
+        strip_key[own - lo, own - c0] = np.iinfo(np.int64).max
+        take = min(k, c1 - c0)
+        if take < c1 - c0:
+            strip_key.partition(k - 1, axis=1)
+        best[:, kept : kept + take] = strip_key[:, :take]
+        kept += take
+        if kept > k:
+            best[:, :kept].partition(k - 1, axis=1)
+            kept = k
+    sel = best[:, :k]
     sel.sort(axis=1)
     idx_out[lo:hi] = sel % n
     d2_out[lo:hi] = sel // n + sq[lo:hi, None]
@@ -438,19 +459,23 @@ def _knn_exact(patches, k):
     product is exact in the patch type (see _patch_dtype) and converts to
     int64 exactly; 2n (a.b) is below 2^54 and every key has
     |key| < 2^53, because n patch^2 <= MAX_PATCH_WORK, far inside int64.
-    So equal distances are true ties and the bytes do not depend on the
-    BLAS, the block shape or the thread count.  The k selected keys split
-    exactly into j = key mod n and d2 = key // n + |a_i|^2.
-    Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, run on a thread
+    So equal distances are true ties, the k smallest keys of a row are
+    the k smallest of any split of its columns into strips, and the bytes
+    do not depend on the BLAS, the block or strip shape or the thread
+    count.  The k selected keys split exactly into j = key mod n and
+    d2 = key // n + |a_i|^2.
+    Exact O(n^2) scan in blocks of _KNN_BLOCK_ROWS rows, each ranked over
+    strips of _KNN_STRIP_COLS columns (see _knn_block), run on a thread
     pool with one worker per CPU but at most
     _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS.  Worker w takes every
-    workers-th block from block w on, into its own product and key buffer
-    of _KNN_BLOCK_ROWS x n, allocated by the calling thread before the
-    pool starts; so the scratch is workers x 64 x n x 12 bytes with
-    float32 patches (16 with float64) whatever the number of blocks, and
-    no block allocates a rows x n array.  Each block writes only its own
-    output rows.  Returns (indices (n, k), squared distances (n, k) in
-    float64).
+    workers-th block from block w on, into its own product and key
+    buffer of _KNN_BLOCK_ROWS x min(n, _KNN_STRIP_COLS) entries, allocated
+    by the calling thread before the pool starts; so the scratch is at
+    most 64 x 2048 x 12 bytes = 1.5 MB per worker with float32 patches
+    (2 MB with float64) whatever the image size, and a block allocates
+    only its 64 x 2k merge buffer, never a rows x n array.  Each block
+    writes only its own output rows.  Returns (indices (n, k), squared
+    distances (n, k) in float64).
     """
     # imported here, not at module top: the closed-form subcommands build
     # no graph and would pay its import on every start
@@ -463,9 +488,9 @@ def _knn_exact(patches, k):
     d2_out = np.empty((n, k))
     starts = range(0, n, _KNN_BLOCK_ROWS)
     workers = min(_cpu_count(), _KNN_ROWS_IN_FLIGHT // _KNN_BLOCK_ROWS, len(starts))
-    shape = (_KNN_BLOCK_ROWS, n)
+    size = _KNN_BLOCK_ROWS * min(n, _KNN_STRIP_COLS)
     scratch = [
-        (np.empty(shape, dtype=patches.dtype), np.empty(shape, dtype=np.int64))
+        (np.empty(size, dtype=patches.dtype), np.empty(size, dtype=np.int64))
         for _ in range(workers)
     ]
 
@@ -591,13 +616,20 @@ def laplacian(graph, kind="combinatorial"):
 
     combinatorial: D - W.  sym-normalized: I - D^{-1/2} W D^{-1/2}, with a
     zero row for an isolated vertex (the normed convention of
-    scipy.sparse.csgraph.laplacian).
+    scipy.sparse.csgraph.laplacian).  ValueError naming the first vertex
+    whose degree, the sum of its weights, overflows to inf.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown laplacian kind {kind!r}")
     if graph.n_edges == 0:
         raise ValueError("graph has no edges")
-    deg = graph.degrees()
+    # weights near the float64 maximum can sum to inf, which would zero a
+    # sym-normalized row or put inf on a combinatorial diagonal
+    with np.errstate(over="ignore"):
+        deg = graph.degrees()
+    if not np.isfinite(deg).all():
+        vertex = int(np.flatnonzero(~np.isfinite(deg))[0])
+        raise ValueError(f"vertex {vertex} has a non-finite degree (its edge weights overflow)")
     n = graph.n
     idx = np.arange(n)
     if kind == "combinatorial":
@@ -705,10 +737,13 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
         warnings.warn(f"{counted} size 1 and no nontrivial modes; scored 0", stacklevel=2)
     # one stable sort groups the vertices by component, ascending within each;
     # the Laplacian permuted by it is block diagonal, one block per component,
-    # and each block is the component's own Laplacian entry for entry
+    # and each block is the component's own Laplacian entry for entry.  A
+    # connected graph's order is the identity, and its Laplacian is not copied
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(sizes)
-    lap = laplacian(graph, kind)[order][:, order] if graph.n_edges else None
+    lap = laplacian(graph, kind) if graph.n_edges else None
+    if lap is not None and n_comp > 1:
+        lap = lap[order][:, order]
     for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
         if hi - lo < 2:
             continue

@@ -392,6 +392,24 @@ def test_graph_isolated_vertices_warn_once_in_total(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 65536
 
 
+@pytest.mark.parametrize("kind", ["sym", "comb"])
+def test_graph_refuses_a_degree_that_overflows(capsys, tmp_path, kind):
+    # vertex 1's two weights sum past the float64 maximum: sym scored the
+    # graph 0, 1, 0 (unit weights give 1, 0, 1) and comb failed in the
+    # solver, both after numpy's overflow warning
+    edges = tmp_path / "huge.csv"
+    edges.write_text("0,1,1e308\n1,2,1e308\n")
+    out = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges", "--laplacian", kind,
+         "--n-terms", "1", "--out", str(out)],
+    )
+    assert code == 1
+    assert err == "error: vertex 1 has a non-finite degree (its edge weights overflow)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [500, 600])
 def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
     # a cycle asked for all n - 1 nontrivial modes wants all n pairs; 500

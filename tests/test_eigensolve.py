@@ -421,6 +421,54 @@ def test_lanczos_wide_band_sparse_takes_arpack_path():
     assert np.abs(got - want).max() <= 1e-8
 
 
+def grid_mesh_laplacian(side, seed):
+    """Unit-weight Laplacian of a side x side grid numbered row by row,
+    each square split on a random diagonal."""
+    idx = np.arange(side * side).reshape(side, side)
+    flip = np.random.default_rng(seed).integers(2, size=(side - 1, side - 1)).astype(bool)
+    a = np.where(flip, idx[:-1, :-1], idx[:-1, 1:])
+    b = np.where(flip, idx[1:, 1:], idx[1:, :-1])
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel(), a.ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel(), b.ravel()])
+    adj = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(side * side,) * 2)
+    adj = (adj + adj.T).tocsr()
+    return (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+
+
+@pytest.mark.parametrize(
+    "build, width",
+    [
+        # as numbered the mesh has band 21, reverse Cuthill-McKee's is 35
+        (lambda: grid_mesh_laplacian(20, 0), 21),
+        # periodic: n - 1 as numbered, 2 under RCM
+        (lambda: build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix, 2),
+        # a path: both orders have band 1, and the tie keeps RCM
+        (lambda: sp.diags([[-1.0] * 99, [1.0] + [2.0] * 98 + [1.0], [-1.0] * 99], [-1, 0, 1]), 1),
+    ],
+    ids=["mesh", "circle", "path"],
+)
+def test_band_factor_takes_the_narrower_vertex_order(monkeypatch, build, width):
+    import scipy.linalg
+
+    from nodalscore import eigensolve
+
+    widths = []
+    factor = scipy.linalg.cholesky_banded
+
+    def recording(band, *args, **kwargs):
+        widths.append(band.shape[0] - 1)
+        return factor(band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    a = sp.csr_matrix(build())
+    shift = -1e-3 * _inf_norm(a)
+    solve = eigensolve._banded_shift_invert(a, shift, 300)
+    assert widths == [width]
+    x = np.random.default_rng(1).standard_normal(a.shape[0])
+    want = np.linalg.solve(a.toarray() - shift * np.eye(a.shape[0]), x)
+    assert np.abs(solve(x) - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_lanczos_wide_band_operation_count():
     # a count, not a time: the rounds take 463 matvecs here
     op = random_sparse_laplacian(np.random.default_rng(4), 704, avg_degree=6)

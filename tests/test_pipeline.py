@@ -466,6 +466,17 @@ def assert_knn_matches_oracle(result, ref):
     assert d2.tobytes() == ref_d2.astype(np.float64).tobytes()
 
 
+# strip widths that split rows into several strips, some of them narrower
+# than k, beside the one the module uses
+_STRIPS = (5, 17, 64, pipeline._KNN_STRIP_COLS)
+
+
+def assert_knn_matches_oracle_in_strips(monkeypatch, patches, k, ref, strips=_STRIPS):
+    for strip in strips:
+        monkeypatch.setattr(pipeline, "_KNN_STRIP_COLS", strip)
+        assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
+
+
 @pytest.mark.parametrize(
     "height, width, patch_size, levels, k",
     [
@@ -481,13 +492,15 @@ def assert_knn_matches_oracle(result, ref):
         (16, 32, 3, 17, 24),  # many levels: ties at the k-th are rare
     ],
 )
-def test_knn_exact_matches_full_matrix_oracle(height, width, patch_size, levels, k):
+def test_knn_exact_matches_full_matrix_oracle(
+    monkeypatch, height, width, patch_size, levels, k
+):
     rng = np.random.default_rng(height * width + levels)
     samples = rng.integers(0, levels, (height, width))
     img = Image(width=width, height=height, samples=samples, maxval=levels - 1)
     patches = pipeline._patch_matrix(img, patch_size)
     ref = knn_oracle(sample_patches(samples, patch_size), k)
-    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
+    assert_knn_matches_oracle_in_strips(monkeypatch, patches, k, ref)
 
 
 def _clutter(seed, size, levels):
@@ -512,7 +525,7 @@ def _flat_block(size, r0):
     ],
     ids=["flat-block", "flat-corner", "3-levels", "8-levels", "anomaly-64", "flat-24"],
 )
-def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
+def test_knn_exact_breaks_exact_ties_by_index(monkeypatch, samples, patch_size, k):
     # 8-bit samples scaled to [0, 1] are not dyadic, so a float distance of
     # intensities rounds and can split an exact tie by a last bit; the
     # integer distances cannot
@@ -522,7 +535,7 @@ def test_knn_exact_breaks_exact_ties_by_index(samples, patch_size, k):
     _, ref_d2, nxt = ref
     assert (ref_d2[:, -1] == nxt).any()  # some k-th distances are tied
     patches = pipeline._patch_matrix(img, patch_size)
-    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
+    assert_knn_matches_oracle_in_strips(monkeypatch, patches, k, ref)
 
 
 def test_patch_dtype_is_float32_inside_its_exact_range():
@@ -572,7 +585,8 @@ def test_knn_exact_float32_and_float64_on_both_sides_of_the_bound(patch_size, ma
 )
 def test_knn_exact_matches_the_oracle_on_tie_heavy_images(monkeypatch, bound, height, data):
     # two sample values make most distances tie; 2 workers over 3 blocks
-    # leave one worker a second block while the other is idle
+    # leave one worker a second block while the other is idle; the strip
+    # widths split each row into many strips or few, or leave it whole
     patch_size, maxval = bound
     width = data.draw(st.integers(-(-2 * _ROWS // height) + 1, 3 * _ROWS // height))
     n = height * width
@@ -584,7 +598,8 @@ def test_knn_exact_matches_the_oracle_on_tie_heavy_images(monkeypatch, bound, he
     img = Image(width=width, height=height, samples=samples, maxval=maxval)
     patches = pipeline._patch_matrix(img, patch_size)
     ref = knn_oracle(sample_patches(samples, patch_size), k)
-    assert_knn_matches_oracle(pipeline._knn_exact(patches, k), ref)
+    strip = data.draw(st.sampled_from(_STRIPS))
+    assert_knn_matches_oracle_in_strips(monkeypatch, patches, k, ref, strips=[strip])
 
 
 def test_float64_distances_are_exact_at_every_accepted_patch_size():
@@ -604,18 +619,25 @@ def test_float64_distances_are_exact_at_every_accepted_patch_size():
     assert pipeline._patch_dtype(largest, 65535) is np.float64
 
 
-def test_knn_exact_scratch_is_bounded():
+def test_knn_exact_scratch_is_bounded(monkeypatch):
+    # beyond its outputs the kNN holds one 64 x 2048 strip of products and
+    # keys per worker, whatever the image size: 3 MB on 2 workers, where
+    # the 64 x n rows of a 128 x 128 image took 25 MB
     import tracemalloc
 
-    img, _ = make_anomaly_image(0)
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    img, _ = make_anomaly_image(0, size=128)
     patches = pipeline._patch_matrix(img, 8)
+    n, k = patches.shape[0], 16
+    outputs = n * k * 16
+    scratch = 2 * pipeline._KNN_BLOCK_ROWS * pipeline._KNN_STRIP_COLS * (4 + 8)
     tracemalloc.start()
     try:
-        pipeline._knn_exact(patches, 16)
+        pipeline._knn_exact(patches, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, f"kNN peaked at {peak / 2**20:.1f} MB"
+    assert peak < outputs + scratch + 2**20, f"kNN peaked at {peak / 2**20:.1f} MB"
 
 
 _FLAT_128 = """
