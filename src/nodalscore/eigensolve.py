@@ -89,14 +89,22 @@ CHECK_TOL = 1e-4
 def _symmetric_row_sums(a):
     """Row sums of |A| (dense or sparse a), after its symmetry check.
 
-    ValueError unless max|a - a^T| <= 1e-12 max|a|.  |A| is formed once,
-    for the check and the sums, and is freed on return.
+    ValueError unless max|a - a^T| <= 1e-12 max|a|, and ValueError naming
+    the first row whose sum overflows to inf: finite entries near the
+    float64 maximum can sum past it, and ||A||_inf and the Gershgorin
+    bound would then be inf.  |A| is formed once, for the check and the
+    sums, and is freed on return.
     """
     diff = abs(a - a.T)
     mag = abs(a)
     if diff.size and diff.max() > 1e-12 * mag.max():
         raise ValueError("matrix is not symmetric (1e-12 relative)")
-    return np.asarray(mag.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):
+        sums = np.asarray(mag.sum(axis=1)).ravel()
+    if not np.isfinite(sums).all():
+        row = int(np.flatnonzero(~np.isfinite(sums))[0])
+        raise ValueError(f"row {row} of |A| sums to a non-finite value (its entries overflow)")
+    return sums
 
 
 def _gershgorin_bound(a, row_sums):

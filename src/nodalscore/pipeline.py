@@ -758,6 +758,8 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
 
 # rows per write, which keeps the text of a huge field out of memory
 _CSV_BLOCK_ROWS = 1 << 16
+# "000".."999", the last three digits of the indices of one 1000-row tile
+_DIGIT_TILE = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), np.uint8).reshape(1000, 3)
 
 
 def write_score_csv(values, path):
@@ -777,33 +779,63 @@ def write_class_csv(path, values, classes):
     """Write "index,value" lines for a field of few distinct values.
 
     Row i holds values[classes[i]] at 17 significant digits, the bytes
-    write_score_csv writes for that field.  Each block of rows is assembled
-    as one byte matrix: the index digits right-aligned, then the comma,
-    value and newline of the row's class from a small table.  NUL pads
-    both sides and is dropped on the way out.
+    write_score_csv writes for that field.  The rows are cut into runs at
+    every power of ten and every _CSV_BLOCK_ROWS, so that all indices of
+    a run have the same digit count d.  A run is assembled as records of
+    d + width bytes over the 1000-row tiles that cover it: the last three
+    index digits are one broadcast store of the constant "000".."999"
+    tile, the higher digits one store per tile, and the comma, value and
+    newline one np.take of the class's NUL-padded text.  A run whose rows
+    all have texts of the full width is written as it stands; any other
+    run drops its NUL padding with bytes.replace.  The bytes never depend
+    on which path ran.
     """
     values = np.asarray(values, dtype=np.float64)
     encoded = [f",{val:.17g}\n".encode() for val in values.tolist()]
-    table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
-    for row, data in enumerate(encoded):
-        table[row, : len(data)] = np.frombuffer(data, dtype=np.uint8)
+    width = max(map(len, encoded))
+    texts = np.array(encoded, dtype=f"S{width}").view(f"V{width}")
+    narrow = np.array([len(text) < width for text in encoded])
     classes = np.asarray(classes)
+    n = classes.size
+    cuts = sorted(
+        {0, n, *range(_CSV_BLOCK_ROWS, n, _CSV_BLOCK_ROWS), *(10**d for d in range(1, len(str(n))))}
+    )
+    # a run starts up to 999 rows into its first tile and ends up to 999
+    # rows before the end of its last one
+    tile_rows = (min(n, _CSV_BLOCK_ROWS) + 1998) // 1000 * 1000
+    buf = np.empty(tile_rows * (len(str(max(n - 1, 0))) + width), dtype=np.uint8)
     with open(path, "wb") as fh:
-        for lo in range(0, classes.size, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, classes.size)
-            n_digits = len(str(hi - 1))
-            block = np.empty((hi - lo, n_digits + table.shape[1]), dtype=np.uint8)
-            for col in range(n_digits):
-                power = 10 ** (n_digits - 1 - col)
-                # index // power is a step function: one run of rows per quotient
-                quotients = np.arange(lo // power, (hi - 1) // power + 2)
-                runs = np.diff(np.clip(quotients * power, lo, hi))
-                quotients = quotients[:-1]
-                # a leading zero is padding; the units digit of 0 is not
-                digits = np.where((quotients > 0) | (power == 1), quotients % 10 + ord("0"), 0)
-                block[:, col] = np.repeat(digits, runs)
-            block[:, n_digits:] = table[classes[lo:hi]]
-            fh.write(block[block != 0].tobytes())
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            d = len(str(hi - 1))
+            low = min(d, 3)
+            first = lo - lo % 1000
+            tiles = -(-(hi - first) // 1000)
+            # one record per row: the d index digits, then the class text
+            fields = {
+                "names": ["low", "text"],
+                "formats": [f"V{low}", f"V{width}"],
+                "offsets": [d - low, d],
+            }
+            if d > 3:
+                fields["names"].append("high")
+                fields["formats"].append(f"V{d - 3}")
+                fields["offsets"].append(0)
+            rows = buf[: tiles * 1000 * (d + width)].view(np.dtype(fields))
+            # indices of fewer than 3 digits are below 100: the tile's last
+            # d digits spell them in full
+            tile = np.ascontiguousarray(_DIGIT_TILE[:, 3 - low :]).view(f"V{low}")
+            rows["low"].reshape(tiles, 1000)[...] = tile[:, 0]
+            if d > 3:
+                thousands = np.arange(first // 1000, first // 1000 + tiles)[:, None]
+                high = thousands // 10 ** np.arange(d - 4, -1, -1) % 10 + ord("0")
+                rows["high"].reshape(tiles, 1000)[...] = high.astype(np.uint8).view(f"V{d - 3}")
+            run = classes[lo:hi]
+            np.take(texts, run, out=rows["text"][lo - first : hi - first])
+            data = buf[(lo - first) * (d + width) : (hi - first) * (d + width)]
+            if narrow.take(run).any():
+                # memchr-driven: about twice as fast as bytes.translate here
+                data = data.tobytes().replace(b"\0", b"")
+            fh.write(data)
 
 
 def write_heatmap_pgm(values, width, height, path):

@@ -410,6 +410,24 @@ def test_graph_refuses_a_degree_that_overflows(capsys, tmp_path, kind):
     assert not out.exists()
 
 
+def test_graph_refuses_row_sums_that_overflow_under_comb(capsys, tmp_path):
+    # every degree is finite (vertex 1 has 1.5e308), but under comb the row
+    # sums of |L| are twice the degrees; the solver overflowed, printed three
+    # numpy warnings and reported non-convergence.  sym's rows sum to 2
+    edges = tmp_path / "huge.csv"
+    edges.write_text("0,1,1e308\n1,2,5e307\n")
+    argv = ["graph", "--input", str(edges), "--format", "edges", "--n-terms", "1"]
+    out = tmp_path / "comb.csv"
+    code, _, err = run(capsys, [*argv, "--laplacian", "comb", "--out", str(out)])
+    assert code == 1
+    assert err == "error: row 0 of |A| sums to a non-finite value (its entries overflow)\n"
+    assert not out.exists()
+    out = tmp_path / "sym.csv"
+    code, _, err = run(capsys, [*argv, "--laplacian", "sym", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == b"0,0.70710678118654746\n1,2.2422147010954762e-32\n2,0.99999999999999989\n"
+
+
 @pytest.mark.parametrize("n", [500, 600])
 def test_graph_component_asked_for_all_its_modes(capsys, tmp_path, n):
     # a cycle asked for all n - 1 nontrivial modes wants all n pairs; 500
@@ -1302,7 +1320,8 @@ def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
     assert [code for code, _, _ in fresh] == [2, 2, 0, 0, 2, 2, 2, 0, 2, 2, 0]
 
 
-@pytest.mark.parametrize("p", [5, 101, 10009, 65537])
+# 100153: residue and non-residue texts of one width; 100829: one byte apart
+@pytest.mark.parametrize("p", [5, 101, 10009, 65537, 100153, 100829])
 def test_paley_out_bytes_equal_the_per_vertex_score_csv(capsys, tmp_path, p):
     out = tmp_path / "paley.csv"
     code, _, _ = run(capsys, ["paley", "--p", str(p), "--out", str(out)])

@@ -1,5 +1,7 @@
 """Dense and iterative symmetric eigensolvers against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -119,6 +121,28 @@ def test_dense_symmetry_check_is_relative_to_the_matrix():
 def test_dense_rejects_non_square_and_non_finite(a, message):
     with pytest.raises(ValueError, match=message):
         dense_sym_eig(a)
+
+
+# the combinatorial Laplacian of the path 0-1-2 with weights 1e308 and
+# 5e307: every entry and degree is finite, but |A|'s row sums are 2e308,
+# 3e308 and 1e308, and ||A||_inf and the Gershgorin bound overflowed
+_ROW_SUM_OVERFLOW = np.array(
+    [[1e308, -1e308, 0.0], [-1e308, 1.5e308, -5e307], [0.0, -5e307, 5e307]]
+)
+
+
+def test_both_solvers_refuse_row_sums_that_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^row 0 of \|A\| sums to a non-finite value"):
+            dense_sym_eig(_ROW_SUM_OVERFLOW)
+        with pytest.raises(ValueError, match=r"^row 0 of \|A\| sums to a non-finite value"):
+            lanczos_smallest(sp.csr_matrix(_ROW_SUM_OVERFLOW), 1)
+        # the first such row is named, not the largest
+        a = _ROW_SUM_OVERFLOW.copy()
+        a[0, 0] = a[1, 0] = a[0, 1] = 0.0
+        with pytest.raises(ValueError, match=r"^row 1 of "):
+            lanczos_smallest(sp.csr_matrix(a), 1)
 
 
 def test_dense_2x2_example():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -1282,8 +1283,10 @@ def _per_row_class_csv(path, values, classes):
             fh.write("".join(f"{i},{values[c]:.17g}\n" for i, c in enumerate(rows, lo)).encode())
 
 
-# every change in the index's digit count up to 5, and past one 65536-row block
-@pytest.mark.parametrize("p", [5, 13, 101, 1009, 10009, 65537])
+# every change in the index's digit count up to 5, and past one 65536-row
+# block; at 100153 the residue and non-residue texts have one width, at
+# 100829 widths one byte apart
+@pytest.mark.parametrize("p", [5, 13, 101, 1009, 10009, 65537, 100153, 100829])
 def test_class_csv_matches_per_row_writer_on_paley_fields(tmp_path, p):
     score = paley_score_closed_form(p)
     values = [s.real for s in (score.s_zero, score.s_residue, score.s_nonresidue)]
@@ -1294,17 +1297,85 @@ def test_class_csv_matches_per_row_writer_on_paley_fields(tmp_path, p):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("block_rows", [7, 100, pipeline._CSV_BLOCK_ROWS])
+# 7 and 1000 rows per block cut the 1000-row digit tiles mid-way and at their ends
+@pytest.mark.parametrize("block_rows", [7, 100, 1000, pipeline._CSV_BLOCK_ROWS])
 def test_class_csv_matches_per_row_writer_on_any_values(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
     values = [0.0, -0.0, np.inf, np.nan, 5e-324, -1.2345678901234567e-05, 1.7976931348623157e308]
-    for n in (0, 1, 10, 11, 1000, 1001):
+    for n in (0, 1, 10, 11, 999, 1000, 1001, 2999, 3001):
         classes = np.random.default_rng(n).integers(0, len(values), n)
         write_class_csv(tmp_path / "got.csv", values, classes)
         _per_row_class_csv(tmp_path / "want.csv", values, classes)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), n
         write_score_csv(np.array(values)[classes], tmp_path / "score.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "score.csv").read_bytes(), n
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5, 1.5, 2.5], [0.0, 1.0 / 3.0, -2.5]],
+    ids=["one-width", "three-widths"],
+)
+def test_class_csv_is_a_prefix_at_every_digit_boundary(tmp_path, values):
+    # n rows are the first n lines of the 10**6 + 1 row file: every digit
+    # count from 1 to 7 and every end of a 1000-row tile is crossed
+    classes = np.random.default_rng(6).integers(0, len(values), 10**6 + 1).astype(np.int8)
+    _per_row_class_csv(tmp_path / "want.csv", values, classes)
+    want = (tmp_path / "want.csv").read_bytes()
+    digits = np.searchsorted(10 ** np.arange(1, 7), np.arange(classes.size), side="right") + 1
+    texts = np.array([len(f",{v:.17g}\n") for v in values])
+    ends = np.cumsum(digits + texts[classes])
+    edges = [10**d + step for d in range(1, 7) for step in (-1, 0, 1)]
+    for n in [999, 1000, 1001, 2999, 3001, *edges]:
+        write_class_csv(tmp_path / "got.csv", values, classes[:n])
+        assert (tmp_path / "got.csv").read_bytes() == want[: ends[n - 1]], n
+
+
+@st.composite
+def _class_fields(draw):
+    """Values whose texts have one width or two widths gap bytes apart, and classes."""
+    digits = draw(st.integers(1, 6))
+    gap = draw(st.sampled_from([0, 1, 2, 9]))
+    narrow = st.integers(10 ** (digits - 1), 10**digits - 1)
+    wide = st.integers(10 ** (digits + gap - 1), 10 ** (digits + gap) - 1)
+    ints = draw(st.lists(narrow, min_size=1, max_size=3)) + draw(st.lists(wide, max_size=3))
+    values = [float(v) for v in draw(st.permutations(ints))]
+    n = draw(st.integers(0, 3100))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return values, np.random.default_rng(seed).integers(0, len(values), n)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_class_fields(), st.sampled_from([7, 1000, 1 << 16]))
+def test_class_csv_matches_per_row_writer_on_any_widths(tmp_path, monkeypatch, field, block_rows):
+    monkeypatch.setattr(pipeline, "_CSV_BLOCK_ROWS", block_rows)
+    values, classes = field
+    write_class_csv(tmp_path / "got.csv", values, classes)
+    want = "".join(f"{i},{values[c]:.17g}\n" for i, c in enumerate(classes.tolist())).encode()
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5, 1.5, 2.5], [0.0, 1.0 / 3.0, -2.5]], ids=["one-width", "three-widths"]
+)
+def test_class_csv_time_grows_linearly(tmp_path, values):
+    # 4x the rows within 6x the time, each the best of 5 calls: a per-row
+    # Python step or a quadratic one fails here, with no wall-clock bound
+    rng = np.random.default_rng(8)
+
+    def best_time(n):
+        classes = rng.integers(0, len(values), n).astype(np.int8)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            write_class_csv(tmp_path / "t.csv", values, classes)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best_time(1 << 16), best_time(1 << 18)
+    assert large <= 6 * small, (small, large)
 
 
 def test_heatmap_pgm_extremes(tmp_path):
