@@ -14,9 +14,11 @@ smallest ones of A:
     B = sigma * I - A,  sigma = Gershgorin upper bound  ("arpack")
 
 where scale = ||A||_inf is also the residual normalization.  The scale
-has no floor, so scaling A by c > 0 scales every eigenvalue by c and
-leaves the transform, the residuals and the convergence tests the same;
-the zero operator, which has no scale, is solved exactly by both solvers.
+has no floor.  ``lanczos_smallest`` solves 4^-k A, 4^k the power of four
+nearest ||A||_inf, and multiplies the values back by 4^k, so 4^j A gives
+4^j times the values and the same vectors bit for bit, and any c > 0
+leaves the convergence tests the same; ``dense_sym_eig`` hands A to
+LAPACK as given.  The zero operator is solved exactly by both solvers.
 Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when the
 band of A, in its own vertex order or the reverse Cuthill-McKee order, is
 narrow and the shifted A has a banded Cholesky factor; each application
@@ -41,11 +43,13 @@ method ran, and are bitwise deterministic for a fixed seed at a fixed
 BLAS thread count (LAPACK's results change with the thread count: the
 dense solve's bits differ between one and two OpenBLAS threads).  A pair
 counts as converged when its residual ||A v - lambda v|| / ||A||_inf is
-at most RESIDUAL_TOL.
+at most RESIDUAL_TOL; ``EigenSolveReport.require`` returns the pairs of
+a solve whose pairs all converged and raises RuntimeError otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,7 +144,13 @@ class EigenSolveReport:
     residuals: np.ndarray
     iterations: int
     converged: bool
-    method: str = ""
+    method: str
+
+    def require(self, what):
+        """(values, vectors), or RuntimeError naming ``what`` if not converged."""
+        if not self.converged:
+            raise RuntimeError(f"eigensolver did not converge on {what}")
+        return self.values, self.vectors
 
     @property
     def pairs(self):
@@ -148,26 +158,29 @@ class EigenSolveReport:
         return tuple(map(EigenPair, self.values.tolist(), self.vectors.T))
 
 
-def _fix_signs(vectors):
-    """Columns flipped so the largest-magnitude entry is positive."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+def _residuals(a, values, vectors, scale):
+    """||A v - lambda v|| / scale per column, divided before the norm so it stays finite."""
+    r = a @ vectors
+    r -= vectors * values
+    r /= scale or 1.0  # the zero operator has no scale and is solved exactly
+    return np.linalg.norm(r, axis=0)
 
 
-def _clamp_tiny_negatives(values, scale):
-    out = values.copy()
-    tiny = (out < 0) & (out > -1e-10 * scale)
-    out[tiny] = 0.0
-    return out
+def _finish(a, values, vectors, scale, iterations, method):
+    """The report of a solve, after the closing steps both solvers share.
 
-
-def _psd_report(values, vectors, residuals, iterations, method):
-    """The report of a solve, or ValueError when a value is negative or NaN."""
+    Values in [-1e-10 * scale, 0) become 0, a value below that or NaN raises
+    ValueError, and each vector's largest entry is made positive in place.
+    """
+    values[(values < 0) & (values > -1e-10 * scale)] = 0.0
     bad = ~(values >= 0.0)
     if bad.any():
         raise ValueError(f"eigenvalue must be >= 0, got {float(values[bad][0])}")
+    idx = np.argmax(np.abs(vectors), axis=0)
+    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    vectors *= signs
+    residuals = _residuals(a, values, vectors, scale)
     return EigenSolveReport(
         values=values,
         vectors=vectors,
@@ -189,7 +202,8 @@ def dense_sym_eig(a, m=None):
     Eigenvalues in [-1e-10 * scale, 0) are clamped to zero and a value
     below that raises ValueError, so only PSD matrices pass; residuals
     are divided by scale = ||A||_inf, and the report is converged when
-    every one is at most RESIDUAL_TOL.
+    every one is at most RESIDUAL_TOL.  LAPACK's LinAlgError, a
+    ValueError, propagates.
     """
     if not isinstance(a, np.ndarray):
         raise ValueError("dense_sym_eig needs a dense ndarray")
@@ -206,24 +220,13 @@ def dense_sym_eig(a, m=None):
         raise ValueError("need m >= 1")
     # ||A||_inf, the largest absolute row sum
     scale = float(row_sums.max(initial=0.0))
-    try:
-        if m is None or m >= n:
-            values, vectors = np.linalg.eigh(a)
-        else:
-            from scipy.linalg import eigh
+    if m is None or m >= n:
+        values, vectors = np.linalg.eigh(a)
+    else:
+        from scipy.linalg import eigh
 
-            values, vectors = eigh(a, subset_by_index=[0, m - 1])
-    except np.linalg.LinAlgError:
-        return EigenSolveReport(
-            values=np.empty(0), vectors=np.empty((n, 0)), residuals=np.empty(0),
-            iterations=0, converged=False,
-        )
-    values = _clamp_tiny_negatives(values, scale)
-    vectors = _fix_signs(vectors)
-    # LAPACK solves the zero matrix exactly (0 and unit vectors), so its
-    # residuals are 0 and need no scale
-    resid = np.linalg.norm(a @ vectors - vectors * values, axis=0) / (scale or 1.0)
-    return _psd_report(values, vectors, resid, 1, "dense")
+        values, vectors = eigh(a, subset_by_index=[0, m - 1])
+    return _finish(a, values, vectors, scale, 1, "dense")
 
 
 def lanczos_smallest(a, m, seed=0):
@@ -234,7 +237,9 @@ def lanczos_smallest(a, m, seed=0):
     raises ValueError.  Runs in rounds of ARPACK (``eigsh``, which="LA",
     tol=0, at most ARPACK_MAXITER restarts) on x -> P B P x, where B is
     the spectral transform of A named by ``method`` and P = I - F F^T
-    projects out the accepted vectors F:
+    projects out the accepted vectors F.  A here is the given matrix
+    times 4^-k, 4^k the power of four nearest its ||A||_inf, and the
+    values are multiplied back by 4^k at the end:
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
       and scale = ||A||_inf, applied by a banded Cholesky solve.
@@ -273,7 +278,7 @@ def lanczos_smallest(a, m, seed=0):
         LinearOperator,
         eigsh,
     )
-    from scipy.sparse import issparse
+    from scipy.sparse import csr_matrix, issparse
 
     if not issparse(a):
         raise ValueError("lanczos_smallest needs a scipy sparse matrix")
@@ -287,10 +292,16 @@ def lanczos_smallest(a, m, seed=0):
         raise ValueError("need 1 <= m < n")
     scale = float(row_sums.max(initial=0.0))
     if scale == 0.0:  # the zero operator: every vector has eigenvalue 0
-        return EigenSolveReport(
-            values=np.zeros(m), vectors=np.eye(n, m), residuals=np.zeros(m),
-            iterations=0, converged=True, method="zero",
-        )
+        return _finish(a, np.zeros(m), np.eye(n, m), scale, 0, "zero")
+    # the solve runs on the exact product 4^-k A with ||4^-k A||_inf in
+    # [1/2, 2): ARPACK's stopping test bound <= tol * max(eps^(2/3), |theta|)
+    # is relative only for |theta| above eps^(2/3) ~ 4e-11, and as given
+    # weights of 1e25 (shift-invert) and 1e-30 (Gershgorin) did not converge
+    power = 2 * (math.frexp(scale)[1] // 2)
+    # scaled data on the given index arrays: no copy of the indices
+    given, a = a, csr_matrix((np.ldexp(a.data, -power), a.indices, a.indptr), shape=a.shape)
+    np.ldexp(row_sums, -power, out=row_sums)
+    scale = math.ldexp(scale, -power)
     rng = np.random.default_rng(seed)
     shift = SHIFT * scale
     solve = _banded_shift_invert(a, shift, max(10 * m + 50, 300))
@@ -336,8 +347,8 @@ def lanczos_smallest(a, m, seed=0):
             return False
         if not theta[0] > 0:
             return False
-        mu, vec = to_eigenvalues(theta[0]), vecs[:, 0]
-        return mu - np.linalg.norm(a @ vec - mu * vec) > mth
+        mu = to_eigenvalues(theta[:1])
+        return mu[0] - scale * _residuals(a, mu, vecs, scale)[0] > mth
 
     while len(found_vals) < n:
         start = project(rng.standard_normal(n))
@@ -354,7 +365,7 @@ def lanczos_smallest(a, m, seed=0):
             theta, vecs = np.empty(0), np.empty((n, 0))
         live = theta > 0
         vals, vecs = to_eigenvalues(theta[live]), vecs[:, live]
-        keep = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale <= RESIDUAL_TOL
+        keep = _residuals(a, vals, vecs, scale) <= RESIDUAL_TOL
         new_vals, new_vecs = vals[keep], vecs[:, keep]
         if found_vecs.shape[1]:
             new_vecs = project(new_vecs)
@@ -376,10 +387,10 @@ def lanczos_smallest(a, m, seed=0):
             break
 
     order = np.argsort(found_vals, kind="stable")[:m]
-    vals = _clamp_tiny_negatives(np.array(found_vals)[order], scale)
-    vecs = _fix_signs(found_vecs[:, order])
-    resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0) / scale
-    return _psd_report(vals, vecs, resid, applications, method)
+    values = np.ldexp(np.array(found_vals)[order], power)
+    return _finish(
+        given, values, found_vecs[:, order], math.ldexp(scale, power), applications, method
+    )
 
 
 def _banded_shift_invert(csr, shift, max_width):

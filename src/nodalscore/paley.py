@@ -190,10 +190,7 @@ def paley_score_numeric(p):
     c = np.where(mask, -1.0, 0.0)
     c[0] = (p - 1) / 2.0
     lap = np.lib.stride_tricks.sliding_window_view(np.concatenate([c, c]), p)[p:0:-1].copy()
-    report = dense_sym_eig(lap)
-    if not report.converged:
-        raise RuntimeError(f"eigensolver did not converge on the Paley Laplacian (p={p})")
-    values = report.values
+    values, _ = dense_sym_eig(lap).require(f"the Paley Laplacian (p={p})")
 
     if values[0] > 1e-9 * p:
         raise ValueError("eigenspace mismatch: smallest eigenvalue is not 0")

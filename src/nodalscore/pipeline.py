@@ -15,6 +15,7 @@ import operator
 import os
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -669,7 +670,7 @@ def _dense_block(lap, lo, hi):
 
 
 def _score_component(block, n_terms, seed):
-    """Score field of one connected component from its Laplacian block.
+    """Score field of one connected component and its count of nontrivial modes.
 
     A dense array takes the dense solve, and a CSR block the iterative one.
     """
@@ -679,24 +680,14 @@ def _score_component(block, n_terms, seed):
         report = dense_sym_eig(block, m=want)
     else:
         report = lanczos_smallest(block, want, seed=seed)
-    if not report.converged:
-        raise RuntimeError(
-            f"eigensolver did not converge on a component of size {n}"
-        )
+    values, vectors = report.require(f"a component of size {n}")
     # numerically zero modes (a Laplacian's constants) score nothing: the
     # ascending values below 1e-9 times the largest one are dropped
-    values, vectors = report.values, report.vectors
     first = int(np.count_nonzero(values < 1e-9 * values.max(initial=0.0)))
     use = min(n_terms, values.size - first)
-    if use < n_terms:
-        warnings.warn(
-            f"component of size {n} supplied only {use} nontrivial modes "
-            f"(wanted {n_terms})",
-            stacklevel=3,
-        )
     if use == 0:
-        return np.zeros(n)
-    return compute_score_field(values[first:], vectors[:, first:], use)
+        return np.zeros(n), 0
+    return compute_score_field(values[first:], vectors[:, first:], use), use
 
 
 def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
@@ -709,8 +700,11 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     DENSE_FALLBACK_N vertices, or one solved for all its modes, is read
     into a dense array straight from the permuted CSR arrays and solved
     densely.  Components too small to carry any nontrivial mode score
-    zero, all counted in one warning.  WorkCapError, before any solve, when the largest component's
-    wanted pairs x size exceeds MAX_GRAPH_SOLVE_WORK.
+    zero.  Each kind of per-component warning (size 1, fewer than n_terms
+    nontrivial modes, degenerate eigenvalues) is emitted at most once per
+    call, with a count when it concerns more than one component.
+    WorkCapError, before any solve, when the largest component's wanted
+    pairs x size exceeds MAX_GRAPH_SOLVE_WORK.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -744,15 +738,29 @@ def score_graph(graph, n_terms, kind="sym-normalized", seed=0):
     lap = laplacian(graph, kind) if graph.n_edges else None
     if lap is not None and n_comp > 1:
         lap = lap[order][:, order]
-    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
-        if hi - lo < 2:
-            continue
-        # the iterative solver needs want < n; all n modes take the full dense solve
-        if hi - lo <= max(DENSE_FALLBACK_N, n_terms + 1):
-            block = _dense_block(lap, lo, hi)
-        else:
-            block = lap[lo:hi, lo:hi]
-        values[order[lo:hi]] = _score_component(block, n_terms, seed)
+    short = []  # (size, modes) of each component with fewer than n_terms modes
+    # each warning of the component solves and score fields (degenerate
+    # eigenvalues) is collected, and each text emitted once with its count
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+            if hi - lo < 2:
+                continue
+            # the iterative solver needs want < n; all n modes take the full dense solve
+            if hi - lo <= max(DENSE_FALLBACK_N, n_terms + 1):
+                block = _dense_block(lap, lo, hi)
+            else:
+                block = lap[lo:hi, lo:hi]
+            values[order[lo:hi]], use = _score_component(block, n_terms, seed)
+            if use < n_terms:
+                short.append((hi - lo, use))
+    if short:
+        least, most = min(use for _, use in short), max(use for _, use in short)
+        modes = least if least == most else f"{least} to {most}"
+        what = f"component of size {short[0][0]}" if len(short) == 1 else f"{len(short)} components"
+        warnings.warn(f"{what} supplied only {modes} nontrivial modes (wanted {n_terms})", stacklevel=2)
+    for (category, text), count in Counter((w.category, str(w.message)) for w in caught).items():
+        warnings.warn(text if count == 1 else f"{text} (in {count} components)", category, stacklevel=2)
     return values
 
 

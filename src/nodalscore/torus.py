@@ -169,11 +169,7 @@ def _smallest_pairs(matrix, m, seed):
         report = dense_sym_eig(matrix.toarray(), m=m)
     else:
         report = lanczos_smallest(matrix, m, seed=seed)
-    if not report.converged:
-        raise RuntimeError(
-            f"eigensolver did not converge on the circle operator (n={n})"
-        )
-    return report.values, report.vectors
+    return report.require(f"the circle operator (n={n})")
 
 
 def torus_score(n_grid, spec, n_pairs, seed=0):

@@ -392,6 +392,57 @@ def test_graph_isolated_vertices_warn_once_in_total(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 65536
 
 
+@pytest.mark.parametrize(
+    "edge_text, want",
+    [
+        (
+            "".join(f"{2 * i},{2 * i + 1}\n" for i in range(2000)),
+            "warning: 2000 components supplied only 1 nontrivial modes (wanted 2)",
+        ),
+        (
+            "".join(f"{3 * i},{3 * i + 1}\n{3 * i + 1},{3 * i + 2}\n{3 * i},{3 * i + 2}\n"
+                    for i in range(500)),
+            "warning: degenerate eigenvalues scored as-given; pointwise values are "
+            "basis-dependent (in 500 components)",
+        ),
+    ],
+    ids=["edges", "triangles"],
+)
+def test_graph_per_component_warnings_print_once(capsys, tmp_path, edge_text, want):
+    # 2000 disjoint edges and 500 disjoint triangles printed one warning
+    # line per component
+    edges = tmp_path / "g.csv"
+    edges.write_text(edge_text)
+    code, _, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges",
+         "--n-terms", "2", "--out", str(tmp_path / "s.csv")],
+    )
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) <= 3, lines[:5]
+    assert want in lines
+
+
+@pytest.mark.parametrize(
+    "edge_text, n_terms",
+    [("0,1,1e200\n1,2,1e200\n", 1), ("".join(f"{i},{i + 1},1e200\n" for i in range(799)), 4)],
+    ids=["dense", "iterative"],
+)
+def test_graph_weights_of_1e200_converge(capsys, tmp_path, edge_text, n_terms):
+    # every row sum is finite, but the residual's square overflowed before
+    # its norm was divided by ||A||_inf: numpy's overflow warnings, then
+    # a solve reported as non-converged, exit 1
+    edges = tmp_path / "huge.csv"
+    edges.write_text(edge_text)
+    code, _, err = run(
+        capsys,
+        ["graph", "--input", str(edges), "--format", "edges", "--laplacian", "comb",
+         "--n-terms", str(n_terms), "--out", str(tmp_path / "s.csv")],
+    )
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("kind", ["sym", "comb"])
 def test_graph_refuses_a_degree_that_overflows(capsys, tmp_path, kind):
     # vertex 1's two weights sum past the float64 maximum: sym scored the
@@ -766,7 +817,7 @@ def test_non_converged_solve_exits_one(capsys, tmp_path, monkeypatch):
     def unconverged(*args, **kwargs):
         return EigenSolveReport(
             values=np.empty(0), vectors=np.empty((0, 0)), residuals=np.empty(0),
-            iterations=0, converged=False,
+            iterations=0, converged=False, method="dense",
         )
 
     monkeypatch.setattr(pipeline, "dense_sym_eig", unconverged)
@@ -796,6 +847,15 @@ def test_non_converged_solve_exits_one(capsys, tmp_path, monkeypatch):
     assert stdout == ""
     assert err.startswith("error:")
     assert "did not converge" in err
+    # LAPACK's own failure is a LinAlgError, a ValueError, and it propagates
+    monkeypatch.undo()
+
+    def lapack_failure(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", lapack_failure)
+    code, stdout, err = run(capsys, ["paley", "--p", "13", "--verify"])
+    assert (code, stdout, err) == (1, "", "error: Eigenvalues did not converge\n")
 
 
 def test_identical_argv_identical_bytes(capsys, tmp_path):

@@ -603,6 +603,53 @@ def test_lanczos_shift_invert_is_scale_invariant():
         assert np.abs(got - want).max() <= 1e-8 * _inf_norm(op)
 
 
+def unit_path_laplacian(n):
+    off = -np.ones(n - 1)
+    return sp.diags([off, np.r_[1.0, np.full(n - 2, 2.0), 1.0], off], [-1, 0, 1]).tocsr()
+
+
+# the 800-vertex path takes the shift-invert path and the random graph the
+# Gershgorin one; ARPACK's stopping test is relative only for Ritz values
+# above eps^(2/3), so as given the path failed at weights 1e25 and the
+# random graph at 1e-30
+SCALED_SOLVES = [
+    (lambda: unit_path_laplacian(800), 5, "shift-invert"),
+    (lambda: random_sparse_laplacian(np.random.default_rng(0), 700, avg_degree=6), 9, "arpack"),
+]
+
+
+@pytest.mark.parametrize("build, m, method", SCALED_SOLVES, ids=["path", "random"])
+def test_lanczos_scales_by_a_power_of_four_bit_for_bit(build, m, method):
+    # the solve runs on 4^-k A, so 4^j A gives 4^j times the values and the
+    # same vectors; the path drifted at 4^30 and the random graph at 4^-30
+    op = build()
+    base = lanczos_smallest(op, m)
+    assert base.method == method and base.converged
+    for c in (4.0**30, 4.0**-30):
+        report = lanczos_smallest(op * c, m)
+        assert np.array_equal(report.values, base.values * c), c
+        assert np.array_equal(report.vectors, base.vectors), c
+        assert report.iterations == base.iterations, c
+
+
+@pytest.mark.parametrize("build, m, method", SCALED_SOLVES, ids=["path", "random"])
+def test_lanczos_converges_at_extreme_weights(build, m, method):
+    # the path takes 113 banded solves at every weight; the random graph's
+    # weights times c round differently for each c, and the number of
+    # ARPACK restarts follows that rounding (446 matvecs at c = 1, 427-493
+    # at weights from 1e-300 to 1e300)
+    op = build()
+    base = lanczos_smallest(op, m)
+    for c in (1e-30, 1e30, 1e100):
+        report = lanczos_smallest(op * c, m)
+        assert report.method == method and report.converged, c
+        assert np.abs(report.values / c - base.values).max() <= 1e-8 * base.values.max(), c
+        if method == "shift-invert":
+            assert report.iterations == base.iterations, c
+        else:
+            assert report.iterations <= 1.25 * base.iterations, c
+
+
 def test_lanczos_shift_invert_recovers_exact_circle_doubles():
     """Unperturbed circle: ground mode plus exact doubles, closed form.
 

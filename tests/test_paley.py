@@ -284,7 +284,7 @@ def test_numeric_stops_on_non_converged_solve(monkeypatch):
     def failed(a):
         return EigenSolveReport(
             values=np.empty(0), vectors=np.empty((a.shape[0], 0)), residuals=np.empty(0),
-            iterations=0, converged=False,
+            iterations=0, converged=False, method="dense",
         )
 
     monkeypatch.setattr(paley, "dense_sym_eig", failed)

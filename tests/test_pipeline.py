@@ -1181,7 +1181,7 @@ def test_score_graph_rejects_bad_n_terms():
 def unconverged(*args, **kwargs):
     return EigenSolveReport(
         values=np.empty(0), vectors=np.empty((0, 0)), residuals=np.empty(0),
-        iterations=0, converged=False,
+        iterations=0, converged=False, method="dense",
     )
 
 

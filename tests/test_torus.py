@@ -181,7 +181,7 @@ def test_score_stops_on_non_converged_solve(monkeypatch, solver, n_grid):
     def unconverged(*args, **kwargs):
         return EigenSolveReport(
             values=np.empty(0), vectors=np.empty((0, 0)), residuals=np.empty(0),
-            iterations=0, converged=False,
+            iterations=0, converged=False, method="dense",
         )
 
     monkeypatch.setattr(torus, solver, unconverged)
