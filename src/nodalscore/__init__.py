@@ -13,7 +13,7 @@ image/mesh graph pipeline; the command line lives in nodalscore.cli.
 
 __version__ = "0.1.0"
 
-from .core import compute_score_field, find_strict_local_minima, group_degenerate
+from .core import compute_score_field, find_strict_local_minima
 from .eigensolve import EigenPair, EigenSolveReport, dense_sym_eig, lanczos_smallest
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "compute_score_field",
     "dense_sym_eig",
     "find_strict_local_minima",
-    "group_degenerate",
     "lanczos_smallest",
     "__version__",
 ]

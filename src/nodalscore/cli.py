@@ -80,10 +80,11 @@ REQUIRED = object()
 def _merge(args, parser, flags):
     """Fill unset flags from --config JSON; explicit flags take precedence.
 
-    flags maps each flag to (kinds, default): the JSON types its config value
-    may have, and its value when neither the flag nor the config sets it
-    (a JSON null leaves it unset).  After the type checks, the first flag
-    still at REQUIRED, in table order, is a usage error.
+    flags maps each flag to (kinds, default, allowed): the JSON types its
+    config value may have, its value when neither the flag nor the config
+    sets it (a JSON null leaves it unset), and the values it may take.
+    After the type checks, the first flag still at REQUIRED, in table order,
+    is a usage error, and then the first value outside its allowed values.
     """
     cfg = {}
     if args.config:
@@ -99,7 +100,7 @@ def _merge(args, parser, flags):
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for key, (kinds, default) in flags.items():
+    for key, (kinds, default, _) in flags.items():
         cli_val = getattr(args, key.replace("-", "_"))
         if cli_val is not None:
             merged[key] = cli_val
@@ -110,6 +111,17 @@ def _merge(args, parser, flags):
     for key, value in merged.items():
         if value is REQUIRED:
             parser.error(f"--{key} is required (flag or config)")
+    for key, (_, _, allowed) in flags.items():
+        value = merged[key]
+        if allowed is None or value is None:
+            continue
+        if isinstance(allowed[0], str):
+            if value not in allowed:
+                parser.error(f"--{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
+        elif value < allowed[0]:
+            parser.error(f"--{key} {value} must be >= {allowed[0]}")
+        elif allowed[1] is not None and value > allowed[1]:
+            parser.error(f"--{key} {value} exceeds {allowed[1]}")
     return merged
 
 
@@ -130,12 +142,6 @@ def _parse_grid_2d(parser, text):
 
 def _cmd_interval(merged, parser):
     n_terms, grid = merged["n-terms"], merged["grid"]
-    if not 1 <= n_terms <= MAX_TERMS:
-        parser.error(f"--n-terms {n_terms} must lie in 1..{MAX_TERMS}")
-    if grid < 1:
-        parser.error("--grid must be >= 1")
-    if grid + 1 > MAX_GRID_POINTS:
-        parser.error(f"--grid {grid} exceeds {MAX_GRID_POINTS} points")
     try:
         analytic.check_interval_work(grid, n_terms)
     except ValueError as exc:
@@ -219,8 +225,6 @@ def _cmd_rational_check(merged, parser):
 
 def _cmd_paley(merged, parser):
     p = merged["p"]
-    if p % 4 != 1 or p < 5:
-        parser.error(f"--p {p} must be a prime congruent to 1 mod 4")
     if merged["verify"] and p > paley.NUMERIC_MAX_PRIME:
         parser.error(f"--verify needs --p <= {paley.NUMERIC_MAX_PRIME}")
     if merged["out"] and p > paley.PER_VERTEX_MAX_PRIME:
@@ -257,15 +261,7 @@ def _cmd_paley(merged, parser):
 def _cmd_torus(merged, parser):
     if (merged["n-terms"] is None) == (merged["find-n-eps"] is None):
         parser.error("set exactly one of --n-terms and --find-n-eps")
-    if merged["n-terms"] is not None and merged["n-terms"] < 1:
-        parser.error(f"--n-terms {merged['n-terms']} must be >= 1")
-    if merged["find-n-eps"] is not None and merged["find-n-eps"] < 0:
-        parser.error(f"--find-n-eps {merged['find-n-eps']} must be >= 0")
-    if merged["seed"] < 0:
-        parser.error(f"--seed {merged['seed']} must be >= 0")
-    bump = {"constant": "constant-well", "cosine": "cosine-well"}.get(merged["bump"])
-    if bump is None:
-        parser.error("--bump must be constant or cosine")
+    bump = {"constant": "constant-well", "cosine": "cosine-well"}[merged["bump"]]
     n_grid = merged["n-grid"]
     pairs = merged["n-terms"] if merged["n-terms"] is not None else merged["find-n-eps"]
     try:
@@ -298,17 +294,9 @@ def _cmd_torus(merged, parser):
 
 def _cmd_graph(merged, parser):
     fmt = merged["format"]
-    if fmt not in ("edges", "pgm", "obj"):
-        parser.error("--format must be edges, pgm or obj")
-    kind = {"sym": "sym-normalized", "comb": "combinatorial"}.get(merged["laplacian"])
-    if kind is None:
-        parser.error("--laplacian must be sym or comb")
+    kind = {"sym": "sym-normalized", "comb": "combinatorial"}[merged["laplacian"]]
     if merged["pgm"] and fmt != "pgm":
         parser.error("--pgm output needs --format pgm input")
-    if merged["n-terms"] < 1:
-        parser.error(f"--n-terms {merged['n-terms']} must be >= 1")
-    if merged["seed"] < 0:
-        parser.error(f"--seed {merged['seed']} must be >= 0")
     image = None
     if fmt == "edges":
         with open(merged["input"], encoding="utf-8") as fh:
@@ -360,57 +348,68 @@ def _cmd_graph(merged, parser):
 
 
 # Every flag of every subcommand, declared once: name -> (help, handler,
-# {flag: (kinds, default)}).  kinds are the JSON types a --config value may
-# have and kinds[0] is the command-line type; a (bool,) flag is a switch.
-_SEED = ((int,), 0)
+# {flag: (kinds, default, allowed)}).  kinds are the JSON types a --config
+# value may have and kinds[0] is the command-line type; a (bool,) flag is a
+# switch.  allowed is None, a tuple of strings or inclusive integer bounds
+# (low, high), high None for no cap; _merge refuses a value outside it.
+_SEED = ((int,), 0, (0, None))
 COMMANDS = {
     "interval": ("interval score on a uniform grid", _cmd_interval, {
-        "n-terms": ((int,), REQUIRED),
-        "grid": ((int,), REQUIRED),
-        "find-minima": ((bool,), False),
-        "out": ((str,), REQUIRED),
+        "n-terms": ((int,), REQUIRED, (1, MAX_TERMS)),
+        "grid": ((int,), REQUIRED, (1, MAX_GRID_POINTS - 1)),
+        "find-minima": ((bool,), False, None),
+        "out": ((str,), REQUIRED, None),
     }),
     "square": ("square score on an interior grid", _cmd_square, {
-        "lambda-cut": ((float,), REQUIRED),
-        "grid": ((str,), REQUIRED),
-        "out": ((str,), REQUIRED),
-        "pgm": ((str,), None),
+        "lambda-cut": ((float,), REQUIRED, None),
+        "grid": ((str,), REQUIRED, None),
+        "out": ((str,), REQUIRED, None),
+        "pgm": ((str,), None, None),
     }),
     "rational-check": ("strict-minimum check at p/q", _cmd_rational_check, {
-        "p": ((int,), REQUIRED),
-        "q": ((int,), REQUIRED),
-        "n-terms": ((int,), None),
-        "step": ((float,), None),
-        "out": ((str,), None),
+        "p": ((int,), REQUIRED, None),
+        "q": ((int,), REQUIRED, None),
+        "n-terms": ((int,), None, None),
+        "step": ((float,), None, None),
+        "out": ((str,), None, None),
     }),
     "paley": ("three-valued Paley graph score", _cmd_paley, {
-        "p": ((int,), REQUIRED),
-        "verify": ((bool,), False),
-        "out": ((str,), None),
+        "p": ((int,), REQUIRED, None),
+        "verify": ((bool,), False, None),
+        "out": ((str,), None, None),
     }),
     "torus": ("perturbed circle operator score", _cmd_torus, {
-        "y": ((float,), REQUIRED),
-        "eps": ((float,), REQUIRED),
-        "bump": ((str,), "constant"),
-        "n-grid": ((int,), 512),
-        "n-terms": ((int,), None),
-        "find-n-eps": ((int,), None),
-        "out": ((str,), None),
+        "y": ((float,), REQUIRED, None),
+        "eps": ((float,), REQUIRED, None),
+        "bump": ((str,), "constant", ("constant", "cosine")),
+        "n-grid": ((int,), 512, None),
+        "n-terms": ((int,), None, (1, None)),
+        "find-n-eps": ((int,), None, (0, None)),
+        "out": ((str,), None, None),
         "seed": _SEED,
     }),
     "graph": ("score a graph from a file", _cmd_graph, {
-        "input": ((str,), REQUIRED),
-        "format": ((str,), REQUIRED),
-        "laplacian": ((str,), "sym"),
-        "knn": ((int,), 16),
-        "patch": ((int,), 8),
-        "bandwidth": ((str, float), "auto"),
-        "n-terms": ((int,), REQUIRED),
-        "out": ((str,), REQUIRED),
-        "pgm": ((str,), None),
+        "input": ((str,), REQUIRED, None),
+        "format": ((str,), REQUIRED, ("edges", "pgm", "obj")),
+        "laplacian": ((str,), "sym", ("sym", "comb")),
+        "knn": ((int,), 16, None),
+        "patch": ((int,), 8, None),
+        "bandwidth": ((str, float), "auto", None),
+        "n-terms": ((int,), REQUIRED, (1, None)),
+        "out": ((str,), REQUIRED, None),
+        "pgm": ((str,), None, None),
         "seed": _SEED,
     }),
 }
+
+
+def _metavar(allowed):
+    """--help's name for a flag's values: {a,b} for strings, low..high for bounds."""
+    if allowed is None:
+        return None
+    if isinstance(allowed[0], str):
+        return "{" + ",".join(allowed) + "}"
+    return f"{allowed[0]}..{'' if allowed[1] is None else allowed[1]}"
 
 
 def build_parser():
@@ -421,11 +420,11 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        for flag, (kinds, _) in flags.items():
+        for flag, (kinds, _, allowed) in flags.items():
             if kinds == (bool,):
                 sub.add_argument(f"--{flag}", action="store_true", default=None)
             else:
-                sub.add_argument(f"--{flag}", type=kinds[0])
+                sub.add_argument(f"--{flag}", type=kinds[0], metavar=_metavar(allowed))
         sub.add_argument("--config", help="JSON file with flag defaults")
     return parser
 

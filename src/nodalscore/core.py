@@ -1,4 +1,4 @@
-"""Score fields from eigenpair arrays, degeneracy grouping, minima on a path.
+"""Score fields from eigenpair arrays, minima on a path.
 
 A basis is two arrays: ascending eigenvalues ``values`` of shape (m,) and
 the sampled eigenvectors as the columns of ``vectors``, shape (n, m).  The
@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "compute_score_field",
-    "group_degenerate",
     "find_strict_local_minima",
 ]
 
@@ -54,7 +53,7 @@ def compute_score_field(values, vectors, n_terms, _warn=True):
     sups = block.max(axis=1, initial=0.0)
     if not ((sups > 0.0) & (sups < np.inf)).all():
         raise ValueError("every eigenvector needs a finite, nonzero sup norm")
-    if _warn and n_terms > 1 and any(len(g) > 1 for g in group_degenerate(values, 1e-9)):
+    if _warn and (np.diff(values) <= 1e-9 * values[1:]).any():
         warnings.warn(
             "degenerate eigenvalues scored as-given; pointwise values are "
             "basis-dependent",
@@ -62,25 +61,6 @@ def compute_score_field(values, vectors, n_terms, _warn=True):
             stacklevel=2,
         )
     return (values**-0.5 / sups) @ block
-
-
-def group_degenerate(values, rel_tol):
-    """Partition the indices of ascending values into maximal runs of near-equal ones.
-
-    Consecutive values lambda_i <= lambda_j join one run when
-    lambda_j - lambda_i <= rel_tol * max(lambda_j, lambda_i); chaining
-    makes the runs maximal.  The tolerance has no absolute floor, so
-    scaling every value by c > 0 leaves the runs the same.  Returns a
-    list of index lists.
-    """
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be nonnegative")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return []
-    near = values[1:] - values[:-1] <= rel_tol * np.maximum(values[1:], values[:-1])
-    breaks = np.flatnonzero(~near) + 1
-    return [run.tolist() for run in np.split(np.arange(values.size), breaks)]
 
 
 def find_strict_local_minima(values):

@@ -11,6 +11,7 @@ smallest nontrivial eigenpairs, score field.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import re
@@ -558,9 +559,12 @@ def parse_obj(text):
             if len(fields) < 4:
                 raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
             try:
-                vertices.append(tuple(float(x) for x in fields[1:4]))
+                coords = tuple(float(x) for x in fields[1:4])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad vertex coordinate") from None
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"line {lineno}: vertex coordinates must be finite")
+            vertices.append(coords)
         elif tag == "f":
             if len(fields) < 4:
                 raise ValueError(f"line {lineno}: face needs at least 3 vertices")

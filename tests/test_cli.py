@@ -576,6 +576,21 @@ def test_graph_huge_integers_exit_1_without_traceback(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, bad", [(1, "v 0 0 nan"), (2, "v 0 1 inf"), (4, "v 1 1 1e400")])
+def test_graph_obj_non_finite_vertex_exits_1(capsys, tmp_path, line, bad):
+    rows = ["v 0 0 0", "v 0 1 0", "v 1 0 0", "v 1 1 0"]
+    rows[line - 1] = bad
+    obj = tmp_path / "m.obj"
+    obj.write_text("\n".join(rows + ["f 1 2 3", "f 2 4 3"]) + "\n")
+    out = tmp_path / "o.csv"
+    argv = ["graph", "--input", str(obj), "--format", "obj", "--n-terms", "2", "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: line {line}: vertex coordinates must be finite\n"
+    assert not out.exists()
+
+
 def make_pgm_bytes(seed, size):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(size, size))
@@ -1087,11 +1102,19 @@ _TORUS = ["torus", "--y", "1", "--eps", "0.6"]
     ["graph", "--input", "g.csv", "--format", "edges", "--n-terms", "2", "--seed", "-1"],
     ["graph", "--input", "img.pgm", "--format", "pgm", "--n-terms", "2", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
-def test_bad_flag_values_exit_two_before_work(capsys, refuse_work, argv):
-    code, stdout, err = run(capsys, argv + ["--out", "o.csv"])
+def test_bad_flag_values_exit_two_before_work(capsys, tmp_path_factory, refuse_work, argv):
+    argv = argv + ["--out", "o.csv"]
+    code, stdout, err = run(capsys, argv)
     assert code == 2
     assert stdout == ""
     assert "error:" in err
+    assert sorted(path.name for path in refuse_work.iterdir()) == ["g.csv", "img.pgm"]
+    # the same values through --config meet the same checks
+    flags = COMMANDS[argv[0]][2]
+    values = {f[2:]: flags[f[2:]][0][0](v) for f, v in zip(argv[1::2], argv[2::2])}
+    cfg = tmp_path_factory.mktemp("cfg") / "bad.json"
+    cfg.write_text(json.dumps(values))
+    assert run(capsys, [argv[0], "--config", str(cfg)]) == (code, stdout, err)
     assert sorted(path.name for path in refuse_work.iterdir()) == ["g.csv", "img.pgm"]
 
 
@@ -1281,21 +1304,42 @@ _JSON_VALUES = st.recursive(
 _SAMPLE_ARG = {int: "3", float: "1.5", str: "x"}
 
 
+def _refusal(key, value, allowed):
+    """The usage error _merge gives for a value of the flag's kind, None when allowed."""
+    if allowed is None or value is None:
+        return None
+    if isinstance(allowed[0], str):
+        return None if value in allowed else (
+            f"--{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}"
+        )
+    low, high = allowed
+    if value < low:
+        return f"--{key} {value} must be >= {low}"
+    if high is not None and value > high:
+        return f"--{key} {value} exceeds {high}"
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(_TABLE_FLAGS), _JSON_VALUES)
 @example(("paley", "p"), 13.0)
 @example(("torus", "y"), 2)
 @example(("graph", "bandwidth"), float("nan"))
 @example(("square", "lambda-cut"), 10**400)
+@example(("torus", "seed"), -1.0)
+@example(("interval", "grid"), 10**400)
+@example(("graph", "format"), "x")
 def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_flag, value):
     command, key = command_flag
     flags = COMMANDS[command][2]
-    kinds, default = flags[key]
-    # the other required flags come from the command line, so only key can fail
+    kinds, default, allowed = flags[key]
+    # the other required flags come from the command line with allowed
+    # values, so only key can fail
     argv = [command]
-    for flag, (flag_kinds, flag_default) in flags.items():
+    for flag, (flag_kinds, flag_default, flag_allowed) in flags.items():
         if flag_default is REQUIRED and flag != key:
-            argv += [f"--{flag}", _SAMPLE_ARG[flag_kinds[0]]]
+            sample = str(flag_allowed[0]) if flag_allowed else _SAMPLE_ARG[flag_kinds[0]]
+            argv += [f"--{flag}", sample]
     cfg = tmp_path_factory.getbasetemp() / "fuzz-config.json"
     cfg.write_text(json.dumps({key: value}))
     parser = build_parser()
@@ -1306,11 +1350,17 @@ def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_fl
             merged = _merge(args, parser, flags)
     except SystemExit as exc:
         assert exc.code == 2
-        assert f"config key '{key}'" in err.getvalue() or (
+        if f"config key '{key}'" in err.getvalue() or (
             value is None and f"--{key} is required" in err.getvalue()
-        ), err.getvalue()
+        ):
+            return
+        # a value of the flag's kind is refused only outside its allowed values
+        integral = int in kinds and isinstance(value, float) and value.is_integer()
+        refusal = _refusal(key, int(value) if integral else value, allowed)
+        assert err.getvalue().endswith(f"error: {refusal}\n"), err.getvalue()
         return
     got = merged[key]
+    assert _refusal(key, got, allowed) is None
     if value is None:
         assert got == default
     else:
@@ -1350,6 +1400,46 @@ def test_flags_and_config_give_the_same_run(capsys, tmp_path, monkeypatch, comma
     assert results[0][0] == 0
     assert f"{values['out']}.config.json" in results[0][2]
     assert results[0] == results[1]
+
+
+# one value below and one above every flag's allowed bounds, or one
+# unknown string
+_OUTSIDE = [
+    (command, flag, value)
+    for command, (_, _, flags) in COMMANDS.items()
+    for flag, (_, _, allowed) in flags.items()
+    if allowed is not None
+    for value in (
+        ["bogus"] if isinstance(allowed[0], str)
+        else [allowed[0] - 1] + ([allowed[1] + 1] if allowed[1] is not None else [])
+    )
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _OUTSIDE, ids=str)
+def test_flag_and_config_meet_one_refusal(capsys, tmp_path, monkeypatch, command, flag, value):
+    values = dict(_ONE_RUN[command], **{flag: value})
+    argv = [command]
+    for key, given in values.items():
+        argv += [f"--{key}"] if given is True else [f"--{key}", str(given)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    work = tmp_path / "work"
+    work.mkdir()
+    write_edge_file(work / "g.csv")
+    monkeypatch.chdir(work)
+    by_flag = run(capsys, argv)
+    assert by_flag[0] == 2 and by_flag[1] == ""
+    assert by_flag[2].endswith(f"error: {_refusal(flag, value, COMMANDS[command][2][flag][2])}\n")
+    assert run(capsys, [command, "--config", str(cfg)]) == by_flag
+    assert [path.name for path in work.iterdir()] == ["g.csv"]
+
+
+def test_help_names_allowed_values(capsys):
+    code, stdout, _ = run(capsys, ["graph", "--help"])
+    assert code == 0
+    assert "--format {edges,pgm,obj}" in stdout
+    assert "--laplacian {sym,comb}" in stdout
 
 
 # main builds one parser per process and reuses it; no call, error or help

@@ -1,4 +1,4 @@
-"""Score fields, degeneracy grouping, local minima."""
+"""Score fields, the degeneracy warning, local minima."""
 
 import warnings
 
@@ -7,11 +7,7 @@ import pytest
 
 from nodalscore import pipeline, torus
 from nodalscore.analytic import interval_sine_basis as sine_basis
-from nodalscore.core import (
-    compute_score_field,
-    find_strict_local_minima,
-    group_degenerate,
-)
+from nodalscore.core import compute_score_field, find_strict_local_minima
 from nodalscore.eigensolve import dense_sym_eig, lanczos_smallest
 
 
@@ -228,27 +224,6 @@ def test_property_term_bound():
     assert field.max() <= (values ** -0.5).sum() + 1e-12
 
 
-# ------------------------------------------------------------ group_degenerate
-
-
-def test_group_degenerate_examples():
-    assert group_degenerate(np.array([0.5, 1.0, 1.0, 3.0]), 1e-9) == [[0], [1, 2], [3]]
-    assert group_degenerate(np.array([1.0, 1.0 + 1e-12, 2.0]), 1e-9) == [[0, 1], [2]]
-    assert group_degenerate(np.array([1.0, 2.0, 4.0]), 0.0) == [[0], [1], [2]]
-    assert group_degenerate(np.array([]), 1e-9) == []
-    with pytest.raises(ValueError):
-        group_degenerate(np.array([1.0]), -1.0)
-
-
-def test_group_degenerate_partitions_all_indices():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        values = np.sort(rng.uniform(0.0, 10.0, rng.integers(1, 15)))
-        groups = group_degenerate(values, 1e-6)
-        flat = [i for g in groups for i in g]
-        assert flat == list(range(len(values)))
-
-
 # -------------------------------------------------- find_strict_local_minima
 
 
@@ -258,10 +233,3 @@ def test_minima_1d_examples():
     # boundary points compete only against their single neighbor
     assert list(find_strict_local_minima(np.array([0.0, 1.0, 0.5]))) == [0, 2]
     assert list(find_strict_local_minima(np.array([0.0, 1.0, 1.5]))) == [0]
-
-
-def test_degeneracy_groups_type_roundtrip():
-    # plain lists of Python ints, ready for indexing and JSON alike
-    groups = group_degenerate(np.array([1.0, 1.0, 2.0]), 1e-8)
-    assert groups == [[0, 1], [2]]
-    assert all(type(i) is int for g in groups for i in g)

@@ -832,8 +832,9 @@ def _returns_or_value_error(parse, data, kind):
         try:
             result = parse(data)
         except ValueError:
-            return
+            return None
     assert isinstance(result, kind)
+    return result
 
 
 @settings(max_examples=300, deadline=None)
@@ -858,8 +859,10 @@ def test_parse_pgm_fuzz(data):
 @given(st.one_of(st.text(max_size=40), _lines(st.sampled_from(["v", "f", "vn", "#", ""]), " ")))
 @example(_HUGE_INDEX_OBJ)
 @example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1180591620717411303424\n")
+@example("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n")
 def test_parse_obj_fuzz(text):
-    _returns_or_value_error(parse_obj, text, Mesh)
+    mesh = _returns_or_value_error(parse_obj, text, Mesh)
+    assert mesh is None or np.isfinite(mesh.vertices).all()
 
 
 @settings(max_examples=500, deadline=None)
