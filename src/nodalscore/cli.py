@@ -118,6 +118,9 @@ def _merge(args, parser, flags):
         if isinstance(allowed[0], str):
             if value not in allowed:
                 parser.error(f"--{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
+        elif value != value:
+            # NaN compares false with both bounds
+            parser.error(f"--{key} {value} is not a number")
         elif value < allowed[0]:
             parser.error(f"--{key} {value} must be >= {allowed[0]}")
         elif allowed[1] is not None and value > allowed[1]:
@@ -199,10 +202,15 @@ def _cmd_square(merged, parser):
 
 
 def _cmd_rational_check(merged, parser):
+    step = merged["step"]
+    # an open bound, which a flag domain cannot express
+    if step is not None and not step > 0:
+        problem = "is not a number" if step != step else "must be positive"
+        parser.error(f"--step {step} {problem}")
     try:
         point = analytic.RationalPoint(merged["p"], merged["q"])
         n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
-        step = float(merged["step"]) if merged["step"] is not None else 1.0 / (8 * point.q**2)
+        step = float(step) if step is not None else 1.0 / (8 * point.q**2)
         probe = analytic.probe_rational_minimum(point, n_terms, step)
     except ValueError as exc:
         parser.error(str(exc))
@@ -299,10 +307,10 @@ def _cmd_graph(merged, parser):
         parser.error("--pgm output needs --format pgm input")
     image = None
     if fmt == "edges":
-        with open(merged["input"], encoding="utf-8") as fh:
+        with open(merged["input"], encoding="utf-8-sig") as fh:
             graph = pipeline.parse_edge_list(fh.read())
     elif fmt == "obj":
-        with open(merged["input"], encoding="utf-8") as fh:
+        with open(merged["input"], encoding="utf-8-sig") as fh:
             graph = pipeline.mesh_graph(pipeline.parse_obj(fh.read()))
     else:
         # usage errors, refused before the input is read
@@ -350,8 +358,9 @@ def _cmd_graph(merged, parser):
 # Every flag of every subcommand, declared once: name -> (help, handler,
 # {flag: (kinds, default, allowed)}).  kinds are the JSON types a --config
 # value may have and kinds[0] is the command-line type; a (bool,) flag is a
-# switch.  allowed is None, a tuple of strings or inclusive integer bounds
-# (low, high), high None for no cap; _merge refuses a value outside it.
+# switch.  allowed is None, a tuple of strings or inclusive numeric bounds
+# (low, high), high None for no cap; _merge refuses a value outside it, and
+# NaN for a bounded flag.
 _SEED = ((int,), 0, (0, None))
 COMMANDS = {
     "interval": ("interval score on a uniform grid", _cmd_interval, {
@@ -361,7 +370,7 @@ COMMANDS = {
         "out": ((str,), REQUIRED, None),
     }),
     "square": ("square score on an interior grid", _cmd_square, {
-        "lambda-cut": ((float,), REQUIRED, None),
+        "lambda-cut": ((float,), REQUIRED, (2.0, None)),
         "grid": ((str,), REQUIRED, None),
         "out": ((str,), REQUIRED, None),
         "pgm": ((str,), None, None),
@@ -382,7 +391,7 @@ COMMANDS = {
         "y": ((float,), REQUIRED, None),
         "eps": ((float,), REQUIRED, None),
         "bump": ((str,), "constant", ("constant", "cosine")),
-        "n-grid": ((int,), 512, None),
+        "n-grid": ((int,), 512, (64, torus.MAX_N_GRID)),
         "n-terms": ((int,), None, (1, None)),
         "find-n-eps": ((int,), None, (0, None)),
         "out": ((str,), None, None),

@@ -223,6 +223,63 @@ def _convert(kind, column):
                 return values
 
 
+def _read_rows(lines, dtype, **options):
+    """lines converted by numpy's C text reader, or None where it refuses them.
+
+    '#' starts a comment and empty lines are skipped.  The reader refuses a
+    field it cannot convert, an integer past int64, a row of another width
+    and a text with no rows; its warnings count as refusals and are never
+    shown.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments="#", **options)
+        except (ValueError, OverflowError, Warning):
+            return None
+
+
+def _edge_graph(a, b, w):
+    """Graph of the rows (a, b, w) in file order, or the first faulty row.
+
+    a and b are int64 ids in 0..MAX_VERTICES-1, w float64 weights.  A
+    fault is returned as (row, message); within a row the checks run in
+    the order: self-loop, weight, conflicting repeat.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # a stable sort keeps each pair's rows in file order; the first row that
+    # differs from the row before it differs from the pair's first weight too
+    key = lo * MAX_VERTICES + hi
+    order = np.argsort(key, kind="stable")
+    key, ws = key[order], w[order]
+    repeat = key[1:] == key[:-1]
+    conflict = np.zeros(key.size, dtype=bool)
+    conflict[order[1:]] = repeat & (ws[1:] != ws[:-1])
+    # a check takes over only at a strictly earlier row, so a row with
+    # several faults reports the first in this order
+    faults = (
+        (a == b, lambda i: f"self-loop at vertex {a[i]}"),
+        (~(np.isfinite(w) & (w > 0)), lambda i: "weight must be positive and finite"),
+        (conflict, lambda i: f"edge ({lo[i]}, {hi[i]}) repeated with conflicting weight"),
+    )
+    stop, error = a.size, None
+    for fault, message in faults:
+        hits = np.flatnonzero(fault[:stop])
+        if hits.size:
+            stop, error = int(hits[0]), message(hits[0])
+    if error is not None:
+        return stop, error
+    keep = order[np.r_[True, ~repeat]]
+    return Graph(n=int(hi[keep].max()) + 1, u=lo[keep], v=hi[keep], w=w[keep])
+
+
+# the rows numpy's C reader converts for parse_edge_list, tried in turn
+_EDGE_ROWS = (
+    np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+    np.dtype([("u", np.int64), ("v", np.int64)]),
+)
+
+
 def parse_edge_list(text):
     """Graph from "u,v[,w]" lines; '#' starts a comment, blanks skipped.
 
@@ -232,7 +289,36 @@ def parse_edge_list(text):
     error names the first faulty line; within a line the checks run in the
     order: field count, malformed field, negative index, index too large,
     self-loop, weight, conflicting repeat.
+
+    An ASCII text of all "u,v,w" or all "u,v" rows is converted by numpy's
+    C reader; any other text, and any text with a faulty row, is parsed
+    line by line, with the same result, warnings and messages.
     """
+    # numpy's integer reader takes some non-ASCII letters for digits
+    # (U+01FE reads as 462), so only ASCII text goes to it
+    columns = _edge_columns(text) if text.isascii() else None
+    if columns is not None:
+        a, b, w = columns
+        if min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < MAX_VERTICES:
+            graph = _edge_graph(a, b, w)
+            if isinstance(graph, Graph):
+                return graph
+    return _parse_edge_lines(text)
+
+
+def _edge_columns(text):
+    """Ids and weights of an all-"u,v,w" or all-"u,v" text from numpy's C
+    reader, or None where it refuses both."""
+    for dtype in _EDGE_ROWS:
+        rows = _read_rows(text.splitlines(), dtype, delimiter=",", ndmin=1)
+        if rows is not None:
+            w = rows["w"] if "w" in dtype.names else np.ones(rows.size)
+            return rows["u"], rows["v"], w
+    return None
+
+
+def _parse_edge_lines(text):
+    """parse_edge_list line by line: any text, faulty lines named."""
     content = [raw.partition("#")[0].strip() for raw in text.splitlines()]
     lines = [line for line in content if line]
     if not lines:
@@ -262,34 +348,17 @@ def parse_edge_list(text):
             if max(x, y) >= MAX_VERTICES:
                 stop, error = i, f"vertex index {max(x, y)} exceeds {MAX_VERTICES - 1}"
                 break
+    # rebound, so the Python numbers are freed before the checks run
     a = np.array(a[:stop], dtype=np.int64)
     b = np.array(b[:stop], dtype=np.int64)
     w = np.array(w[:stop], dtype=np.float64)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # a stable sort keeps each pair's rows in file order; the first row that
-    # differs from the row before it differs from the pair's first weight too
-    key = lo * MAX_VERTICES + hi
-    order = np.argsort(key, kind="stable")
-    key, ws = key[order], w[order]
-    repeat = key[1:] == key[:-1]
-    conflict = np.zeros(key.size, dtype=bool)
-    conflict[order[1:]] = repeat & (ws[1:] != ws[:-1])
-    # a check takes over only at a strictly earlier row, so a line with
-    # several faults reports the first in this order
-    faults = (
-        (a == b, lambda i: f"self-loop at vertex {a[i]}"),
-        (~(np.isfinite(w) & (w > 0)), lambda i: "weight must be positive and finite"),
-        (conflict, lambda i: f"edge ({lo[i]}, {hi[i]}) repeated with conflicting weight"),
-    )
-    for fault, message in faults:
-        hits = np.flatnonzero(fault[:stop])
-        if hits.size:
-            stop, error = int(hits[0]), message(hits[0])
+    graph = _edge_graph(a, b, w) if stop else None
+    if isinstance(graph, tuple):
+        stop, error = graph
     if error is not None:
         lineno = [i for i, line in enumerate(content, start=1) if line][stop]
         raise ValueError(f"line {lineno}: {error}")
-    keep = order[np.r_[True, ~repeat]]
-    return Graph(n=int(hi[keep].max()) + 1, u=lo[keep], v=hi[keep], w=w[keep])
+    return graph
 
 
 def _pgm_tokens(data, start, limit):
@@ -543,13 +612,82 @@ def patch_graph(img, config=None):
     return Graph(n=n, u=key // n, v=key % n, w=weights)
 
 
+# a face field's "/vt/vn" tail after its vertex index, up to whitespace or
+# a comment; a field that starts with '/' keeps its first slash
+_FACE_TAIL = re.compile(r"(?<=[^\s/])/[^\s#]*")
+# an "f a b c" row for numpy's C reader
+_FACE_ROWS = np.dtype([("tag", "U1"), ("index", np.int64, (3,))])
+
+
 def parse_obj(text):
-    """Mesh from a Wavefront OBJ subset: v and f records, fan triangulation."""
+    """Mesh from a Wavefront OBJ subset: v and f records, fan triangulation.
+
+    An ASCII text of "v x y z ..." and "f a b c" records (a field may be
+    a/b/c, and a is the vertex) is converted by numpy's C reader; any other
+    text, and any text with a faulty record, is parsed line by line, with
+    the same result, warnings and messages.
+    """
+    lines = text.splitlines()
+    records = _obj_columns(lines) if text.isascii() else None
+    if records is None:
+        records = _obj_lines(lines)
+    vertices, faces, ignored, top, top_line = records
+    if ignored:
+        warnings.warn(f"ignored {ignored} non-v/f OBJ records", stacklevel=2)
+    if not len(vertices):
+        raise ValueError("OBJ has no vertices")
+    # checked as a Python int: a huge index would overflow int64
+    if top > len(vertices):
+        raise ValueError(
+            f"line {top_line}: face index {top} exceeds the vertex count {len(vertices)}"
+        )
+    return Mesh(vertices=vertices, faces=faces)
+
+
+def _obj_columns(lines):
+    """The records of parse_obj from numpy's C reader, or None where it
+    refuses a record or a record fails a check."""
+    vs, fs, rest = [], [], []
+    by_tag = {"v ": vs, "f ": fs}
+    for line in lines:
+        by_tag.get(line[:2], rest).append(line)
+    ignored = 0
+    for raw in rest:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            # "v\t..." or " f ..." is a record the reader is not given
+            if line.split()[0] in ("v", "f"):
+                return None
+            ignored += 1
+    vertices = np.empty((0, 3))
+    if vs:
+        vertices = _read_rows(vs, np.float64, usecols=(1, 2, 3), ndmin=2)
+        if vertices is None or not np.isfinite(vertices).all():
+            return None
+    faces, top, top_line = np.empty((0, 3), dtype=np.int64), 0, 0
+    if fs:
+        joined = "\n".join(fs)
+        if "/" in joined:
+            fs = _FACE_TAIL.sub("", joined).split("\n")
+        rows = _read_rows(fs, _FACE_ROWS, ndmin=1)
+        if rows is None or rows["index"].min() < 1:
+            return None
+        faces = rows["index"] - 1
+        # the first largest index, in file order, names the line
+        first = int(np.argmax(faces))
+        top = int(faces.flat[first]) + 1
+        if top > len(vertices):
+            top_line = [i for i, line in enumerate(lines, start=1) if line[:2] == "f "][first // 3]
+    return vertices, faces, ignored, top, top_line
+
+
+def _obj_lines(lines):
+    """The records of parse_obj line by line: any text, faulty lines named."""
     vertices = []
     faces = []
     ignored = 0
     top, top_line = 0, 0  # largest face index and its line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -584,20 +722,7 @@ def parse_obj(text):
                 faces.append((idx[0], idx[t], idx[t + 1]))
         else:
             ignored += 1
-    if ignored:
-        warnings.warn(f"ignored {ignored} non-v/f OBJ records", stacklevel=2)
-    if not vertices:
-        raise ValueError("OBJ has no vertices")
-    # checked as a Python int: a huge index would overflow int64
-    if top > len(vertices):
-        raise ValueError(
-            f"line {top_line}: face index {top} exceeds the vertex count {len(vertices)}"
-        )
-    mesh = Mesh(
-        vertices=np.array(vertices, dtype=np.float64),
-        faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
-    )
-    return mesh
+    return vertices, faces, ignored, top, top_line
 
 
 def mesh_graph(mesh):

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import run  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 import nodalscore.cli  # noqa: E402,F401  (imports every layer module)
 from nodalscore import pipeline  # noqa: E402
@@ -93,3 +94,20 @@ def test_knn_counter_and_patch_graph_span_read_a_parsed_pgm(tmp_path, capsys):
     names = [span[0] for span in spans]
     assert names.count("pipeline.parse_pgm") == names.count("pipeline.patch_graph") == 1
     assert counts["pipeline.knn.pairs"] == n * (n - 1)
+
+
+def test_graph_files_inputs_take_numpys_reader(monkeypatch):
+    # the shapes the graph-files jobs write never reach the per-line parsers
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed line by line")
+
+    monkeypatch.setattr(pipeline, "_parse_edge_lines", refuse)
+    monkeypatch.setattr(pipeline, "_obj_lines", refuse)
+    rng = np.random.default_rng(3)
+    rows = workloads.random_components(rng, (40, 24), 6)
+    weighted = pipeline.parse_edge_list("# u,v,w\n" + "\n".join(rows) + "\n")
+    unweighted = pipeline.parse_edge_list("\n".join(r.rpartition(",")[0] for r in rows) + "\n")
+    assert weighted.n_edges == unweighted.n_edges == len(rows)
+    assert (unweighted.w == 1.0).all() and not (weighted.w == 1.0).all()
+    mesh = pipeline.parse_obj("\n".join(workloads.mesh_obj(rng, 6)) + "\n")
+    assert mesh.vertices.shape == (36, 3) and mesh.faces.shape == (50, 3)

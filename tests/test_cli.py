@@ -306,7 +306,7 @@ def test_torus_solve_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--eps", "0.6", "--n-grid", "32", "--n-terms", "2"], "at least 64"),
+        (["--eps", "0.6", "--n-grid", "32", "--n-terms", "2"], "--n-grid 32 must be >= 64"),
         (["--eps", "0.6", "--n-grid", "64", "--n-terms", "9"], "n_grid / 8"),
         (["--eps", "0.6", "--n-grid", "64", "--find-n-eps", "9"], "n_grid / 8"),
         (["--eps", "0.2", "--n-grid", "64", "--n-terms", "2"], "unresolved"),
@@ -555,6 +555,26 @@ def test_graph_inputs_read_as_utf8_in_c_locale(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert parse_summary(proc.stdout)["n_vertices"] == "3"
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("edges", "0,1,1\n1,2,0.5\n"), ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")],
+)
+def test_graph_input_may_start_with_a_byte_order_mark(capsys, tmp_path, fmt, text):
+    # a UTF-8 BOM read as part of the first line: the edge list's first row
+    # was malformed, and the OBJ's first vertex an ignored record
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(prefix + text.encode())
+        out = tmp_path / f"{name}.csv"
+        argv = ["graph", "--input", str(path), "--format", fmt, "--n-terms", "1",
+                "--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert (code, err) == (0, ""), err
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_graph_huge_integers_exit_1_without_traceback(capsys, tmp_path):
@@ -1116,6 +1136,28 @@ def test_bad_flag_values_exit_two_before_work(capsys, tmp_path_factory, refuse_w
     cfg.write_text(json.dumps(values))
     assert run(capsys, [argv[0], "--config", str(cfg)]) == (code, stdout, err)
     assert sorted(path.name for path in refuse_work.iterdir()) == ["g.csv", "img.pgm"]
+
+
+@pytest.mark.parametrize("argv, message, library", [
+    (_TORUS + ["--n-terms", "2", "--n-grid", "0"], "--n-grid 0 must be >= 64",
+     lambda: torus.check_solve(0, torus.PotentialSpec(y=1.0, eps=0.6))),
+    (_TORUS + ["--n-terms", "2", "--n-grid", "100000"], "--n-grid 100000 exceeds 16384",
+     lambda: torus.check_solve(100000, torus.PotentialSpec(y=1.0, eps=0.6))),
+    (["rational-check", "--p", "1", "--q", "3", "--step", "-1"], "--step -1.0 must be positive",
+     lambda: analytic.probe_rational_minimum(analytic.RationalPoint(1, 3), 9, -1.0)),
+    (["square", "--lambda-cut", "nan", "--grid", "4x4", "--out", "x.csv"],
+     "--lambda-cut nan is not a number",
+     lambda: analytic.check_square_work(4, 4, math.nan)),
+], ids=["n-grid-low", "n-grid-high", "step", "lambda-cut-nan"])
+def test_refusals_name_the_flag(capsys, tmp_path, monkeypatch, argv, message, library):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1] == f"nodalscore: error: {message}"
+    # library callers keep the library's own names
+    with pytest.raises(ValueError) as raised:
+        library()
+    assert "--" not in str(raised.value)
 
 
 # ---------------------------------------------------------- start-up imports

@@ -132,6 +132,62 @@ def _reference_parse_edge_list(text):
     return Graph(n=int(v.max()) + 1, u=u, v=v, w=w)
 
 
+def _reference_parse_obj(text):
+    """The per-line parser parse_obj's columnar route stands beside: the
+    oracle for its mesh, its warning, its messages and which line it blames."""
+    vertices = []
+    faces = []
+    ignored = 0
+    top, top_line = 0, 0  # largest face index and its line
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "v":
+            if len(fields) < 4:
+                raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
+            try:
+                coords = tuple(float(x) for x in fields[1:4])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad vertex coordinate") from None
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"line {lineno}: vertex coordinates must be finite")
+            vertices.append(coords)
+        elif tag == "f":
+            if len(fields) < 4:
+                raise ValueError(f"line {lineno}: face needs at least 3 vertices")
+            idx = []
+            for field in fields[1:]:
+                head = field.split("/", 1)[0]
+                try:
+                    k = int(head)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad face index {field!r}") from None
+                if k < 1:
+                    raise ValueError(f"line {lineno}: face index must be >= 1")
+                if k > top:
+                    top, top_line = k, lineno
+                idx.append(k - 1)
+            for t in range(1, len(idx) - 1):
+                faces.append((idx[0], idx[t], idx[t + 1]))
+        else:
+            ignored += 1
+    if ignored:
+        warnings.warn(f"ignored {ignored} non-v/f OBJ records", stacklevel=2)
+    if not vertices:
+        raise ValueError("OBJ has no vertices")
+    if top > len(vertices):
+        raise ValueError(
+            f"line {top_line}: face index {top} exceeds the vertex count {len(vertices)}"
+        )
+    return Mesh(
+        vertices=np.array(vertices, dtype=np.float64),
+        faces=np.array(faces, dtype=np.int64).reshape(-1, 3),
+    )
+
+
 def _assert_same_graph(got, expected):
     assert got.n == expected.n
     for name in ("u", "v", "w"):
@@ -209,6 +265,33 @@ def test_edge_list_matches_reference_on_a_large_file():
     for parse in (parse_edge_list, _reference_parse_edge_list):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse("# u,v,w\r\n" + "\r\n".join(rows))
+
+
+def test_edge_list_letters_are_not_digits():
+    # numpy's integer reader reads U+01FE as 462
+    with pytest.raises(ValueError, match="^line 1: malformed edge '0,\u01fe'$"):
+        parse_edge_list("0,\u01fe\n")
+
+
+def test_edge_list_memory_grows_at_most_200_bytes_per_line():
+    # the traced peak beyond the text itself; the per-line parse peaked at
+    # 419 bytes per line, numpy's reader at about 109
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    n = 1 << 16
+    a = rng.integers(0, MAX_VERTICES, n)
+    b = (a + rng.integers(1, MAX_VERTICES, n)) % MAX_VERTICES
+    w = rng.uniform(0.5, 2.0, n)
+    text = "".join(f"{x},{y},{z:.6f}\n" for x, y, z in zip(a, b, w))
+    tracemalloc.start()
+    try:
+        graph = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges == np.unique(np.minimum(a, b) * MAX_VERTICES + np.maximum(a, b)).size
+    assert peak <= 200 * n, f"{peak / n:.0f} bytes per line"
 
 
 # ----------------------------------------------------------------- parse_pgm
@@ -855,14 +938,64 @@ def test_parse_pgm_fuzz(data):
     _returns_or_value_error(parse_pgm, data, Image)
 
 
+def _parsed(parse, text):
+    """parse(text), or the message of the ValueError it raised, and the
+    messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except ValueError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+# OBJ records near the shapes numpy's reader takes: triangles over a few
+# vertices, a/b/c fields, and the fields and tags that must leave it
+_OBJ_COORDS = st.sampled_from(["0", "1", "-0.5", "1e-3", "2.5", "+1", "nan", "1e400", "x", "1_0"])
+_OBJ_INDEX = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["1/1/1", "2//3", "3/", "/2", "1/2#c", "2/x", "0.5", "+2", "\u0663"]),
+)
+_OBJ_RECORD = st.one_of(
+    st.tuples(st.just("v"), st.lists(_OBJ_COORDS, min_size=2, max_size=5)),
+    st.tuples(st.just("f"), st.lists(_OBJ_INDEX, min_size=2, max_size=4)),
+    st.tuples(
+        st.sampled_from(["vn", "vt", "#", "", " v", "f\t1", "v#"]),
+        st.lists(_OBJ_COORDS, max_size=3),
+    ),
+).map(lambda t: " ".join([t[0], *t[1]]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(max_size=40), _lines(st.sampled_from(["v", "f", "vn", "#", ""]), " ")))
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        _lines(st.sampled_from(["v", "f", "vn", "#", ""]), " "),
+        st.tuples(st.lists(_OBJ_RECORD, max_size=10), _BREAKS).map(lambda t: t[1].join(t[0])),
+    )
+)
 @example(_HUGE_INDEX_OBJ)
 @example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1180591620717411303424\n")
 @example("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n")
+@example("# mesh\nv 0 0 0\nv 1 0 0 # x\nv 0 1 0\nv 1 1 0\n\nf 1 2 3\nf 2 4 3\n")
+@example("vn 0 0 1\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/2/1 3//1\n")
+@example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 5 3\nf 5 2 3\n")
+@example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 /2\n")
+@example("f 1 2 3\nvt 0 0\n")
+@example("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 \u01fe\n")
 def test_parse_obj_fuzz(text):
-    mesh = _returns_or_value_error(parse_obj, text, Mesh)
-    assert mesh is None or np.isfinite(mesh.vertices).all()
+    # the same mesh, bit for bit, or the same error, after the same warnings
+    got, got_warnings = _parsed(parse_obj, text)
+    expected, expected_warnings = _parsed(_reference_parse_obj, text)
+    assert got_warnings == expected_warnings
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert isinstance(got, Mesh)
+    for name in ("vertices", "faces"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @settings(max_examples=500, deadline=None)
