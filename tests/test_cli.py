@@ -1160,6 +1160,62 @@ def test_refusals_name_the_flag(capsys, tmp_path, monkeypatch, argv, message, li
     assert "--" not in str(raised.value)
 
 
+def _pgm(side):
+    return f"P5\n{side} {side}\n255\n".encode() + bytes(i % 256 for i in range(side * side))
+
+
+# one argv per library check that refuses an input before any work, with
+# the last stderr line it exits 2 with
+_REFUSALS = [
+    (["interval", "--grid", "16777215", "--n-terms", "1048576", "--out", "o.csv"],
+     "(grid + 1) x min(grid, n_terms) = 17592186044416 exceeds 536870912"),
+    (["square", "--grid", "4000x4000", "--lambda-cut", "4000000", "--out", "o.csv"],
+     "square work 1044772125000 on a 4000x4000 grid at lambda_cut 4000000.0 exceeds 1073741824"),
+    (["square", "--grid", "4x4", "--lambda-cut", "5000000", "--out", "o.csv"],
+     "lambda_cut must be below 4194304"),
+    (["rational-check", "--p", "2", "--q", "4", "--out", "o.txt"], "2/4 is not in lowest terms"),
+    (["rational-check", "--p", "1", "--q", "3", "--n-terms", "0", "--out", "o.txt"],
+     "n_terms must be >= 1"),
+    (["rational-check", "--p", "1", "--q", "3", "--n-terms", "2000000", "--out", "o.txt"],
+     "n_terms > 1048576 exceeds the exact-reduction range"),
+    (["rational-check", "--p", "1", "--q", "3", "--step", "0.02", "--out", "o.txt"],
+     "h must be at most 1/(8 q^2)"),
+    (["rational-check", "--p", "1", "--q", "3", "--step", "1e-18", "--out", "o.txt"],
+     "den * min(den, n_terms) = 2999999999999999616*9 overflows int64"),
+    (["paley", "--p", "7", "--out", "o.csv"],
+     "p = 7 is not 1 mod 4 (difference relation not symmetric)"),
+    (["paley", "--p", "15", "--out", "o.csv"], "p = 15 is not a prime below 2**31"),
+    (["torus", "--y", "7", "--eps", "0.5", "--n-terms", "2", "--out", "o.csv"],
+     "y must lie in [0, 2*pi)"),
+    (["torus", "--y", "1", "--eps", "0.01", "--n-terms", "2", "--out", "o.csv"],
+     "unresolved perturbation: eps < 4 grid spacings"),
+    (["torus", "--y", "1", "--eps", "0.6", "--n-grid", "64", "--n-terms", "9", "--out", "o.csv"],
+     "pairs must be at most n_grid / 8"),
+    (["torus", "--y", "1", "--eps", "0.6", "--n-grid", "16384", "--n-terms", "64", "--out", "o.csv"],
+     "pairs x n_grid = 64 x 16384 exceeds 524288"),
+    (["graph", "--input", "182.pgm", "--format", "pgm", "--n-terms", "3", "--out", "o.csv"],
+     "image of 33124 pixels exceeds 32768"),
+    (["graph", "--input", "100.pgm", "--format", "pgm", "--patch", "16", "--n-terms", "3",
+      "--out", "o.csv"],
+     "pixels x patch^2 = 10000 x 16^2 = 2560000 exceeds 2097152"),
+    (["graph", "--input", "path.csv", "--format", "edges", "--n-terms", "2000", "--out", "o.csv"],
+     "wanted pairs x component size = 1000 x 1000 exceeds 524288"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a[:-2]) for a, _ in _REFUSALS])
+def test_refusal_table(capsys, tmp_path, monkeypatch, argv, message):
+    for side in (4, 100, 182):
+        (tmp_path / f"{side}.pgm").write_bytes(_pgm(side))
+    (tmp_path / "path.csv").write_text("".join(f"{i},{i + 1}\n" for i in range(999)))
+    inputs = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1] == f"nodalscore: error: {message}"
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 # ---------------------------------------------------------- start-up imports
 
 _SRC = str(Path(nodalscore.__file__).resolve().parents[1])
