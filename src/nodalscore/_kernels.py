@@ -26,6 +26,8 @@ Caps, each refused before anything of that size is allocated:
 
 import numpy as np
 
+from .core import InputRefused
+
 # the kernel implementation, recorded with benchmark results
 BACKEND = "pure"
 
@@ -43,9 +45,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _check_terms(n_terms):
     n_terms = int(n_terms)
     if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+        raise InputRefused("n_terms must be >= 1")
     if n_terms > MAX_TERMS:
-        raise ValueError(f"n_terms > {MAX_TERMS} exceeds the exact-reduction range")
+        raise InputRefused(f"n_terms > {MAX_TERMS} exceeds the exact-reduction range")
     return n_terms
 
 
@@ -159,7 +161,7 @@ def rational_series(nums, den, n_terms):
         raise ValueError("den must be >= 1")
     terms = min(den, n_terms)
     if den > _INT64_MAX // terms:
-        raise ValueError(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
+        raise InputRefused(f"den * min(den, n_terms) = {den}*{terms} overflows int64")
     nums = np.mod(np.asarray(nums, dtype=np.int64), den)
     nums, inverse = np.unique(np.minimum(nums, den - nums), return_inverse=True)
     out = np.empty(nums.shape[0])

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from .core import InputRefused
 
 # the square kernel's weight matrix has (isqrt(lambda_cut) + 1)^2 cells,
 # at most _kernels._CHUNK_BUDGET = 2^22 below this cutoff
@@ -64,9 +65,9 @@ class RationalPoint:
 
     def __post_init__(self):
         if self.q < 2 or not 0 < self.p < self.q:
-            raise ValueError("need 0 < p < q")
+            raise InputRefused("need 0 < p < q")
         if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"{self.p}/{self.q} is not in lowest terms")
+            raise InputRefused(f"{self.p}/{self.q} is not in lowest terms")
 
     @property
     def x(self):
@@ -87,10 +88,10 @@ def interval_score(x, n_terms):
 
 
 def check_interval_work(grid, n_terms):
-    """ValueError when (grid + 1) * min(grid, n_terms) exceeds MAX_INTERVAL_WORK."""
+    """InputRefused when (grid + 1) * min(grid, n_terms) exceeds MAX_INTERVAL_WORK."""
     work = (grid + 1) * min(grid, n_terms)
     if work > MAX_INTERVAL_WORK:
-        raise ValueError(
+        raise InputRefused(
             f"(grid + 1) x min(grid, n_terms) = {work} exceeds {MAX_INTERVAL_WORK}"
         )
 
@@ -105,12 +106,12 @@ def interval_score_uniform(grid, n_terms):
 
 
 def _lattice_cut(lambda_cut):
-    """floor(lambda_cut), or ValueError unless 2 <= lambda_cut < MAX_LAMBDA_CUT."""
+    """floor(lambda_cut), or InputRefused unless 2 <= lambda_cut < MAX_LAMBDA_CUT."""
     lambda_cut = float(lambda_cut)
     if not lambda_cut >= 2.0:
-        raise ValueError("lambda_cut must be >= 2 (no lattice point otherwise)")
+        raise InputRefused("lambda_cut must be >= 2 (no lattice point otherwise)")
     if not lambda_cut < MAX_LAMBDA_CUT:
-        raise ValueError(f"lambda_cut must be below {MAX_LAMBDA_CUT}")
+        raise InputRefused(f"lambda_cut must be below {MAX_LAMBDA_CUT}")
     return math.floor(lambda_cut)
 
 
@@ -128,7 +129,7 @@ def square_lattice(lambda_cut):
 
 
 def check_square_work(mx, my, lambda_cut):
-    """ValueError when square_series' work on the mx x my grid exceeds MAX_SQUARE_WORK.
+    """InputRefused when square_series' work on the mx x my grid exceeds MAX_SQUARE_WORK.
 
     With k = isqrt(lambda_cut) + 1 frequencies per axis, each chunk of
     points evaluates k sines per distinct x and per distinct y, one k x k
@@ -136,7 +137,7 @@ def check_square_work(mx, my, lambda_cut):
     ordered x fastest, so a chunk holds at most mx distinct x and my
     distinct y.  The work counts a product as 1, a sine as 8 and a gemm
     multiply-add as 1/128, about their relative times.  A cutoff that
-    square_lattice refuses raises its ValueError here too.
+    square_lattice refuses raises its InputRefused here too.
     """
     lambda_cut = float(lambda_cut)
     k = math.isqrt(_lattice_cut(lambda_cut)) + 1
@@ -145,7 +146,7 @@ def check_square_work(mx, my, lambda_cut):
     rows_x, rows_y = min(points, mx * chunks), min(points, my * chunks)
     work = points * k + 8 * (rows_x + rows_y) * k + rows_x * k * k // 128
     if work > MAX_SQUARE_WORK:
-        raise ValueError(
+        raise InputRefused(
             f"square work {work} on a {mx}x{my} grid at lambda_cut {lambda_cut!r} "
             f"exceeds {MAX_SQUARE_WORK}"
         )
@@ -177,16 +178,16 @@ def probe_rational_minimum(point, n_terms, h):
     compare against unrelated structure.
     """
     if not h > 0.0:
-        raise ValueError("h must be positive")
+        raise InputRefused("h must be positive")
     inverse = 1.0 / h
     if not math.isfinite(inverse):
-        raise ValueError(f"h = {h!r} is too small to snap to 1/d")
+        raise InputRefused(f"h = {h!r} is too small to snap to 1/d")
     d = round(inverse)
     if d < 8 * point.q**2:
-        raise ValueError("h must be at most 1/(8 q^2)")
+        raise InputRefused("h must be at most 1/(8 q^2)")
     den = math.lcm(point.q, d)
     if den > _kernels._INT64_MAX:
-        raise ValueError(f"h = {h!r} is too small: lcm(q, 1/h) overflows int64")
+        raise InputRefused(f"h = {h!r} is too small: lcm(q, 1/h) overflows int64")
     center, offset = point.p * (den // point.q), den // d
     # the neighbours stay inside (0, 1): 1/d <= 1/(8 q^2) < p/q, (q - p)/q
     values = _kernels.rational_series(

@@ -7,6 +7,8 @@ output file also writes `<out>.config.json` with the effective
 configuration.  Summaries are stable key=value lines on
 stdout, and each library warning is one `warning: <message>` line on
 stderr.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
+A library InputRefused, raised before any work or file write, is a usage
+error with the library's message.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import analytic, paley, pipeline, torus
 from ._kernels import MAX_GRID_POINTS, MAX_TERMS
-from .core import find_strict_local_minima
+from .core import InputRefused, find_strict_local_minima
 
 __all__ = ["main", "entry"]
 
@@ -52,8 +54,8 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _config_value(parser, key, value, kinds):
     """value when its JSON type fits one of the flag's kinds, else a usage error.
 
-    An integral float passes for an integer flag (as the int); a bool is
-    never a number.
+    An integral float passes for an integer flag (as the int), and an
+    integer for a float flag (as the float); a bool is never a number.
     """
     if isinstance(value, bool):
         if bool in kinds:
@@ -62,8 +64,10 @@ def _config_value(parser, key, value, kinds):
         if str in kinds:
             return value
     elif isinstance(value, int):
-        if int in kinds or (float in kinds and abs(value) <= sys.float_info.max):
+        if int in kinds:
             return value
+        if float in kinds and abs(value) <= sys.float_info.max:
+            return float(value)
     elif isinstance(value, float):
         if float in kinds:
             return value
@@ -145,12 +149,8 @@ def _parse_grid_2d(parser, text):
 
 def _cmd_interval(merged, parser):
     n_terms, grid = merged["n-terms"], merged["grid"]
-    try:
-        analytic.check_interval_work(grid, n_terms)
-    except ValueError as exc:
-        parser.error(str(exc))
-    xs = np.arange(grid + 1) / grid
     values = analytic.interval_score_uniform(grid, n_terms)
+    xs = np.arange(grid + 1) / grid
     out = merged["out"]
     pipeline.write_score_csv(values, out)
     _write_config(out, merged)
@@ -172,11 +172,11 @@ def _cmd_interval(merged, parser):
 
 def _cmd_square(merged, parser):
     mx, my = _parse_grid_2d(parser, merged["grid"])
-    lam = float(merged["lambda-cut"])
-    try:
-        analytic.check_square_work(mx, my, lam)
-    except ValueError as exc:
-        parser.error(str(exc))
+    lam = merged["lambda-cut"]
+    # an open bound, which a flag domain cannot express
+    if not lam < analytic.MAX_LAMBDA_CUT:
+        parser.error(f"--lambda-cut {lam} must be below {analytic.MAX_LAMBDA_CUT}")
+    analytic.check_square_work(mx, my, lam)
     # interior lattice of the open square; the boundary scores 0 trivially
     xs = np.arange(1, mx + 1) / (mx + 1)
     ys = np.arange(1, my + 1) / (my + 1)
@@ -203,17 +203,18 @@ def _cmd_square(merged, parser):
 
 def _cmd_rational_check(merged, parser):
     step = merged["step"]
-    # an open bound, which a flag domain cannot express
+    # an open bound, and one that depends on q: no flag domain holds them
     if step is not None and not step > 0:
         problem = "is not a number" if step != step else "must be positive"
         parser.error(f"--step {step} {problem}")
-    try:
-        point = analytic.RationalPoint(merged["p"], merged["q"])
-        n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
-        step = float(step) if step is not None else 1.0 / (8 * point.q**2)
-        probe = analytic.probe_rational_minimum(point, n_terms, step)
-    except ValueError as exc:
-        parser.error(str(exc))
+    point = analytic.RationalPoint(merged["p"], merged["q"])
+    if step is None:
+        step = 1.0 / (8 * point.q**2)
+    elif math.isfinite(1.0 / step) and round(1.0 / step) < 8 * point.q**2:
+        # the library's test, round(1/h) >= 8 q^2, by the flag's name
+        parser.error(f"--step {step} must be at most 1/(8 q^2) = {_fmt(1 / (8 * point.q**2))}")
+    n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
+    probe = analytic.probe_rational_minimum(point, n_terms, step)
     merged["n-terms"], merged["step"] = n_terms, probe.step
     items = [
         ("p", point.p),
@@ -237,10 +238,7 @@ def _cmd_paley(merged, parser):
         parser.error(f"--verify needs --p <= {paley.NUMERIC_MAX_PRIME}")
     if merged["out"] and p > paley.PER_VERTEX_MAX_PRIME:
         parser.error(f"--out needs --p <= {paley.PER_VERTEX_MAX_PRIME}")
-    try:
-        score = paley.paley_score_closed_form(p)
-    except ValueError as exc:
-        parser.error(str(exc))
+    score = paley.paley_score_closed_form(p)
     items = [
         ("p", p),
         ("s_zero", score.s_zero.real),
@@ -271,12 +269,7 @@ def _cmd_torus(merged, parser):
         parser.error("set exactly one of --n-terms and --find-n-eps")
     bump = {"constant": "constant-well", "cosine": "cosine-well"}[merged["bump"]]
     n_grid = merged["n-grid"]
-    pairs = merged["n-terms"] if merged["n-terms"] is not None else merged["find-n-eps"]
-    try:
-        spec = torus.PotentialSpec(y=float(merged["y"]), eps=float(merged["eps"]), bump=bump)
-        torus.check_solve(n_grid, spec, pairs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = torus.PotentialSpec(y=merged["y"], eps=merged["eps"], bump=bump)
     items = [("y", spec.y), ("eps", spec.eps), ("bump", merged["bump"]), ("n_grid", n_grid)]
     if merged["find-n-eps"] is not None:
         n_eps = torus.find_N_eps(spec, n_grid, merged["find-n-eps"], seed=merged["seed"])
@@ -324,17 +317,9 @@ def _cmd_graph(merged, parser):
         except ValueError as exc:
             parser.error(f"bad --patch, --knn or --bandwidth: {exc}")
         with open(merged["input"], "rb") as fh:
-            data = fh.read()
-        try:
-            image = pipeline.parse_pgm(data)
-            pipeline.check_patch_work(image.width * image.height, cfg.patch_size)
-        except pipeline.WorkCapError as exc:
-            parser.error(str(exc))
+            image = pipeline.parse_pgm(fh.read())
         graph = pipeline.patch_graph(image, cfg)
-    try:
-        values = pipeline.score_graph(graph, merged["n-terms"], kind=kind, seed=merged["seed"])
-    except pipeline.WorkCapError as exc:
-        parser.error(str(exc))
+    values = pipeline.score_graph(graph, merged["n-terms"], kind=kind, seed=merged["seed"])
     out = merged["out"]
     pipeline.write_score_csv(values, out)
     _write_config(out, merged)
@@ -457,7 +442,10 @@ def main(argv=None):
         try:
             args = parser.parse_args(argv)
             _, handler, flags = COMMANDS[args.command]
-            return handler(_merge(args, parser, flags), parser)
+            try:
+                return handler(_merge(args, parser, flags), parser)
+            except InputRefused as exc:
+                parser.error(str(exc))
         except SystemExit as exc:
             return exc.code if exc.code is not None else 0
         except (ValueError, RuntimeError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Score fields from eigenpair arrays, minima on a path.
+"""Score fields from eigenpair arrays, minima on a path, refused inputs.
 
 A basis is two arrays: ascending eigenvalues ``values`` of shape (m,) and
 the sampled eigenvectors as the columns of ``vectors``, shape (n, m).  The
@@ -18,9 +18,14 @@ import warnings
 import numpy as np
 
 __all__ = [
+    "InputRefused",
     "compute_score_field",
     "find_strict_local_minima",
 ]
+
+
+class InputRefused(ValueError):
+    """An input refused by a check that runs before any work or file write."""
 
 
 def compute_score_field(values, vectors, n_terms, _warn=True):

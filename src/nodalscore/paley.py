@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import InputRefused
 from .eigensolve import dense_sym_eig
 from .pipeline import Graph
 
@@ -69,9 +70,9 @@ class PaleyField:
     def create(cls, p):
         p = int(p)
         if p >= MAX_PRIME or not _is_prime(p):
-            raise ValueError(f"p = {p} is not a prime below 2**31")
+            raise InputRefused(f"p = {p} is not a prime below 2**31")
         if p % 4 != 1 or p < 5:
-            raise ValueError(
+            raise InputRefused(
                 f"p = {p} is not 1 mod 4 (difference relation not symmetric)"
             )
         return cls(p=p)

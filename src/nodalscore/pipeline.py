@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compute_score_field
+from .core import InputRefused, compute_score_field
 from .eigensolve import DENSE_FALLBACK_N, dense_sym_eig, lanczos_smallest
 
 __all__ = [
@@ -82,7 +82,7 @@ _KNN_ROWS_IN_FLIGHT = 256
 _KNN_STRIP_COLS = 2048
 
 
-class WorkCapError(ValueError):
+class WorkCapError(InputRefused):
     """An input above a documented work cap, refused before the work starts."""
 
 
@@ -588,9 +588,9 @@ def patch_graph(img, config=None):
     """
     config = config or PatchGraphConfig()
     n = img.width * img.height
-    if config.k_neighbors >= n:
-        raise ValueError("k_neighbors must be smaller than the pixel count")
     check_patch_work(n, config.patch_size)
+    if config.k_neighbors >= n:
+        raise InputRefused("k_neighbors must be smaller than the pixel count")
     patches = _patch_matrix(img, config.patch_size)
     if config.bandwidth == "auto" and img.samples.min() == img.samples.max():
         raise ValueError(_ZERO_BANDWIDTH)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compute_score_field
+from .core import InputRefused, compute_score_field
 from .eigensolve import DENSE_FALLBACK_N, dense_sym_eig, lanczos_smallest
 
 __all__ = [
@@ -80,16 +80,16 @@ class PotentialSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.y < TWO_PI:
-            raise ValueError("y must lie in [0, 2*pi)")
+            raise InputRefused("y must lie in [0, 2*pi)")
         if not 0.0 < self.eps < TWO_PI:
-            raise ValueError("eps must lie in (0, 2*pi)")
+            raise InputRefused("eps must lie in (0, 2*pi)")
         if self.bump not in BUMP_PROFILES:
-            raise ValueError(f"unknown bump profile {self.bump!r}")
+            raise InputRefused(f"unknown bump profile {self.bump!r}")
         if self.well_scale < 0.0:
-            raise ValueError("well_scale must be nonnegative")
+            raise InputRefused("well_scale must be nonnegative")
         probe = BUMP_PROFILES[self.bump](np.linspace(0.0, 1.0, 257))
         if not (probe < 0.0).all():
-            raise ValueError("bump profile must be strictly negative on [0, 1]")
+            raise InputRefused("bump profile must be strictly negative on [0, 1]")
 
 
 def window_mask(xs, spec):
@@ -110,7 +110,7 @@ class CircleOperator:
 
 
 def check_solve(n_grid, spec, n_pairs=0):
-    """ValueError unless n_pairs split pairs on this grid and window may be solved.
+    """InputRefused unless n_pairs split pairs on this grid and window may be solved.
 
     n_grid lies in 64..MAX_N_GRID; the window covers at least 4 grid
     spacings, since the stencil does not resolve a narrower one;
@@ -118,16 +118,16 @@ def check_solve(n_grid, spec, n_pairs=0):
     n_pairs * n_grid <= MAX_SOLVE_WORK.
     """
     if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
+        raise InputRefused("n_grid must be at least 64")
     if n_grid > MAX_N_GRID:
-        raise ValueError(f"n_grid {n_grid} exceeds {MAX_N_GRID}")
+        raise InputRefused(f"n_grid {n_grid} exceeds {MAX_N_GRID}")
     if spec.eps < 4.0 * (TWO_PI / n_grid):
-        raise ValueError("unresolved perturbation: eps < 4 grid spacings")
+        raise InputRefused("unresolved perturbation: eps < 4 grid spacings")
     if n_pairs > n_grid // 8:
-        raise ValueError("pairs must be at most n_grid / 8")
+        raise InputRefused("pairs must be at most n_grid / 8")
     work = n_pairs * n_grid
     if work > MAX_SOLVE_WORK:
-        raise ValueError(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
+        raise InputRefused(f"pairs x n_grid = {n_pairs} x {n_grid} exceeds {MAX_SOLVE_WORK}")
 
 
 def build_circle_operator(n_grid, spec):

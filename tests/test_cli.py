@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalscore
-from nodalscore import analytic, cli, paley, pipeline, torus
+from nodalscore import _kernels, analytic, cli, paley, pipeline, torus
 from nodalscore.cli import COMMANDS, REQUIRED, _merge, build_parser, main
 from nodalscore.eigensolve import EigenSolveReport
 
@@ -700,7 +700,7 @@ def test_graph_patch_caps_exit_before_work(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a patch graph above the cap")
 
-    monkeypatch.setattr(pipeline, "patch_graph", refuse)
+    monkeypatch.setattr(pipeline, "_patch_matrix", refuse)
     wide = tmp_path / "wide.pgm"
     width = pipeline.MAX_PATCH_PIXELS + 1
     wide.write_bytes(f"P5\n{width} 1\n255\n".encode() + bytes(width))
@@ -1048,7 +1048,7 @@ def test_interval_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scored an interval grid above the work cap")
 
-    monkeypatch.setattr(analytic, "interval_score_uniform", refuse)
+    monkeypatch.setattr(_kernels, "rational_series", refuse)
     out = tmp_path / "x.csv"
     # the first passes the grid cap and would evaluate about 1.8e13 sines
     for grid, n_terms in ((16777215, 1 << 20), (32768, 16384)):
@@ -1148,7 +1148,13 @@ def test_bad_flag_values_exit_two_before_work(capsys, tmp_path_factory, refuse_w
     (["square", "--lambda-cut", "nan", "--grid", "4x4", "--out", "x.csv"],
      "--lambda-cut nan is not a number",
      lambda: analytic.check_square_work(4, 4, math.nan)),
-], ids=["n-grid-low", "n-grid-high", "step", "lambda-cut-nan"])
+    (["rational-check", "--p", "1", "--q", "3", "--step", "0.02"],
+     "--step 0.02 must be at most 1/(8 q^2) = 0.013888888888888888",
+     lambda: analytic.probe_rational_minimum(analytic.RationalPoint(1, 3), 9, 0.02)),
+    (["square", "--lambda-cut", "5000000", "--grid", "4x4", "--out", "x.csv"],
+     "--lambda-cut 5000000.0 must be below 4194304",
+     lambda: analytic.check_square_work(4, 4, 5e6)),
+], ids=["n-grid-low", "n-grid-high", "step", "lambda-cut-nan", "step-wide", "lambda-cut-high"])
 def test_refusals_name_the_flag(capsys, tmp_path, monkeypatch, argv, message, library):
     monkeypatch.chdir(tmp_path)
     code, stdout, err = run(capsys, argv)
@@ -1172,14 +1178,14 @@ _REFUSALS = [
     (["square", "--grid", "4000x4000", "--lambda-cut", "4000000", "--out", "o.csv"],
      "square work 1044772125000 on a 4000x4000 grid at lambda_cut 4000000.0 exceeds 1073741824"),
     (["square", "--grid", "4x4", "--lambda-cut", "5000000", "--out", "o.csv"],
-     "lambda_cut must be below 4194304"),
+     "--lambda-cut 5000000.0 must be below 4194304"),
     (["rational-check", "--p", "2", "--q", "4", "--out", "o.txt"], "2/4 is not in lowest terms"),
     (["rational-check", "--p", "1", "--q", "3", "--n-terms", "0", "--out", "o.txt"],
      "n_terms must be >= 1"),
     (["rational-check", "--p", "1", "--q", "3", "--n-terms", "2000000", "--out", "o.txt"],
      "n_terms > 1048576 exceeds the exact-reduction range"),
     (["rational-check", "--p", "1", "--q", "3", "--step", "0.02", "--out", "o.txt"],
-     "h must be at most 1/(8 q^2)"),
+     "--step 0.02 must be at most 1/(8 q^2) = 0.013888888888888888"),
     (["rational-check", "--p", "1", "--q", "3", "--step", "1e-18", "--out", "o.txt"],
      "den * min(den, n_terms) = 2999999999999999616*9 overflows int64"),
     (["paley", "--p", "7", "--out", "o.csv"],
@@ -1200,6 +1206,9 @@ _REFUSALS = [
      "pixels x patch^2 = 10000 x 16^2 = 2560000 exceeds 2097152"),
     (["graph", "--input", "path.csv", "--format", "edges", "--n-terms", "2000", "--out", "o.csv"],
      "wanted pairs x component size = 1000 x 1000 exceeds 524288"),
+    (["graph", "--input", "4.pgm", "--format", "pgm", "--knn", "16", "--n-terms", "3",
+      "--out", "o.csv"],
+     "k_neighbors must be smaller than the pixel count"),
 ]
 
 
@@ -1422,6 +1431,7 @@ def _refusal(key, value, allowed):
 @given(st.sampled_from(_TABLE_FLAGS), _JSON_VALUES)
 @example(("paley", "p"), 13.0)
 @example(("torus", "y"), 2)
+@example(("square", "lambda-cut"), 1)
 @example(("graph", "bandwidth"), float("nan"))
 @example(("square", "lambda-cut"), 10**400)
 @example(("torus", "seed"), -1.0)
@@ -1452,9 +1462,14 @@ def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_fl
             value is None and f"--{key} is required" in err.getvalue()
         ):
             return
-        # a value of the flag's kind is refused only outside its allowed values
-        integral = int in kinds and isinstance(value, float) and value.is_integer()
-        refusal = _refusal(key, int(value) if integral else value, allowed)
+        # a value of the flag's kind is refused only outside its allowed values,
+        # an integral float for an integer flag as the int and an integer for
+        # a float flag as the float
+        if int in kinds and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif int not in kinds and isinstance(value, int):
+            value = float(value)
+        refusal = _refusal(key, value, allowed)
         assert err.getvalue().endswith(f"error: {refusal}\n"), err.getvalue()
         return
     got = merged[key]
@@ -1462,15 +1477,15 @@ def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_fl
     if value is None:
         assert got == default
     else:
-        number = float in kinds and isinstance(got, int) and not isinstance(got, bool)
-        assert isinstance(got, kinds) or number, (got, kinds)
+        assert isinstance(got, kinds), (got, kinds)
         assert bool in kinds or not isinstance(got, bool)
 
 
-# one small accepted run per subcommand; True is a switch given without a value
+# one small accepted run per subcommand; True is a switch given without a
+# value, and square's integer lambda-cut is the float 100.0 either way
 _ONE_RUN = {
     "interval": {"n-terms": 50, "grid": 64, "find-minima": True, "out": "o.csv"},
-    "square": {"lambda-cut": 100.0, "grid": "8x8", "out": "o.csv", "pgm": "o.pgm"},
+    "square": {"lambda-cut": 100, "grid": "8x8", "out": "o.csv", "pgm": "o.pgm"},
     "rational-check": {"p": 2, "q": 5, "out": "o.txt"},
     "paley": {"p": 101, "out": "o.csv"},
     "torus": {"y": 2.0, "eps": 0.6, "n-grid": 576, "n-terms": 2, "out": "o.csv"},

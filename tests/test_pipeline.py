@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nodalscore import pipeline
+from nodalscore.core import InputRefused
 from nodalscore.eigensolve import EigenSolveReport, dense_sym_eig
 from nodalscore.paley import PaleyField, paley_score_closed_form
 from nodalscore.pipeline import (
@@ -437,6 +438,21 @@ def test_patch_graph_constant_image_zero_bandwidth(monkeypatch):
     # an explicit bandwidth still takes the image to the kNN
     with pytest.raises(AssertionError, match="kNN ran"):
         patch_graph(img, PatchGraphConfig(k_neighbors=3, bandwidth=1.0))
+
+
+def test_patch_graph_refuses_k_before_any_work(monkeypatch):
+    def no_patches(img, patch_size):
+        raise AssertionError("patch matrix built")
+
+    monkeypatch.setattr(pipeline, "_patch_matrix", no_patches)
+    img = Image(width=4, height=4, samples=np.arange(16), maxval=15)
+    with pytest.raises(InputRefused, match="k_neighbors must be smaller than the pixel count"):
+        patch_graph(img, PatchGraphConfig(k_neighbors=16))
+    # the work cap is refused first
+    flat = Image(width=200, height=200, samples=np.zeros(40000, dtype=np.uint8), maxval=255)
+    with pytest.raises(WorkCapError):
+        patch_graph(flat, PatchGraphConfig(k_neighbors=40000))
+    assert issubclass(WorkCapError, InputRefused) and issubclass(InputRefused, ValueError)
 
 
 def test_patch_graph_two_tone_pairs():
