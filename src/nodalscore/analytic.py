@@ -169,24 +169,30 @@ class RationalProbe(NamedTuple):
     step: float
 
 
-def probe_rational_minimum(point, n_terms, h):
+def probe_rational_minimum(point, n_terms, h=None):
     """Interval score at p/q and at p/q +- 1/d, d = round(1/h), exactly.
 
     The step is snapped to 1/d so all three probes are rationals over
     den = lcm(q, d) and reduce exactly (rational_series); the snapped step
     is returned.  Requires d >= 8 q^2: a wider step can leave the cusp and
-    compare against unrelated structure.
+    compare against unrelated structure.  h None is the widest step,
+    d = 8 q^2 exactly, with no float in between.
     """
-    if not h > 0.0:
-        raise InputRefused("h must be positive")
-    inverse = 1.0 / h
-    if not math.isfinite(inverse):
-        raise InputRefused(f"h = {h!r} is too small to snap to 1/d")
-    d = round(inverse)
-    if d < 8 * point.q**2:
-        raise InputRefused("h must be at most 1/(8 q^2)")
+    d = 8 * point.q**2
+    if h is not None:
+        if not h > 0.0:
+            raise InputRefused("h must be positive")
+        inverse = 1.0 / h
+        if not math.isfinite(inverse):
+            raise InputRefused(f"h = {h!r} is too small to snap to 1/d")
+        if round(inverse) < d:
+            raise InputRefused("h must be at most 1/(8 q^2)")
+        d = round(inverse)
     den = math.lcm(point.q, d)
     if den > _kernels._INT64_MAX:
+        if h is None:
+            q_end = math.isqrt(_kernels._INT64_MAX // 8) + 1
+            raise InputRefused(f"q must be below {q_end}: 8 q^2 overflows int64")
         raise InputRefused(f"h = {h!r} is too small: lcm(q, 1/h) overflows int64")
     center, offset = point.p * (den // point.q), den // d
     # the neighbours stay inside (0, 1): 1/d <= 1/(8 q^2) < p/q, (q - p)/q

@@ -7,8 +7,9 @@ output file also writes `<out>.config.json` with the effective
 configuration.  Summaries are stable key=value lines on
 stdout, and each library warning is one `warning: <message>` line on
 stderr.  Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors.
-A library InputRefused, raised before any work or file write, is a usage
-error with the library's message.
+Every usage error but argparse's own is an InputRefused raised where it is
+checked, by this module or the library, before any work or file write;
+main alone prints it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _write_config(out_path, effective):
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _config_value(parser, key, value, kinds):
-    """value when its JSON type fits one of the flag's kinds, else a usage error.
+def _config_value(key, value, kinds):
+    """value when its JSON type fits one of the flag's kinds, else InputRefused.
 
     An integral float passes for an integer flag (as the int), and an
     integer for a float flag (as the float); a bool is never a number.
@@ -74,21 +75,21 @@ def _config_value(parser, key, value, kinds):
         if int in kinds and value.is_integer():
             return int(value)
     wanted = " or ".join(_KIND_NAMES[kind] for kind in kinds)
-    parser.error(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+    raise InputRefused(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
 
 
 # stands in for the default of a flag that must be set by flag or config
 REQUIRED = object()
 
 
-def _merge(args, parser, flags):
+def _merge(args, flags):
     """Fill unset flags from --config JSON; explicit flags take precedence.
 
     flags maps each flag to (kinds, default, allowed): the JSON types its
     config value may have, its value when neither the flag nor the config
     sets it (a JSON null leaves it unset), and the values it may take.
     After the type checks, the first flag still at REQUIRED, in table order,
-    is a usage error, and then the first value outside its allowed values.
+    is refused, and then the first value outside its allowed values.
     """
     cfg = {}
     if args.config:
@@ -97,57 +98,55 @@ def _merge(args, parser, flags):
                 cfg = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: bad UTF-8 or bad JSON; RecursionError: nesting too deep
-            parser.error(f"cannot read --config: {exc}")
+            raise InputRefused(f"cannot read --config: {exc}")
         if not isinstance(cfg, dict):
-            parser.error("--config must hold a JSON object")
+            raise InputRefused("--config must hold a JSON object")
         unknown = set(cfg) - set(flags)
         if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
+            raise InputRefused(f"unknown config keys: {sorted(unknown)}")
     merged = {}
     for key, (kinds, default, _) in flags.items():
         cli_val = getattr(args, key.replace("-", "_"))
         if cli_val is not None:
             merged[key] = cli_val
         elif cfg.get(key) is not None:
-            merged[key] = _config_value(parser, key, cfg[key], kinds)
+            merged[key] = _config_value(key, cfg[key], kinds)
         else:
             merged[key] = default
     for key, value in merged.items():
         if value is REQUIRED:
-            parser.error(f"--{key} is required (flag or config)")
+            raise InputRefused(f"--{key} is required (flag or config)")
     for key, (_, _, allowed) in flags.items():
         value = merged[key]
         if allowed is None or value is None:
             continue
         if isinstance(allowed[0], str):
             if value not in allowed:
-                parser.error(f"--{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
+                raise InputRefused(f"--{key} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
         elif value != value:
             # NaN compares false with both bounds
-            parser.error(f"--{key} {value} is not a number")
+            raise InputRefused(f"--{key} {value} is not a number")
         elif value < allowed[0]:
-            parser.error(f"--{key} {value} must be >= {allowed[0]}")
+            raise InputRefused(f"--{key} {value} must be >= {allowed[0]}")
         elif allowed[1] is not None and value > allowed[1]:
-            parser.error(f"--{key} {value} exceeds {allowed[1]}")
+            raise InputRefused(f"--{key} {value} exceeds {allowed[1]}")
     return merged
 
 
-def _parse_grid_2d(parser, text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        parser.error("--grid must look like MxM")
+def _parse_grid_2d(text):
     try:
-        mx, my = int(parts[0]), int(parts[1])
+        # a part count other than two fails the unpacking with ValueError
+        mx, my = map(int, text.lower().split("x"))
     except ValueError:
-        parser.error("--grid must look like MxM")
+        raise InputRefused("--grid must look like MxM") from None
     if mx < 2 or my < 2:
-        parser.error("--grid sides must be >= 2")
+        raise InputRefused("--grid sides must be >= 2")
     if mx * my > MAX_GRID_POINTS:
-        parser.error(f"--grid {mx}x{my} exceeds {MAX_GRID_POINTS} points")
+        raise InputRefused(f"--grid {mx}x{my} exceeds {MAX_GRID_POINTS} points")
     return mx, my
 
 
-def _cmd_interval(merged, parser):
+def _cmd_interval(merged):
     n_terms, grid = merged["n-terms"], merged["grid"]
     values = analytic.interval_score_uniform(grid, n_terms)
     xs = np.arange(grid + 1) / grid
@@ -170,12 +169,12 @@ def _cmd_interval(merged, parser):
     return 0
 
 
-def _cmd_square(merged, parser):
-    mx, my = _parse_grid_2d(parser, merged["grid"])
+def _cmd_square(merged):
+    mx, my = _parse_grid_2d(merged["grid"])
     lam = merged["lambda-cut"]
     # an open bound, which a flag domain cannot express
     if not lam < analytic.MAX_LAMBDA_CUT:
-        parser.error(f"--lambda-cut {lam} must be below {analytic.MAX_LAMBDA_CUT}")
+        raise InputRefused(f"--lambda-cut {lam} must be below {analytic.MAX_LAMBDA_CUT}")
     analytic.check_square_work(mx, my, lam)
     # interior lattice of the open square; the boundary scores 0 trivially
     xs = np.arange(1, mx + 1) / (mx + 1)
@@ -201,18 +200,18 @@ def _cmd_square(merged, parser):
     return 0
 
 
-def _cmd_rational_check(merged, parser):
+def _cmd_rational_check(merged):
     step = merged["step"]
     # an open bound, and one that depends on q: no flag domain holds them
     if step is not None and not step > 0:
         problem = "is not a number" if step != step else "must be positive"
-        parser.error(f"--step {step} {problem}")
+        raise InputRefused(f"--step {step} {problem}")
     point = analytic.RationalPoint(merged["p"], merged["q"])
-    if step is None:
-        step = 1.0 / (8 * point.q**2)
-    elif math.isfinite(1.0 / step) and round(1.0 / step) < 8 * point.q**2:
-        # the library's test, round(1/h) >= 8 q^2, by the flag's name
-        parser.error(f"--step {step} must be at most 1/(8 q^2) = {_fmt(1 / (8 * point.q**2))}")
+    # the library's test, round(1/h) >= 8 q^2, by the flag's name; an unset
+    # step stays None, which the library takes as exactly 1/(8 q^2)
+    least = 8 * point.q**2
+    if step is not None and math.isfinite(1.0 / step) and round(1.0 / step) < least:
+        raise InputRefused(f"--step {step} must be at most 1/(8 q^2) = {_fmt(1 / least)}")
     n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
     probe = analytic.probe_rational_minimum(point, n_terms, step)
     merged["n-terms"], merged["step"] = n_terms, probe.step
@@ -232,12 +231,12 @@ def _cmd_rational_check(merged, parser):
     return 0
 
 
-def _cmd_paley(merged, parser):
+def _cmd_paley(merged):
     p = merged["p"]
     if merged["verify"] and p > paley.NUMERIC_MAX_PRIME:
-        parser.error(f"--verify needs --p <= {paley.NUMERIC_MAX_PRIME}")
+        raise InputRefused(f"--verify needs --p <= {paley.NUMERIC_MAX_PRIME}")
     if merged["out"] and p > paley.PER_VERTEX_MAX_PRIME:
-        parser.error(f"--out needs --p <= {paley.PER_VERTEX_MAX_PRIME}")
+        raise InputRefused(f"--out needs --p <= {paley.PER_VERTEX_MAX_PRIME}")
     score = paley.paley_score_closed_form(p)
     items = [
         ("p", p),
@@ -264,9 +263,9 @@ def _cmd_paley(merged, parser):
     return 0
 
 
-def _cmd_torus(merged, parser):
+def _cmd_torus(merged):
     if (merged["n-terms"] is None) == (merged["find-n-eps"] is None):
-        parser.error("set exactly one of --n-terms and --find-n-eps")
+        raise InputRefused("set exactly one of --n-terms and --find-n-eps")
     bump = {"constant": "constant-well", "cosine": "cosine-well"}[merged["bump"]]
     n_grid = merged["n-grid"]
     spec = torus.PotentialSpec(y=merged["y"], eps=merged["eps"], bump=bump)
@@ -293,11 +292,11 @@ def _cmd_torus(merged, parser):
     return 0
 
 
-def _cmd_graph(merged, parser):
+def _cmd_graph(merged):
     fmt = merged["format"]
     kind = {"sym": "sym-normalized", "comb": "combinatorial"}[merged["laplacian"]]
     if merged["pgm"] and fmt != "pgm":
-        parser.error("--pgm output needs --format pgm input")
+        raise InputRefused("--pgm output needs --format pgm input")
     image = None
     if fmt == "edges":
         with open(merged["input"], encoding="utf-8-sig") as fh:
@@ -310,12 +309,13 @@ def _cmd_graph(merged, parser):
         bandwidth = merged["bandwidth"]
         try:
             if bandwidth != "auto":
-                bandwidth = float(bandwidth)
+                # the sidecar holds the number, as from a config value
+                bandwidth = merged["bandwidth"] = float(bandwidth)
             cfg = pipeline.PatchGraphConfig(
                 patch_size=merged["patch"], k_neighbors=merged["knn"], bandwidth=bandwidth
             )
         except ValueError as exc:
-            parser.error(f"bad --patch, --knn or --bandwidth: {exc}")
+            raise InputRefused(f"bad --patch, --knn or --bandwidth: {exc}")
         with open(merged["input"], "rb") as fh:
             image = pipeline.parse_pgm(fh.read())
         graph = pipeline.patch_graph(image, cfg)
@@ -423,7 +423,7 @@ def build_parser():
     return parser
 
 
-# one parser per process: parsing, _merge and parser.error only read it
+# one parser per process: parsing and parser.error only read it
 _shared_parser = functools.cache(build_parser)
 
 
@@ -443,7 +443,7 @@ def main(argv=None):
             args = parser.parse_args(argv)
             _, handler, flags = COMMANDS[args.command]
             try:
-                return handler(_merge(args, parser, flags), parser)
+                return handler(_merge(args, flags))
             except InputRefused as exc:
                 parser.error(str(exc))
         except SystemExit as exc:

@@ -25,7 +25,11 @@ __all__ = [
 
 
 class InputRefused(ValueError):
-    """An input refused by a check that runs before any work or file write."""
+    """An input refused by a check that runs before any work or file write.
+
+    Library checks raise it, and so do the command line's own checks of
+    flags and config values; ``cli.main`` prints each as a usage error.
+    """
 
 
 def compute_score_field(values, vectors, n_terms, _warn=True):

@@ -22,7 +22,7 @@ from nodalscore.analytic import (
 )
 from nodalscore import analytic
 from nodalscore._kernels import interval_series
-from nodalscore.core import compute_score_field
+from nodalscore.core import InputRefused, compute_score_field
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -222,6 +222,19 @@ def test_probe_snaps_step_to_unit_fraction():
     for bad in (0.0, math.nan, -1.0, 5e-324):
         with pytest.raises(ValueError):
             probe_rational_minimum(point, 25, bad)
+
+
+def test_probe_default_step_is_exactly_one_over_8_q_squared():
+    for q in (3, 64, 28221420, 100000007):
+        point = RationalPoint(1, q)
+        assert probe_rational_minimum(point, 5).step == 1 / (8 * q**2)
+    assert probe_rational_minimum(RationalPoint(2, 5), 25) == probe_rational_minimum(
+        RationalPoint(2, 5), 25, 1.0 / 200.0
+    )
+    # 8 q^2 past int64 is refused by q, before any float of it
+    for q in (1 << 30, 10**200 + 1):
+        with pytest.raises(InputRefused, match="^q must be below 1073741824: 8 q\\^2 overflows"):
+            probe_rational_minimum(RationalPoint(1, q), 5)
 
 
 def test_probe_neighbours_match_float_kernel():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import nodalscore
 from nodalscore import _kernels, analytic, cli, paley, pipeline, torus
 from nodalscore.cli import COMMANDS, REQUIRED, _merge, build_parser, main
+from nodalscore.core import InputRefused
 from nodalscore.eigensolve import EigenSolveReport
 
 
@@ -676,6 +677,20 @@ def test_graph_patch_settings_are_usage_errors(capsys, tmp_path, monkeypatch, ex
     )
 
 
+def test_graph_bandwidth_flag_and_config_write_one_sidecar(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "img.pgm").write_bytes(make_pgm_bytes(5, 8))
+    (tmp_path / "cfg.json").write_text(json.dumps({"bandwidth": 2}))
+    argv = ["graph", "--input", "img.pgm", "--format", "pgm", "--patch", "2", "--knn", "4",
+            "--n-terms", "3", "--out", "s.csv"]
+    sidecars = []
+    for extra in (["--bandwidth", "2"], ["--config", "cfg.json"]):
+        assert run(capsys, argv + extra)[0] == 0
+        sidecars.append((tmp_path / "s.csv.config.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert json.loads(sidecars[0])["bandwidth"] == 2.0
+
+
 def test_graph_heatmap_requires_pgm_input(capsys, tmp_path):
     edges = tmp_path / "g.csv"
     write_edge_file(edges)
@@ -1004,6 +1019,17 @@ def test_rational_check_snaps_step(capsys, tmp_path):
         assert parse_summary(stdout)["step"] == echoed
 
 
+def test_rational_check_default_step_is_exactly_one_over_8_q_squared(capsys, tmp_path):
+    # round(1 / (1.0 / (8 q^2))) is 8 q^2 - 8 here, below the guard
+    out = tmp_path / "rc.txt"
+    argv = ["rational-check", "--p", "1", "--q", "100000007", "--n-terms", "5", "--out", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert parse_summary(stdout)["step"] == "1.2499998250000184e-17"
+    sidecar = json.loads((tmp_path / "rc.txt.config.json").read_text())
+    assert sidecar["step"] == 1 / (8 * 100000007**2)
+
+
 def test_rational_check_step_out_of_range_is_usage_error(capsys):
     for step in ("1e-18", "0.02", "0", "nan"):
         code, stdout, err = run(capsys, ["rational-check", "--p", "1", "--q", "3", "--step", step])
@@ -1188,6 +1214,10 @@ _REFUSALS = [
      "--step 0.02 must be at most 1/(8 q^2) = 0.013888888888888888"),
     (["rational-check", "--p", "1", "--q", "3", "--step", "1e-18", "--out", "o.txt"],
      "den * min(den, n_terms) = 2999999999999999616*9 overflows int64"),
+    (["rational-check", "--p", "1", "--q", "1073741824", "--out", "o.txt"],
+     "q must be below 1073741824: 8 q^2 overflows int64"),
+    (["rational-check", "--p", "1", "--q", str(10**200 + 1), "--out", "o.txt"],
+     "q must be below 1073741824: 8 q^2 overflows int64"),
     (["paley", "--p", "7", "--out", "o.csv"],
      "p = 7 is not 1 mod 4 (difference relation not symmetric)"),
     (["paley", "--p", "15", "--out", "o.csv"], "p = 15 is not a prime below 2**31"),
@@ -1412,7 +1442,7 @@ _SAMPLE_ARG = {int: "3", float: "1.5", str: "x"}
 
 
 def _refusal(key, value, allowed):
-    """The usage error _merge gives for a value of the flag's kind, None when allowed."""
+    """The InputRefused text _merge gives for a value of the flag's kind, None when allowed."""
     if allowed is None or value is None:
         return None
     if isinstance(allowed[0], str):
@@ -1452,14 +1482,12 @@ def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_fl
     cfg.write_text(json.dumps({key: value}))
     parser = build_parser()
     args = parser.parse_args(argv + ["--config", str(cfg)])
-    err = io.StringIO()
     try:
-        with contextlib.redirect_stderr(err):
-            merged = _merge(args, parser, flags)
-    except SystemExit as exc:
-        assert exc.code == 2
-        if f"config key '{key}'" in err.getvalue() or (
-            value is None and f"--{key} is required" in err.getvalue()
+        merged = _merge(args, flags)
+    except InputRefused as exc:
+        message = str(exc)
+        if f"config key '{key}'" in message or (
+            value is None and f"--{key} is required" in message
         ):
             return
         # a value of the flag's kind is refused only outside its allowed values,
@@ -1469,8 +1497,7 @@ def test_config_value_merges_to_its_kind_or_exits_2(tmp_path_factory, command_fl
             value = int(value)
         elif int not in kinds and isinstance(value, int):
             value = float(value)
-        refusal = _refusal(key, value, allowed)
-        assert err.getvalue().endswith(f"error: {refusal}\n"), err.getvalue()
+        assert message == _refusal(key, value, allowed), message
         return
     got = merged[key]
     assert _refusal(key, got, allowed) is None
