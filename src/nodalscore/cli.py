@@ -211,7 +211,12 @@ def _cmd_rational_check(merged):
     # step stays None, which the library takes as exactly 1/(8 q^2)
     least = 8 * point.q**2
     if step is not None and math.isfinite(1.0 / step) and round(1.0 / step) < least:
-        raise InputRefused(f"--step {step} must be at most 1/(8 q^2) = {_fmt(1 / least)}")
+        bound = 1 / least
+        if bound < sys.float_info.min:  # underflows above q ≈ 2.4e153: the exact quotient
+            import decimal
+
+            bound = decimal.Context(prec=17).divide(1, least)
+        raise InputRefused(f"--step {step} must be at most 1/(8 q^2) = {bound:.17g}")
     n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
     probe = analytic.probe_rational_minimum(point, n_terms, step)
     merged["n-terms"], merged["step"] = n_terms, probe.step
@@ -266,6 +271,8 @@ def _cmd_paley(merged):
 def _cmd_torus(merged):
     if (merged["n-terms"] is None) == (merged["find-n-eps"] is None):
         raise InputRefused("set exactly one of --n-terms and --find-n-eps")
+    if merged["find-n-eps"] is not None and merged["out"]:
+        raise InputRefused("--out needs --n-terms")
     bump = {"constant": "constant-well", "cosine": "cosine-well"}[merged["bump"]]
     n_grid = merged["n-grid"]
     spec = torus.PotentialSpec(y=merged["y"], eps=merged["eps"], bump=bump)

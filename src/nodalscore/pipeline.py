@@ -16,6 +16,7 @@ import operator
 import os
 import re
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -209,20 +210,6 @@ class PatchGraphConfig:
             raise ValueError("bandwidth must be 'auto' or a finite number > 0")
 
 
-def _convert(kind, column):
-    """kind of each stripped field, stopping before the first it rejects."""
-    try:
-        return list(map(kind, map(str.strip, column)))
-    except ValueError:
-        # error path only: find the first field kind rejects
-        values = []
-        for field in column:
-            try:
-                values.append(kind(field.strip()))
-            except ValueError:
-                return values
-
-
 def _read_rows(lines, dtype, **options):
     """lines converted by numpy's C text reader, or None where it refuses them.
 
@@ -240,11 +227,9 @@ def _read_rows(lines, dtype, **options):
 
 
 def _edge_graph(a, b, w):
-    """Graph of the rows (a, b, w) in file order, or the first faulty row.
+    """Graph of the rows (a, b, w), or the row of the first conflicting repeat.
 
-    a and b are int64 ids in 0..MAX_VERTICES-1, w float64 weights.  A
-    fault is returned as (row, message); within a row the checks run in
-    the order: self-loop, weight, conflicting repeat.
+    a and b are int64 ids in 0..MAX_VERTICES-1 with a != b, w positive finite.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # a stable sort keeps each pair's rows in file order; the first row that
@@ -253,22 +238,9 @@ def _edge_graph(a, b, w):
     order = np.argsort(key, kind="stable")
     key, ws = key[order], w[order]
     repeat = key[1:] == key[:-1]
-    conflict = np.zeros(key.size, dtype=bool)
-    conflict[order[1:]] = repeat & (ws[1:] != ws[:-1])
-    # a check takes over only at a strictly earlier row, so a row with
-    # several faults reports the first in this order
-    faults = (
-        (a == b, lambda i: f"self-loop at vertex {a[i]}"),
-        (~(np.isfinite(w) & (w > 0)), lambda i: "weight must be positive and finite"),
-        (conflict, lambda i: f"edge ({lo[i]}, {hi[i]}) repeated with conflicting weight"),
-    )
-    stop, error = a.size, None
-    for fault, message in faults:
-        hits = np.flatnonzero(fault[:stop])
-        if hits.size:
-            stop, error = int(hits[0]), message(hits[0])
-    if error is not None:
-        return stop, error
+    conflict = order[1:][repeat & (ws[1:] != ws[:-1])]
+    if conflict.size:
+        return int(conflict.min())
     keep = order[np.r_[True, ~repeat]]
     return Graph(n=int(hi[keep].max()) + 1, u=lo[keep], v=hi[keep], w=w[keep])
 
@@ -299,7 +271,9 @@ def parse_edge_list(text):
     columns = _edge_columns(text) if text.isascii() else None
     if columns is not None:
         a, b, w = columns
-        if min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < MAX_VERTICES:
+        # the per-line route names any faulty row; NaN fails both weight tests
+        in_range = min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < MAX_VERTICES
+        if in_range and (a != b).all() and ((w > 0) & (w < np.inf)).all():
             graph = _edge_graph(a, b, w)
             if isinstance(graph, Graph):
                 return graph
@@ -318,47 +292,52 @@ def _edge_columns(text):
 
 
 def _parse_edge_lines(text):
-    """parse_edge_list line by line: any text, faulty lines named."""
-    content = [raw.partition("#")[0].strip() for raw in text.splitlines()]
-    lines = [line for line in content if line]
-    if not lines:
+    """parse_edge_list line by line: any text, faulty lines named.  The first
+    line that fails a check up to the weight stops the loop, and the rows
+    before it are then checked for a conflicting repeat."""
+    a, b, w, linenos = array("q"), array("q"), array("d"), array("q")
+    error = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) not in (2, 3):
+            error = "expected 'u,v' or 'u,v,w'"
+            break
+        try:
+            # stripped first: str.strip drops U+001F, which int and float refuse
+            x, y = int(fields[0].strip()), int(fields[1].strip())
+            z = float(fields[2].strip()) if len(fields) == 3 else 1.0
+        except ValueError:
+            error = f"malformed edge {line!r}"
+            break
+        # on the Python ints: a huge id would overflow the int64 arrays
+        if x < 0 or y < 0:
+            error = "negative vertex index"
+        elif x >= MAX_VERTICES or y >= MAX_VERTICES:
+            error = f"vertex index {max(x, y)} exceeds {MAX_VERTICES - 1}"
+        elif x == y:
+            error = f"self-loop at vertex {x}"
+        elif not 0 < z < math.inf:
+            error = "weight must be positive and finite"
+        if error is not None:
+            break
+        a.append(x)
+        b.append(y)
+        w.append(z)
+        linenos.append(lineno)
+    if a:
+        # views of the arrays' buffers, not copies
+        graph = _edge_graph(np.asarray(a), np.asarray(b), np.asarray(w))
+        if not isinstance(graph, Graph):
+            lo, hi = sorted((a[graph], b[graph]))
+            lineno, error = linenos[graph], f"edge ({lo}, {hi}) repeated with conflicting weight"
+        elif error is None:
+            return graph
+    if error is None:
         raise ValueError("edge list is empty")
-    commas = [line.count(",") for line in lines]
-    # rows before stop passed every check so far; error is row stop's fault
-    stop, error = len(lines), None
-    if min(commas) < 1 or max(commas) > 2:
-        stop = next(i for i, k in enumerate(commas) if k not in (1, 2))
-        error = "expected 'u,v' or 'u,v,w'"
-    # a missing weight is 1, so "u,v" becomes "u,v,1" and one split of the
-    # joined rows gives every third cell to a column
-    rows = [line if k == 2 else line + ",1" for line, k in zip(lines[:stop], commas)]
-    cells = ",".join(rows).split(",")
-    a = _convert(int, cells[0::3])
-    b = _convert(int, cells[1 : 3 * len(a) : 3])
-    w = _convert(float, cells[2 : 3 * len(b) : 3])
-    if len(w) < stop:
-        stop, error = len(w), f"malformed edge {lines[len(w)]!r}"
-    # range checks on the Python ints, so a huge id never reaches int64
-    a, b = a[:stop], b[:stop]
-    if a and (min(min(a), min(b)) < 0 or max(max(a), max(b)) >= MAX_VERTICES):
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x < 0 or y < 0:
-                stop, error = i, "negative vertex index"
-                break
-            if max(x, y) >= MAX_VERTICES:
-                stop, error = i, f"vertex index {max(x, y)} exceeds {MAX_VERTICES - 1}"
-                break
-    # rebound, so the Python numbers are freed before the checks run
-    a = np.array(a[:stop], dtype=np.int64)
-    b = np.array(b[:stop], dtype=np.int64)
-    w = np.array(w[:stop], dtype=np.float64)
-    graph = _edge_graph(a, b, w) if stop else None
-    if isinstance(graph, tuple):
-        stop, error = graph
-    if error is not None:
-        lineno = [i for i, line in enumerate(content, start=1) if line][stop]
-        raise ValueError(f"line {lineno}: {error}")
-    return graph
+    raise ValueError(f"line {lineno}: {error}")
 
 
 def _pgm_tokens(data, start, limit):

@@ -290,11 +290,12 @@ def test_torus_solve_work_cap_exits_before_work(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(torus, "build_circle_operator", refuse)
     out = tmp_path / "t.csv"
-    base = ["torus", "--y", "1.0", "--eps", "0.5", "--out", str(out)]
+    base = ["torus", "--y", "1.0", "--eps", "0.5"]
     # 8192 x 256 ran 18.7 s with an 863 MB peak before the cap
     for n_grid, pairs in ((8192, 256), (4096, 129), (torus.MAX_N_GRID, 33)):
-        for mode in ("--n-terms", "--find-n-eps"):
-            argv = base + ["--n-grid", str(n_grid), mode, str(pairs)]
+        # --find-n-eps writes no file and refuses --out
+        for mode in (["--n-terms", str(pairs), "--out", str(out)], ["--find-n-eps", str(pairs)]):
+            argv = base + ["--n-grid", str(n_grid)] + mode
             code, _, err = run(capsys, argv)
             assert code == 2, argv
             assert "exceeds" in err
@@ -319,7 +320,9 @@ def test_torus_grid_rules_exit_before_work(capsys, tmp_path, monkeypatch, flags,
 
     monkeypatch.setattr(torus, "build_circle_operator", refuse)
     out = tmp_path / "t.csv"
-    code, _, err = run(capsys, ["torus", "--y", "1"] + flags + ["--out", str(out)])
+    # --find-n-eps writes no file and refuses --out
+    out_flags = ["--out", str(out)] if "--n-terms" in flags else []
+    code, _, err = run(capsys, ["torus", "--y", "1"] + flags + out_flags)
     assert code == 2
     assert message in err
     assert not out.exists()
@@ -1218,6 +1221,8 @@ _REFUSALS = [
      "q must be below 1073741824: 8 q^2 overflows int64"),
     (["rational-check", "--p", "1", "--q", str(10**200 + 1), "--out", "o.txt"],
      "q must be below 1073741824: 8 q^2 overflows int64"),
+    (["rational-check", "--p", "1", "--step", "1e-3", "--q", str(10**200 + 1), "--out", "o.txt"],
+     "--step 0.001 must be at most 1/(8 q^2) = 1.2500000000000000e-401"),
     (["paley", "--p", "7", "--out", "o.csv"],
      "p = 7 is not 1 mod 4 (difference relation not symmetric)"),
     (["paley", "--p", "15", "--out", "o.csv"], "p = 15 is not a prime below 2**31"),
@@ -1229,6 +1234,8 @@ _REFUSALS = [
      "pairs must be at most n_grid / 8"),
     (["torus", "--y", "1", "--eps", "0.6", "--n-grid", "16384", "--n-terms", "64", "--out", "o.csv"],
      "pairs x n_grid = 64 x 16384 exceeds 524288"),
+    (["torus", "--y", "1", "--eps", "0.6", "--find-n-eps", "3", "--out", "o.csv"],
+     "--out needs --n-terms"),
     (["graph", "--input", "182.pgm", "--format", "pgm", "--n-terms", "3", "--out", "o.csv"],
      "image of 33124 pixels exceeds 32768"),
     (["graph", "--input", "100.pgm", "--format", "pgm", "--patch", "16", "--n-terms", "3",
