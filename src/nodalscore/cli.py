@@ -207,16 +207,22 @@ def _cmd_rational_check(merged):
         problem = "is not a number" if step != step else "must be positive"
         raise InputRefused(f"--step {step} {problem}")
     point = analytic.RationalPoint(merged["p"], merged["q"])
-    # the library's test, round(1/h) >= 8 q^2, by the flag's name; an unset
-    # step stays None, which the library takes as exactly 1/(8 q^2)
-    least = 8 * point.q**2
-    if step is not None and math.isfinite(1.0 / step) and round(1.0 / step) < least:
-        bound = 1 / least
-        if bound < sys.float_info.min:  # underflows above q ≈ 2.4e153: the exact quotient
-            import decimal
+    # the library's tests on h, by the flag's name; an unset step stays
+    # None, which the library takes as exactly 1/(8 q^2)
+    if step is not None:
+        inverse = 1.0 / step
+        if not math.isfinite(inverse):
+            raise InputRefused(f"--step {step} is too small to snap to 1/d")
+        least = 8 * point.q**2
+        if round(inverse) < least:
+            bound = 1 / least
+            if bound < sys.float_info.min:  # underflows above q ≈ 2.4e153: the exact quotient
+                import decimal
 
-            bound = decimal.Context(prec=17).divide(1, least)
-        raise InputRefused(f"--step {step} must be at most 1/(8 q^2) = {bound:.17g}")
+                bound = decimal.Context(prec=17).divide(1, least)
+            raise InputRefused(f"--step {step} must be at most 1/(8 q^2) = {bound:.17g}")
+        if math.lcm(point.q, round(inverse)) > np.iinfo(np.int64).max:
+            raise InputRefused(f"--step {step} is too small: lcm(q, 1/step) overflows int64")
     n_terms = merged["n-terms"] if merged["n-terms"] is not None else point.q**2
     probe = analytic.probe_rational_minimum(point, n_terms, step)
     merged["n-terms"], merged["step"] = n_terms, probe.step

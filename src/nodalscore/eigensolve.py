@@ -20,11 +20,11 @@ nearest ||A||_inf, and multiplies the values back by 4^k, so 4^j A gives
 leaves the convergence tests the same; ``dense_sym_eig`` hands A to
 LAPACK as given.  The zero operator is solved exactly by both solvers.
 Shift-invert (Ericsson & Ruhe, Math. Comp. 35, 1980) is taken when the
-band of A, in its own vertex order or the reverse Cuthill-McKee order, is
-narrow and the shifted A has a banded Cholesky factor; each application
-of B is then a banded solve, and the stiff circle and mesh operators
-converge in about a hundred of them.
-Every other matrix (kNN and random graphs, failed factorizations) takes
+band of A in reverse Cuthill-McKee order is narrow for its size and one
+SuperLU factor shows the shifted A positive definite; each application
+of B is then two sparse triangular solves, and the stiff circle, mesh
+and grid operators converge in about a hundred of them.
+Every other matrix (kNN and random graphs, indefinite ones) takes
 the Gershgorin shift.  One Krylov start reaches a single
 vector per eigenspace, and ARPACK is no exception, so every round after
 the first runs on B deflated against the pairs accepted so far, until a
@@ -67,7 +67,7 @@ DENSE_MAX_N = 4096
 RESIDUAL_TOL = 1e-10
 # callers solve below this size densely; iterating would gain nothing
 DENSE_FALLBACK_N = 512
-# shift of the banded path in units of scale = ||A||_inf, so that
+# shift of the shift-invert path in units of scale = ||A||_inf, so that
 # A - SHIFT*scale*I is positive definite for every PSD operator.  It scales
 # with A because rounding in B = (A - shift*I)^-1 is of order eps/|shift|:
 # with an absolute shift, the zero modes of a Laplacian with large weights
@@ -86,7 +86,7 @@ MAX_RESTARTS = 5
 # show that nothing lies below the m-th accepted value, not converge a
 # pair, so it stops far sooner than tol=0: on the circle operator of
 # n = 576, y = 1.3, eps = 0.6 with m = 11 the check round takes 21
-# banded solves instead of 41.
+# solves instead of 41.
 CHECK_TOL = 1e-4
 
 
@@ -135,7 +135,7 @@ class EigenSolveReport:
     ``values`` has shape (m,) and ``vectors`` (n, m), one eigenvector per
     column.  ``iterations`` counts operator applications: 1 for a dense
     solve, and applications of the spectral transform over all rounds for
-    the iterative solver (matvecs for ``"arpack"``, banded solves for
+    the iterative solver (matvecs for ``"arpack"``, sparse solves for
     ``"shift-invert"``); ``method`` names the solver that ran.
     """
 
@@ -242,10 +242,10 @@ def lanczos_smallest(a, m, seed=0):
     values are multiplied back by 4^k at the end:
 
     - ``"shift-invert"``: B = (A - SHIFT*scale*I)^-1 with SHIFT = -1e-3
-      and scale = ||A||_inf, applied by a banded Cholesky solve.
-      Taken when the bandwidth b of A, the narrower of its natural and
-      reverse Cuthill-McKee orders, has b + 1 <= max(10m + 50, 300), and
-      the shifted A factors.
+      and scale = ||A||_inf, applied by one SuperLU factor.  Taken when
+      the bandwidth b of A in reverse Cuthill-McKee order has
+      b + 1 <= max(10m + 50, 300, 3 sqrt(n)), and the shifted A is
+      positive definite.
     - ``"arpack"``: B = sigma*I - A with the Gershgorin bound sigma, for
       every other matrix.
 
@@ -269,7 +269,7 @@ def lanczos_smallest(a, m, seed=0):
     round that adds no pair (ARPACK
     stopped short with none converged, or raised) retries from the next
     draw, at most MAX_RESTARTS times.  ``iterations`` counts applications
-    of B over all rounds: matvecs, or banded solves.  The zero operator
+    of B over all rounds: matvecs, or sparse solves.  The zero operator
     is returned exactly (``method="zero"``, no application).
     """
     from scipy.sparse.linalg import (
@@ -304,7 +304,7 @@ def lanczos_smallest(a, m, seed=0):
     scale = math.ldexp(scale, -power)
     rng = np.random.default_rng(seed)
     shift = SHIFT * scale
-    solve = _banded_shift_invert(a, shift, max(10 * m + 50, 300))
+    solve = _shift_invert(a, shift, max(10 * m + 50, 300, 3 * math.sqrt(n)))
     if solve is None:
         method = "arpack"
         sigma = _gershgorin_bound(a, row_sums)
@@ -393,60 +393,43 @@ def lanczos_smallest(a, m, seed=0):
     )
 
 
-def _banded_shift_invert(csr, shift, max_width):
-    """x -> (A - shift*I)^-1 x from a banded Cholesky factor, or None.
+def _shift_invert(csr, shift, max_width):
+    """x -> (A - shift*I)^-1 x from one SuperLU factor, or None.
 
-    The band is taken in the natural vertex order when that is strictly
-    narrower than the reverse Cuthill-McKee order, and in RCM otherwise:
-    a 40x40 grid mesh numbered row by row has b = 41 as given and 74
-    under RCM, a periodic circle operator n - 1 as given and 2 under RCM.
-    None when that bandwidth b of the CSR matrix A has
-    b + 1 > max_width, or when A - shift*I is not positive definite.
-    Callers pass max_width = max(10m + 50, 300) for m wanted pairs, which
-    splits the operators where the transform pays: circle operators
-    (b = 2) and meshes (b = 41 on a 40x40 grid) factor and converge in
-    about a hundred solves instead of close to a thousand matvecs, while
-    kNN and random graphs (bands of several hundred to thousands) take
-    the Gershgorin shift.  A factor holds (b + 1) n floats, and a solve
-    costs about 4 (b + 1) n flops.
+    None when the bandwidth b of the CSR matrix A in reverse Cuthill-McKee
+    order has b + 1 > max_width, or when A - shift*I is not positive
+    definite.  Callers pass max_width = max(10m + 50, 300, 3 sqrt(n)) for
+    m wanted pairs: circles (b = 2), meshes and grids (b about sqrt(n))
+    factor, while the factor of kNN and random graphs (b of several
+    hundred to thousands, at least 13 sqrt(n)) would fill in.  A factor
+    that did not pivot (perm_r == perm_c) is L D L^T, D = diag(U), under
+    one symmetric permutation, so by Sylvester's law of inertia
+    A - shift*I is positive definite exactly when D is.
     """
     # imported here, not at module top: most runs never reach a sparse
     # solve, and csgraph costs every interpreter start about 25 ms
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dpbtrs
+    from scipy.sparse import identity
     from scipy.sparse.csgraph import reverse_cuthill_mckee
+    from scipy.sparse.linalg import splu
 
     n = csr.shape[0]
     perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(n, dtype=perm.dtype)
-    # both widths straight from the CSR arrays: a wide band (kNN and random
-    # graphs) is refused before any COO copy or band is built
+    # the band straight from the CSR arrays: a wide band (kNN and random
+    # graphs) is refused before any factor is tried
     rows = np.repeat(np.arange(n, dtype=perm.dtype), np.diff(csr.indptr))
-    cols = csr.indices
-    width = int(np.abs(cols - rows).max(initial=0))
-    rcm_rows, rcm_cols = inv[rows], inv[cols]
-    rcm_width = int(np.abs(rcm_cols - rcm_rows).max(initial=0))
-    if rcm_width <= width:
-        rows, cols, width = rcm_rows, rcm_cols, rcm_width
-    else:  # a grid numbered row by row: RCM's band is the wider one
-        perm = inv = None
-    if width + 1 > max_width:
+    if int(np.abs(inv[csr.indices] - inv[rows]).max(initial=0)) + 1 > max_width:
         return None
-    upper = cols >= rows
-    band = np.zeros((width + 1, n))  # LAPACK upper band storage
-    np.add.at(band, (width + rows[upper] - cols[upper], cols[upper]), csr.data[upper])
-    band[width] -= shift
     try:
-        factor = cholesky_banded(band)
-    except np.linalg.LinAlgError:
+        lu = splu(
+            (csr - shift * identity(n, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # exactly singular
         return None
-
-    def solve(x):
-        # LAPACK directly: cho_solve_banded makes the same call behind
-        # about 18 us of argument checks per application
-        if perm is None:
-            return dpbtrs(factor, x, lower=0)[0]
-        return dpbtrs(factor, x[perm], lower=0)[0][inv]
-
-    return solve
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0).all()):
+        return None
+    return lu.solve

@@ -266,38 +266,42 @@ def parse_edge_list(text):
     C reader; any other text, and any text with a faulty row, is parsed
     line by line, with the same result, warnings and messages.
     """
+    lines = text.splitlines()
     # numpy's integer reader takes some non-ASCII letters for digits
     # (U+01FE reads as 462), so only ASCII text goes to it
-    columns = _edge_columns(text) if text.isascii() else None
+    columns = _edge_columns(lines) if text.isascii() else None
     if columns is not None:
         a, b, w = columns
         # the per-line route names any faulty row; NaN fails both weight tests
         in_range = min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < MAX_VERTICES
         if in_range and (a != b).all() and ((w > 0) & (w < np.inf)).all():
+            del lines  # not held while the graph is built; a conflict splits again
             graph = _edge_graph(a, b, w)
             if isinstance(graph, Graph):
                 return graph
-    return _parse_edge_lines(text)
+            lines = text.splitlines()
+    return _parse_edge_lines(lines)
 
 
-def _edge_columns(text):
-    """Ids and weights of an all-"u,v,w" or all-"u,v" text from numpy's C
+def _edge_columns(lines):
+    """Ids and weights of all-"u,v,w" or all-"u,v" lines from numpy's C
     reader, or None where it refuses both."""
     for dtype in _EDGE_ROWS:
-        rows = _read_rows(text.splitlines(), dtype, delimiter=",", ndmin=1)
+        rows = _read_rows(lines, dtype, delimiter=",", ndmin=1)
         if rows is not None:
             w = rows["w"] if "w" in dtype.names else np.ones(rows.size)
             return rows["u"], rows["v"], w
     return None
 
 
-def _parse_edge_lines(text):
-    """parse_edge_list line by line: any text, faulty lines named.  The first
-    line that fails a check up to the weight stops the loop, and the rows
-    before it are then checked for a conflicting repeat."""
+def _parse_edge_lines(lines):
+    """parse_edge_list on the text's lines, one by one: any text, faulty
+    lines named.  The first line that fails a check up to the weight stops
+    the loop; the list is emptied, and the rows before it are checked for
+    a conflicting repeat."""
     a, b, w, linenos = array("q"), array("q"), array("d"), array("q")
     error = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -327,6 +331,7 @@ def _parse_edge_lines(text):
         b.append(y)
         w.append(z)
         linenos.append(lineno)
+    lines.clear()
     if a:
         # views of the arrays' buffers, not copies
         graph = _edge_graph(np.asarray(a), np.asarray(b), np.asarray(w))

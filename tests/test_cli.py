@@ -1217,6 +1217,10 @@ _REFUSALS = [
      "--step 0.02 must be at most 1/(8 q^2) = 0.013888888888888888"),
     (["rational-check", "--p", "1", "--q", "3", "--step", "1e-18", "--out", "o.txt"],
      "den * min(den, n_terms) = 2999999999999999616*9 overflows int64"),
+    (["rational-check", "--p", "1", "--q", "3", "--step", "1e-300", "--out", "o.txt"],
+     "--step 1e-300 is too small: lcm(q, 1/step) overflows int64"),
+    (["rational-check", "--p", "1", "--q", "3", "--step", "1e-320", "--out", "o.txt"],
+     "--step 1e-320 is too small to snap to 1/d"),
     (["rational-check", "--p", "1", "--q", "1073741824", "--out", "o.txt"],
      "q must be below 1073741824: 8 q^2 overflows int64"),
     (["rational-check", "--p", "1", "--q", str(10**200 + 1), "--out", "o.txt"],

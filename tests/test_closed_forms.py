@@ -5,7 +5,8 @@ Strang, "The discrete cosine transform", SIAM Review 41, 1999):
 
 - path, combinatorial: 2(1 - cos(pi k / n)), vector cos(pi k (j + 1/2) / n);
 - path, sym-normalized: 1 - cos(pi k / (n - 1));
-- cycle, combinatorial: 2(1 - cos(2 pi k / n)), each k >= 1 twice.
+- cycle, combinatorial: 2(1 - cos(2 pi k / n)), each k >= 1 twice;
+- periodic s x s grid, sym-normalized: (2 - cos(2 pi i / s) - cos(2 pi j / s)) / 2.
 
 Each is written as a squared sine below, which has no cancellation at
 small k.  n = 64 takes the dense solver and n = 600 and 4096 the
@@ -73,3 +74,20 @@ def test_path_score_matches_the_cosine_field(n):
     want = (phi / phi.max(axis=0)) @ path_comb_values(n, k) ** -0.5
     got = score_graph(edge_list(n, False), n_terms, kind="combinatorial")
     assert np.abs(got - want).max() <= 1e-9 * want.max()
+
+
+def test_periodic_grid_past_the_fixed_band_cap_takes_shift_invert():
+    # s = 152: the reverse Cuthill-McKee band is 303, over the fixed cap of
+    # 300 but under 3 sqrt(n) = 456; on the 160 x 160 grid the Gershgorin
+    # route took 4.1 s end to end, the shift-invert solve about 0.7 s
+    s = 152
+    idx = np.arange(s * s).reshape(s, s)
+    right, down = np.roll(idx, -1, axis=1), np.roll(idx, -1, axis=0)
+    rows = [f"{u},{v}" for w in (right, down) for u, v in zip(idx.ravel(), w.ravel())]
+    graph = parse_edge_list("\n".join(rows) + "\n")
+    report = lanczos_smallest(laplacian(graph, "sym-normalized"), PAIRS, seed=0)
+    values, _ = report.require("a periodic 152 x 152 grid")
+    assert report.method == "shift-invert"
+    i, j = np.meshgrid(np.arange(s), np.arange(s))
+    want = np.sort((2.0 - np.cos(2 * np.pi * i / s) - np.cos(2 * np.pi * j / s)).ravel() / 2)
+    assert np.abs(values - want[:PAIRS]).max() <= 1e-14

@@ -460,34 +460,21 @@ def grid_mesh_laplacian(side, seed):
 
 
 @pytest.mark.parametrize(
-    "build, width",
+    "build",
     [
-        # as numbered the mesh has band 21, reverse Cuthill-McKee's is 35
-        (lambda: grid_mesh_laplacian(20, 0), 21),
-        # periodic: n - 1 as numbered, 2 under RCM
-        (lambda: build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix, 2),
-        # a path: both orders have band 1, and the tie keeps RCM
-        (lambda: sp.diags([[-1.0] * 99, [1.0] + [2.0] * 98 + [1.0], [-1.0] * 99], [-1, 0, 1]), 1),
+        lambda: grid_mesh_laplacian(20, 0),
+        # periodic: band n - 1 as numbered, 2 under RCM
+        lambda: build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6)).matrix,
+        lambda: sp.diags([[-1.0] * 99, [1.0] + [2.0] * 98 + [1.0], [-1.0] * 99], [-1, 0, 1]),
     ],
     ids=["mesh", "circle", "path"],
 )
-def test_band_factor_takes_the_narrower_vertex_order(monkeypatch, build, width):
-    import scipy.linalg
-
+def test_shift_invert_factor_solves_the_shifted_system(build):
     from nodalscore import eigensolve
 
-    widths = []
-    factor = scipy.linalg.cholesky_banded
-
-    def recording(band, *args, **kwargs):
-        widths.append(band.shape[0] - 1)
-        return factor(band, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
     a = sp.csr_matrix(build())
     shift = -1e-3 * _inf_norm(a)
-    solve = eigensolve._banded_shift_invert(a, shift, 300)
-    assert widths == [width]
+    solve = eigensolve._shift_invert(a, shift, 300)
     x = np.random.default_rng(1).standard_normal(a.shape[0])
     want = np.linalg.solve(a.toarray() - shift * np.eye(a.shape[0]), x)
     assert np.abs(solve(x) - want).max() <= 1e-10 * np.abs(want).max()
@@ -579,14 +566,34 @@ def test_arpack_rounds_reach_m_equal_n_minus_one():
         lanczos_smallest(op, 39, seed=3)
 
 
-def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path():
-    # a Laplacian shifted down by 1 has no Cholesky factor at the band
-    # path's shift; the solve falls back and meets the same PSD contract
-    # as the dense solver, instead of surfacing a LinAlgError
+def test_lanczos_indefinite_sparse_falls_back_to_gershgorin_path(monkeypatch):
+    # a Laplacian shifted down by 1 is not positive definite at the
+    # shift-invert path's shift: SuperLU factors it without pivoting, a
+    # negative entry of U's diagonal sends the solve to the Gershgorin
+    # route, and the solve meets the same PSD contract as the dense solver
+    from nodalscore import eigensolve
+
+    factors, methods = [], []
+    real_splu, real_finish = spla.splu, eigensolve._finish
+
+    def splu(*args, **kwargs):
+        factors.append(real_splu(*args, **kwargs))
+        return factors[-1]
+
+    def finish(*args):
+        methods.append(args[-1])
+        return real_finish(*args)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(eigensolve, "_finish", finish)
     lap = random_sparse_laplacian(np.random.default_rng(9), 120)
     op = (lap - sp.identity(120)).tocsr()
     with pytest.raises(ValueError, match="eigenvalue must be >= 0"):
         lanczos_smallest(op, 6, seed=3)
+    [lu] = factors
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.U.diagonal().min() < 0
+    assert methods == ["arpack"]
 
 
 def test_lanczos_shift_invert_is_scale_invariant():
@@ -634,7 +641,7 @@ def test_lanczos_scales_by_a_power_of_four_bit_for_bit(build, m, method):
 
 @pytest.mark.parametrize("build, m, method", SCALED_SOLVES, ids=["path", "random"])
 def test_lanczos_converges_at_extreme_weights(build, m, method):
-    # the path takes 113 banded solves at every weight; the random graph's
+    # the path takes 113 solves at every weight; the random graph's
     # weights times c round differently for each c, and the number of
     # ARPACK restarts follows that rounding (446 matvecs at c = 1, 427-493
     # at weights from 1e-300 to 1e300)
@@ -680,7 +687,7 @@ def test_lanczos_circle_well_operation_count():
 
 def test_lanczos_circle_well_certificate_operation_count():
     # a count, not a time: the loose certificate ends the solve after 81
-    # banded solves here; a tol=0 check round took 101
+    # shift-invert solves here; a tol=0 check round took 101
     circle = build_circle_operator(576, PotentialSpec(y=1.3, eps=0.6))
     report = lanczos_smallest(circle.matrix, 11)
     assert report.method == "shift-invert"

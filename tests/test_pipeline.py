@@ -1036,12 +1036,13 @@ def test_parse_edge_list_fuzz(text):
     except ValueError as exc:
         expected = str(exc)
     for parse in (parse_edge_list, pipeline._parse_edge_lines):
+        lines = text if parse is parse_edge_list else text.splitlines()
         if isinstance(expected, str):
             with pytest.raises(ValueError) as raised:
-                parse(text)
+                parse(lines)
             assert str(raised.value) == expected
         else:
-            graph = parse(text)
+            graph = parse(lines)
             assert isinstance(graph, Graph)
             _assert_same_graph(graph, expected)
 
